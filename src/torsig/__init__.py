@@ -16,9 +16,6 @@ from .core import (
     SignatureDatum,
     TorsigError,
     TorusKnot,
-    new_rational_angle,
-    new_torus_knot,
-    seifert_rank,
 )
 from .lattice import (
     AnnulusCount,

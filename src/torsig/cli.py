@@ -26,13 +26,7 @@ from .identities import (
     check_odd_shift_identity,
 )
 from .lattice import classical_signature, lt_signature, signature_step_function
-from .maxsig import (
-    balanced_sequence,
-    distance_profile,
-    g4_lower_bound,
-    max_cyclic_sum,
-    max_signature,
-)
+from .maxsig import balanced_sequence, distance_profile, max_cyclic_sum, max_signature
 from . import oracle
 
 SCHEMA_VERSION = "1"
@@ -95,37 +89,48 @@ def cmd_sig(args) -> int:
 # max
 
 
-def cmd_max(args) -> int:
-    knot = TorusKnot(args.p, args.q)
+def _peak_row(knot: TorusKnot):
+    """The `max`/`table` row of one knot, with its profile and sequence.
+
+    Each kernel runs once per knot: sigma_hat = sigma + 2M and
+    g4_lb = ceil(sigma_hat/2) are derived from sigma and M.
+    """
     profile = distance_profile(knot)  # empty for p <= 2
     sequence = balanced_sequence(profile)
-    m = max_cyclic_sum(sequence)
-    sigma = classical_signature(knot)
-    sigma_hat = max_signature(knot)
-    g4 = g4_lower_bound(knot)
+    sigma, m = classical_signature(knot), max_cyclic_sum(sequence)
+    sigma_hat = sigma + 2 * m
+    row = {
+        "p": knot.p,
+        "q": knot.q,
+        "sigma": sigma,
+        "M": m,
+        "sigma_hat": sigma_hat,
+        "g4_lb": (sigma_hat + 1) // 2,
+    }
+    return row, profile, sequence
+
+
+def cmd_max(args) -> int:
+    knot = TorusKnot(args.p, args.q)
+    row, profile, sequence = _peak_row(knot)
     if args.format == "json":
         payload = {
-            "p": knot.p,
-            "q": knot.q,
-            "sigma": sigma,
+            **row,
             "D": {str(j): v for j, v in profile.D.items()},
             "d": {str(k): v for k, v in profile.d.items()},
             "sequence": list(sequence.entries),
-            "M": m,
-            "sigma_hat": sigma_hat,
-            "g4_lb": g4,
         }
         _emit_json(payload, sys.stdout)
     else:
         print(f"knot=T({knot.p},{knot.q})")
-        print(f"sigma={sigma}")
+        print(f"sigma={row['sigma']}")
         if profile.D:
             print(" ".join(f"D[{j}]={profile.D[j]}" for j in sorted(profile.D)))
             print(" ".join(f"d[{k}]={profile.d[k]}" for k in sorted(profile.d)))
         print(f"sequence={_sequence_str(sequence.entries)}")
-        print(f"M={m}")
-        print(f"sigma_hat={sigma_hat}")
-        print(f"g4_lb={g4}")
+        print(f"M={row['M']}")
+        print(f"sigma_hat={row['sigma_hat']}")
+        print(f"g4_lb={row['g4_lb']}")
     return EXIT_OK
 
 
@@ -181,20 +186,7 @@ def cmd_table(args) -> int:
     pairs = _coprime_pairs(args.p_max, args.q_max)
 
     def render(stream) -> None:
-        rows = []
-        for p, q in pairs:
-            knot = TorusKnot(p, q)
-            sigma_hat = max_signature(knot)
-            rows.append(
-                {
-                    "p": p,
-                    "q": q,
-                    "sigma": classical_signature(knot),
-                    "M": (sigma_hat - classical_signature(knot)) // 2,
-                    "sigma_hat": sigma_hat,
-                    "g4_lb": g4_lower_bound(knot),
-                }
-            )
+        rows = [_peak_row(TorusKnot(p, q))[0] for p, q in pairs]
         if args.format == "json":
             _emit_json({"rows": rows}, stream)
         else:
@@ -301,6 +293,9 @@ def cmd_verify(args) -> int:
                     print(f"error: unknown suite {name!r}", file=sys.stderr)
                     return EXIT_USAGE
                 which.add(name)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("TORSIG_TOL", oracle.DEFAULT_TOLERANCE))

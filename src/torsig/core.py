@@ -12,6 +12,7 @@ oracle calibrates itself to this one (see `torsig.oracle`).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,15 +69,6 @@ class TorusKnot:
         return f"T({self.p},{self.q})"
 
 
-def new_torus_knot(p: int, q: int) -> TorusKnot:
-    """Validating constructor; equivalent to TorusKnot(p, q)."""
-    return TorusKnot(p, q)
-
-
-def seifert_rank(knot: TorusKnot) -> int:
-    return knot.seifert_rank()
-
-
 @dataclass(frozen=True)
 class RationalAngle:
     """Exact rational t in (0, 1) parameterizing w = e^{2*pi*i*t}.
@@ -104,26 +96,20 @@ class RationalAngle:
 
     @classmethod
     def parse(cls, text: str) -> "RationalAngle":
-        """Parse an exact "n/d" string.  Decimal input is rejected."""
-        parts = text.split("/")
-        if len(parts) != 2:
+        """Parse an exact "n/d" string of ASCII digits.
+
+        Decimals, signs, spaces, underscores and non-ASCII digits are rejected.
+        """
+        match = re.fullmatch(r"([0-9]+)/([0-9]+)", text)
+        if match is None:
             raise InvalidParameter(f"angle must be written as n/d, got {text!r}")
-        try:
-            n, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InvalidParameter(f"angle must be written as n/d, got {text!r}") from None
-        return cls(n, d)
+        return cls(int(match[1]), int(match[2]))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
-
-
-def new_rational_angle(n: int, d: int) -> RationalAngle:
-    """Validating constructor; equivalent to RationalAngle(n, d)."""
-    return RationalAngle(n, d)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .lattice import classical_signature
 __all__ = [
     "DistanceProfile",
     "BalancedSequence",
-    "SequenceEntry",
     "RotationReport",
     "distance_profile",
     "geometric_distance_profile",
@@ -64,32 +63,14 @@ class DistanceProfile:
 
 
 @dataclass(frozen=True)
-class SequenceEntry:
-    """Provenance of one +-1 entry: which distance produced it."""
-
-    value: int
-    kind: str  # "D" -> +1, "d" -> -1
-    index: int
-
-
-@dataclass(frozen=True)
 class BalancedSequence:
-    """A +-1 sequence with equally many entries of each sign.
-
-    labels, when present, parallel the entries and record which distance
-    produced each one, sorted by increasing distance value.
-    """
+    """A +-1 sequence with equally many entries of each sign."""
 
     entries: tuple[int, ...]
-    labels: tuple[SequenceEntry, ...] = ()
 
     def __post_init__(self) -> None:
         assert self.entries.count(1) == self.entries.count(-1)
         assert all(v in (1, -1) for v in self.entries)
-        if self.labels:
-            assert len(self.labels) == len(self.entries)
-            values = [label.value for label in self.labels]
-            assert values == sorted(values) and len(set(values)) == len(values)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -151,12 +132,9 @@ def geometric_distance_profile(knot: TorusKnot) -> DistanceProfile:
 
 def balanced_sequence(profile: DistanceProfile) -> BalancedSequence:
     """Sort the distances and map D entries to +1, d entries to -1."""
-    entries = []
-    labels = []
-    for value, kind, index in profile.values_sorted():
-        entries.append(1 if kind == "D" else -1)
-        labels.append(SequenceEntry(value, kind, index))
-    return BalancedSequence(tuple(entries), tuple(labels))
+    return BalancedSequence(
+        tuple(1 if kind == "D" else -1 for _, kind, _ in profile.values_sorted())
+    )
 
 
 def max_cyclic_sum(seq: BalancedSequence) -> int:

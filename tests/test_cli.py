@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from torsig.cli import main
 
 
@@ -26,6 +28,10 @@ class TestSig:
     def test_decimal_angle_rejected(self, capsys):
         code, _, err = run(capsys, "sig", "-p", "4", "-q", "7", "-t", "0.25")
         assert code == 2 and "n/d" in err
+
+    def test_underscore_angle_rejected(self, capsys):
+        code, out, err = run(capsys, "sig", "-p", "3", "-q", "4", "-t", "1_0/30")
+        assert code == 2 and out == "" and "n/d" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "sig", "-p", "4", "-q", "7", "-t", "2/8", "--format", "json")
@@ -149,6 +155,11 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--which", "bogus")
         assert code == 2 and "unknown suite" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--which", "glm", "--jobs", jobs)
+        assert code == 2 and out == "" and "--jobs" in err
 
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(

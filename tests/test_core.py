@@ -10,9 +10,6 @@ from torsig.core import (
     RationalAngle,
     SignatureDatum,
     TorusKnot,
-    new_rational_angle,
-    new_torus_knot,
-    seifert_rank,
 )
 
 
@@ -51,9 +48,6 @@ class TestTorusKnot:
             assert TorusKnot(a, b) == TorusKnot(b, a)
             assert TorusKnot(a, b).p <= TorusKnot(a, b).q
 
-    def test_new_torus_knot_alias(self):
-        assert new_torus_knot(7, 4) == TorusKnot(4, 7)
-
     def test_hashable_and_frozen(self):
         k = TorusKnot(2, 3)
         assert len({k, TorusKnot(3, 2)}) == 1
@@ -64,7 +58,7 @@ class TestTorusKnot:
 class TestSeifertRank:
     @pytest.mark.parametrize("p,q,rank", [(2, 3, 2), (4, 7, 18), (1, 9, 0)])
     def test_examples(self, p, q, rank):
-        assert seifert_rank(TorusKnot(p, q)) == rank
+        assert TorusKnot(p, q).seifert_rank() == rank
 
 
 class TestRationalAngle:
@@ -86,7 +80,8 @@ class TestRationalAngle:
 
     def test_parse(self):
         assert RationalAngle.parse("3/12") == RationalAngle(1, 4)
-        for bad in ("0.25", "1", "1/2/3", "a/b"):
+        for bad in ("0.25", "1", "1/2/3", "a/b", "1_0/30", "+1/2", "-1/2", " 1/ 2",
+                    "1/2\n", "\uff11/\uff12", "\u0661/\u0662"):
             with pytest.raises(InvalidParameter):
                 RationalAngle.parse(bad)
 
@@ -103,9 +98,6 @@ class TestRationalAngle:
     def test_str_roundtrip(self):
         t = RationalAngle(3, 14)
         assert RationalAngle.parse(str(t)) == t
-
-    def test_new_rational_angle_alias(self):
-        assert new_rational_angle(2, 8) == RationalAngle(1, 4)
 
 
 class TestSignatureDatum:

@@ -93,14 +93,6 @@ class TestBalancedSequence:
     def test_empty(self):
         assert balanced_sequence(distance_profile(TorusKnot(2, 7))).entries == ()
 
-    def test_labels_sorted_by_distance(self):
-        for p, q in coprime_pairs(11, 25):
-            seq = balanced_sequence(distance_profile(TorusKnot(p, q)))
-            values = [label.value for label in seq.labels]
-            assert values == sorted(values)
-            for entry, label in zip(seq.entries, seq.labels):
-                assert entry == (1 if label.kind == "D" else -1)
-
     def test_unbalanced_rejected(self):
         with pytest.raises(AssertionError):
             BalancedSequence((1, 1, -1))

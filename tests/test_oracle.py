@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from torsig.core import InvalidParameter, RationalAngle, TorusKnot
 from torsig.lattice import classical_signature, lt_signature
 from torsig.maxsig import max_signature
 from torsig.oracle import (
+    _PRIMES,
     BraidWord,
     NearSingular,
     ValidationFailure,
@@ -82,6 +84,26 @@ def pencil_det_bruteforce(entries):
     return tuple(out)
 
 
+def random_knot_braids(seed, count, max_strands=5, max_rank=10):
+    """Seeded random positive braid words whose closure is a knot."""
+    rng = random.Random(seed)
+    braids = []
+    while len(braids) < count:
+        strands = rng.randint(2, max_strands)
+        length = rng.randint(strands - 1, strands - 1 + max_rank)
+        braid = BraidWord(strands, tuple(rng.randint(1, strands - 1) for _ in range(length)))
+        if braid.has_connected_closure():
+            braids.append(braid)
+    return braids
+
+
+def assert_unit_upper_triangular(matrix):
+    a = matrix.as_array()
+    assert not np.tril(a, -1).any()
+    diagonal = set(a.diagonal().tolist())
+    assert diagonal in ({1}, {-1}, set())
+
+
 def associates(f, g):
     f, g = list(f), list(g)
     while f and f[0] == 0:
@@ -151,6 +173,21 @@ class TestSeifertMatrix:
             matrix = torus_seifert_matrix(TorusKnot(p, q))
             assert alexander_from_seifert(matrix) == pencil_det_bruteforce(matrix.entries)
 
+    def test_unit_upper_triangular_on_torus_grid(self):
+        pairs = [(p, q) for p, q in coprime_pairs(12, 201) if (p - 1) * (q - 1) <= 200]
+        assert len(pairs) > 300
+        for p, q in pairs:
+            assert_unit_upper_triangular(seifert_matrix(torus_braid(TorusKnot(p, q))))
+
+    def test_unit_upper_triangular_on_random_braids(self):
+        for braid in random_knot_braids(seed=2212, count=300, max_strands=8, max_rank=40):
+            assert_unit_upper_triangular(seifert_matrix(braid))
+
+    def test_pencil_matches_bruteforce_on_random_braids(self):
+        for braid in random_knot_braids(seed=9604, count=40):
+            matrix = seifert_matrix(braid)
+            assert alexander_from_seifert(matrix) == pencil_det_bruteforce(matrix.entries)
+
     def test_validation_failure_on_wrong_target(self):
         with pytest.raises(ValidationFailure):
             seifert_matrix(
@@ -165,6 +202,37 @@ class TestSeifertMatrix:
             expected_alexander=torus_alexander(TorusKnot(2, 3)),
         )
         assert matrix.size == 2
+
+
+class TestAlexanderContract:
+    def test_primes_are_prime_and_fit_the_int64_bound(self):
+        assert len(set(_PRIMES)) == 3
+        for p in _PRIMES:
+            assert p < 2**26
+            assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1, 0], [1, 1]],  # lower-triangular entry
+            [[1, 1], [0, 2]],  # diagonal entry 2
+            [[0, 1], [0, 1]],  # zero on the diagonal
+            [[1, 1, 0], [0, 1, 1]],  # not square
+            [1, 1],  # not a matrix
+        ],
+    )
+    def test_outside_contract_rejected(self, entries):
+        with pytest.raises(InvalidParameter):
+            alexander_from_seifert(entries)
+
+    def test_over_rank_rejected(self):
+        with pytest.raises(InvalidParameter, match="rank 2049"):
+            alexander_from_seifert(np.eye(2049, dtype=np.int64))
+
+    def test_negative_diagonal_accepted(self):
+        raw = -torus_seifert_matrix(TorusKnot(3, 4)).as_array()
+        assert associates(alexander_from_seifert(raw), torus_alexander(TorusKnot(3, 4)))
+        assert alexander_from_seifert(raw) == pencil_det_bruteforce(raw.tolist())
 
 
 class TestTorusAlexander:
