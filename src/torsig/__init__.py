@@ -18,10 +18,7 @@ from .core import (
     TorusKnot,
 )
 from .lattice import (
-    AnnulusCount,
     StepFunction,
-    annulus_count,
-    annulus_count_bruteforce,
     classical_signature,
     lt_signature,
     signature_step_function,

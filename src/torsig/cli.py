@@ -16,8 +16,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import chain
 
-from .core import RationalAngle, TorsigError, TorusKnot
+from .core import InvalidParameter, RationalAngle, TorsigError, TorusKnot
 from .identities import (
     check_closed_forms,
     check_even_periodicity,
@@ -39,6 +40,11 @@ SUITES = (
     "oracle",
     "brute-max",
 )
+
+# Size caps, checked before anything is allocated: `sweep` builds O(pq)
+# arrays and prints about 2pq lines; `table` scans every candidate pair.
+SWEEP_MAX_PQ = 2_000_000
+TABLE_MAX_ROWS = 100_000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,8 +72,19 @@ def _write_output(path: str | None, render) -> int:
     return EXIT_OK
 
 
+_SIGNED = {1: "+1", -1: "-1"}
+
+
 def _sequence_str(entries) -> str:
-    return "(" + ",".join(f"{a:+d}" for a in entries) + ")"
+    return "(" + ",".join(map(_SIGNED.__getitem__, entries)) + ")"
+
+
+def _indexed(name: str, values: dict[int, int]) -> str:
+    """Space-separated name[k]=v in the dict's order, formatted by one % call.
+
+    `distance_profile` inserts the keys in increasing order.
+    """
+    return " ".join([f"{name}[%d]=%d"] * len(values)) % tuple(chain.from_iterable(values.items()))
 
 
 # --------------------------------------------------------------------------
@@ -125,8 +142,8 @@ def cmd_max(args) -> int:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
         if profile.D:
-            print(" ".join(f"D[{j}]={profile.D[j]}" for j in sorted(profile.D)))
-            print(" ".join(f"d[{k}]={profile.d[k]}" for k in sorted(profile.d)))
+            print(_indexed("D", profile.D))
+            print(_indexed("d", profile.d))
         print(f"sequence={_sequence_str(sequence.entries)}")
         print(f"M={row['M']}")
         print(f"sigma_hat={row['sigma_hat']}")
@@ -138,42 +155,34 @@ def cmd_max(args) -> int:
 # sweep
 
 
-def _sweep_rows(knot: TorusKnot):
-    step = signature_step_function(knot)
-    bounds = (Fraction(0),) + step.breakpoints + (Fraction(1),)
-    intervals = [
-        (bounds[i], bounds[i + 1], v) for i, v in enumerate(step.interval_values)
-    ]
-    jumps = list(zip(step.breakpoints, step.breakpoint_values))
-    return step, intervals, jumps
-
-
 def cmd_sweep(args) -> int:
     knot = TorusKnot(args.p, args.q)
-    step, intervals, jumps = _sweep_rows(knot)
+    if knot.p * knot.q > SWEEP_MAX_PQ:
+        raise InvalidParameter(f"sweep needs pq <= {SWEEP_MAX_PQ}, got pq = {knot.p * knot.q}")
+    step = signature_step_function(knot)
+    values = step.interval_values
 
     def render(stream) -> None:
-        if args.format == "csv":
-            stream.write("t_lo,t_hi,sigma\n")
-            for lo, hi, v in intervals:
-                stream.write(f"{lo},{hi},{v}\n")
-            stream.write("\n")
-            stream.write("t,sigma\n")
-            for t, v in jumps:
-                stream.write(f"{t},{v}\n")
-        elif args.format == "json":
+        if args.format == "json":
             payload = {
                 "p": knot.p,
                 "q": knot.q,
-                "breakpoints": [str(t) for t in step.breakpoints],
-                "interval_values": list(step.interval_values),
+                "breakpoints": list(map(str, step.breakpoints)),
+                "interval_values": list(values),
                 "breakpoint_values": list(step.breakpoint_values),
             }
             _emit_json(payload, stream)
+            return
+        if args.format == "csv":
+            # bounds[i], bounds[i+1] enclose interval i; bounds[1:-1] are the jumps
+            bounds = ["0", *map(str, step.breakpoints), "1"]
+            stream.write("t_lo,t_hi,sigma\n")
+            stream.writelines(map("{},{},{}\n".format, bounds, bounds[1:], values))
+            stream.write("\nt,sigma\n")
+            stream.writelines(map("{},{}\n".format, bounds[1:-1], step.breakpoint_values))
         else:  # plot: step data with doubled abscissae at the jumps
-            for lo, hi, v in intervals:
-                stream.write(f"{float(lo)} {v}\n")
-                stream.write(f"{float(hi)} {v}\n")
+            bounds = ["0.0", *(str(float(t)) for t in step.breakpoints), "1.0"]
+            stream.writelines(map("{0} {2}\n{1} {2}\n".format, bounds, bounds[1:], values))
 
     return _write_output(args.output, render)
 
@@ -182,7 +191,20 @@ def cmd_sweep(args) -> int:
 # table
 
 
+def _table_candidates(p_max: int, q_max: int) -> int:
+    """Number of (p, q) with 2 <= p <= p_max and p < q <= q_max, counted
+    without enumerating them; the coprime ones become `table` rows."""
+    top = min(p_max, q_max - 1)
+    if top < 2:
+        return 0
+    return (top - 1) * q_max - (top * (top + 1) // 2 - 1)
+
+
 def cmd_table(args) -> int:
+    candidates = _table_candidates(args.p_max, args.q_max)
+    if candidates > TABLE_MAX_ROWS:
+        raise InvalidParameter(f"table allows at most {TABLE_MAX_ROWS} (p, q) pairs, "
+                               f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates}")
     pairs = _coprime_pairs(args.p_max, args.q_max)
 
     def render(stream) -> None:
@@ -370,13 +392,16 @@ def _build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--format", choices=("text", "json"), default="text")
     mx.set_defaults(func=cmd_max)
 
-    sweep = sub.add_parser("sweep", help="dump the whole signature function")
+    sweep = sub.add_parser(
+        "sweep", help=f"dump the whole signature function (pq <= {SWEEP_MAX_PQ})")
     add_knot_args(sweep)
     sweep.add_argument("--format", choices=("csv", "json", "plot"), default="csv")
     sweep.add_argument("-o", "--output", help="output path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
-    table = sub.add_parser("table", help="grid of sigma, M, sigma_hat, g4 bound")
+    table = sub.add_parser(
+        "table",
+        help=f"grid of sigma, M, sigma_hat, g4 bound (at most {TABLE_MAX_ROWS} pairs)")
     table.add_argument("--p-max", type=int, default=10)
     table.add_argument("--q-max", type=int, default=20)
     table.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .core import InvalidParameter, TorusKnot
 from .lattice import classical_signature
-from .maxsig import balanced_sequence, distance_profile, max_signature
+from .maxsig import DistanceProfile, balanced_sequence, distance_profile, max_signature
 
 __all__ = [
     "IdentityReport",
@@ -57,10 +57,10 @@ def check_glm(p: int, q: int) -> IdentityReport:
     base = TorusKnot(p, q)
     stepped = TorusKnot(p, q + 2 * p)
     increment = p * p if p % 2 == 0 else p * p - 1
-    expected = classical_signature(base) + increment
+    sigma_base = classical_signature(base)
     computed = classical_signature(stepped)
-    return _report("glm", (base, stepped), expected, computed,
-                   sigma_base=classical_signature(base), increment=increment)
+    return _report("glm", (base, stepped), sigma_base + increment, computed,
+                   sigma_base=sigma_base, increment=increment)
 
 
 def check_even_periodicity(p: int, q: int) -> IdentityReport:
@@ -73,10 +73,10 @@ def check_even_periodicity(p: int, q: int) -> IdentityReport:
         raise InvalidParameter(f"even-p periodicity requires even p, got {p}")
     base = TorusKnot(p, q)
     stepped = TorusKnot(p, q + p)
-    expected = classical_signature(base) + p * p // 2
+    sigma_base = classical_signature(base)
     computed = classical_signature(stepped)
-    return _report("even-periodicity", (base, stepped), expected, computed,
-                   sigma_base=classical_signature(base))
+    return _report("even-periodicity", (base, stepped), sigma_base + p * p // 2, computed,
+                   sigma_base=sigma_base)
 
 
 def check_main_recursion(p: int, q: int) -> IdentityReport:
@@ -86,10 +86,10 @@ def check_main_recursion(p: int, q: int) -> IdentityReport:
     base = TorusKnot(p, q)
     stepped = TorusKnot(p, q + p)
     increment = p * p // 2 if p % 2 == 0 else (p * p - 1) // 2
-    expected = max_signature(base) + increment
+    sigma_hat_base = max_signature(base)
     computed = max_signature(stepped)
-    return _report("main-recursion", (base, stepped), expected, computed,
-                   sigma_hat_base=max_signature(base), increment=increment)
+    return _report("main-recursion", (base, stepped), sigma_hat_base + increment, computed,
+                   sigma_hat_base=sigma_hat_base, increment=increment)
 
 
 def check_odd_shift_identity(p: int, q: int) -> IdentityReport:
@@ -115,13 +115,15 @@ def check_odd_shift_identity(p: int, q: int) -> IdentityReport:
                    D=dict(profile.D), above=above, below=below)
 
 
-def _ordering_holds(p: int) -> bool:
+def _ordering_holds(p: int, profile: DistanceProfile, kinds: tuple[int, ...]) -> bool:
     """Distance ordering in T(p,p+1): all D before all d for even p (with
-    D_{-2} < D_{-4} < ...), all d before all D for odd p."""
-    profile = distance_profile(TorusKnot(p, p + 1))
-    kinds = [kind for _, kind, _ in profile.values_sorted()]
+    D_{-2} < D_{-4} < ...), all d before all D for odd p.
+
+    kinds is the balanced sequence of the profile: +1 marks a D value and
+    -1 a d value.
+    """
     m = len(kinds) // 2
-    expected = ["D"] * m + ["d"] * m if p % 2 == 0 else ["d"] * m + ["D"] * m
+    expected = (1,) * m + (-1,) * m if p % 2 == 0 else (-1,) * m + (1,) * m
     if kinds != expected:
         return False
     if p % 2 == 0:
@@ -144,17 +146,18 @@ def check_closed_forms(p: int) -> list[IdentityReport]:
 
     near = TorusKnot(p, p + 1)
     gap_expected = p - 2 if p % 2 == 0 else 0
-    gap_computed = max_signature(near) - classical_signature(near)
-    reports.append(_report("closed-form-p-plus-1", (near,), gap_expected, gap_computed,
-                           sigma=classical_signature(near)))
+    sigma_near = classical_signature(near)
+    reports.append(_report("closed-form-p-plus-1", (near,), gap_expected,
+                           max_signature(near) - sigma_near, sigma=sigma_near))
 
     far = TorusKnot(p, 2 * p + 1)
     reports.append(_report("closed-form-2p-plus-1", (far,), p * p + p - 2,
                            max_signature(far), sigma=classical_signature(far)))
 
-    ordering_ok = _ordering_holds(p)
-    reports.append(_report("closed-form-ordering", (near,), 1, int(ordering_ok),
-                           sequence=balanced_sequence(distance_profile(near)).entries))
+    profile = distance_profile(near)
+    sequence = balanced_sequence(profile).entries
+    reports.append(_report("closed-form-ordering", (near,), 1,
+                           int(_ordering_holds(p, profile, sequence)), sequence=sequence))
     return reports
 
 

@@ -9,30 +9,34 @@ side) or k (positive side), the scaled distances reduce to congruences:
     D_j = (-j*q) mod 2p        for -p < j < 0,  j = p (mod 2),
     d_k = 2p - D_{-k}          for  0 < k < p,  k = p (mod 2).
 
-Sorting the multiset {D_j} united with {d_k} and replacing each D by +1 and
-each d by -1 yields a balanced +-1 sequence whose maximal cyclic partial
-sum M determines the peak of the signature function:
+Reading the multiset {D_j} united with {d_k} in increasing order and
+replacing each D by +1 and each d by -1 yields a balanced +-1 sequence
+whose maximal cyclic partial sum M determines the peak of the signature
+function:
 
     max_signature = classical_signature + 2*M.
 
-The geometric definition of the distances is exercised by a slow
-cross-check (`geometric_distance_profile`) used in the tests; production
-code uses only the congruences.
+The values are distinct integers in (0, 2p), so the sequence is read off an
+int8 mark array over [0, 2p) with no sort, and M is the maximum of one
+cumulative sum.  Distances are computed with q reduced mod 2p, so every
+intermediate stays below 2p^2, which is checked against int64 up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .core import InvalidParameter, TorusKnot
-from .lattice import classical_signature
+from .lattice import INT64_MAX, classical_signature
 
 __all__ = [
     "DistanceProfile",
     "BalancedSequence",
     "RotationReport",
     "distance_profile",
-    "geometric_distance_profile",
     "balanced_sequence",
     "max_cyclic_sum",
     "max_signature",
@@ -46,20 +50,14 @@ class DistanceProfile:
     """Scaled column-to-boundary distances for one torus knot.
 
     D maps each negative column index j to D_j; d maps each positive index
-    k to d_k.  All 2m values (m = ceil(p/2) - 1) are distinct integers in
-    (0, 2p), never equal to p, and satisfy D_j + d_{-j} = 2p.
+    k to d_k; `distance_profile` inserts the keys in increasing order.
+    All 2m values (m = ceil(p/2) - 1) are distinct integers in (0, 2p),
+    never equal to p, and satisfy D_j + d_{-j} = 2p.
     """
 
     p: int
     D: dict[int, int]
     d: dict[int, int]
-
-    def values_sorted(self) -> list[tuple[int, str, int]]:
-        """All (value, kind, index) triples ordered by increasing value."""
-        triples = [(v, "D", j) for j, v in self.D.items()]
-        triples += [(v, "d", k) for k, v in self.d.items()]
-        triples.sort()
-        return triples
 
 
 @dataclass(frozen=True)
@@ -69,11 +67,39 @@ class BalancedSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert self.entries.count(1) == self.entries.count(-1)
-        assert all(v in (1, -1) for v in self.entries)
+        plus = self.entries.count(1)
+        assert plus == self.entries.count(-1)
+        assert 2 * plus == len(self.entries), "entries must all be +1 or -1"
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _distances(knot: TorusKnot) -> tuple[np.ndarray, np.ndarray]:
+    """(s, D) as int64 arrays with s = -j, in increasing order of j.
+
+    s runs over p-2, p-4, ... > 0 and D_{-s} = s*q mod 2p.  With q reduced
+    mod 2p first, s*q < 2p^2, which must fit in int64.
+    """
+    p = knot.p
+    if 2 * p * p > INT64_MAX:
+        raise InvalidParameter(f"{knot}: distances up to 2p^2 = {2 * p * p} overflow int64")
+    s = np.arange(p - 2, 0, -2, dtype=np.int64)
+    return s, s * (knot.q % (2 * p)) % (2 * p)
+
+
+def _marks(p: int, D: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """int8 array over [0, 2p) with +1 at every D value and -1 at every d value.
+
+    Asserts that the values lie in (0, 2p), avoid p, and are distinct.
+    """
+    values = np.concatenate((D, d))
+    assert np.all((values > 0) & (values < 2 * p) & (values != p))
+    marks = np.zeros(2 * p, dtype=np.int8)
+    marks[D] = 1
+    marks[d] = -1
+    assert np.count_nonzero(marks) == values.size, "distance values must be distinct"
+    return marks
 
 
 def distance_profile(knot: TorusKnot) -> DistanceProfile:
@@ -84,80 +110,44 @@ def distance_profile(knot: TorusKnot) -> DistanceProfile:
     coprimality; a violation would mean a bug upstream, so they are
     asserted here.
     """
-    p, q = knot.p, knot.q
-    D: dict[int, int] = {}
-    d: dict[int, int] = {}
-    for j in range(-p + 2, 0, 2):
-        # -p + 2 is the smallest index in the parity class j = p (mod 2)
-        D[j] = (-j * q) % (2 * p)
-    for k in range(2 - p % 2, p, 2):
-        d[k] = 2 * p - D[-k]
-    values = list(D.values()) + list(d.values())
-    assert len(set(values)) == len(values), "distance values must be distinct"
-    assert all(0 < v < 2 * p and v != p for v in values)
-    return DistanceProfile(p, D, d)
-
-
-def geometric_distance_profile(knot: TorusKnot) -> DistanceProfile:
-    """Slow geometric cross-check of `distance_profile`.
-
-    Works in coordinates with the origin moved to (1/2, 0), where the two
-    boundary lines of the half-signature annulus become y = -x and
-    y = -x + 1.  For each column the nearest lattice row strictly below the
-    relevant line is found by scanning; the row y = 0 participates as the
-    boundary row (it is the minimizer whenever the column has no interior
-    point below the line).  Distances are scaled by 2pq.
-    """
-    p, q = knot.p, knot.q
-    D: dict[int, int] = {}
-    d: dict[int, int] = {}
-    for j in range(-p + 2, 0, 2):
-        # column x = j/(2p); lower line y = -x, i.e. y = -j/(2p) > 0
-        best = None
-        for row in range(q):  # y = row/q, including the boundary row 0
-            scaled_gap = (-j) * q - 2 * p * row  # 2pq * (-x - y)
-            if scaled_gap > 0 and (best is None or scaled_gap < best):
-                best = scaled_gap
-        D[j] = best
-    for k in range(2 - p % 2, p, 2):
-        # column x = k/(2p); upper line y = -x + 1
-        best = None
-        for row in range(q + 1):
-            scaled_gap = (2 * p - k) * q - 2 * p * row  # 2pq * (1 - x - y)
-            if scaled_gap > 0 and (best is None or scaled_gap < best):
-                best = scaled_gap
-        d[k] = best
-    return DistanceProfile(p, D, d)
+    p = knot.p
+    s, D = _distances(knot)
+    d = 2 * p - D
+    _marks(p, D, d)
+    return DistanceProfile(
+        p,
+        dict(zip((-s).tolist(), D.tolist())),
+        dict(zip(s[::-1].tolist(), d[::-1].tolist())),
+    )
 
 
 def balanced_sequence(profile: DistanceProfile) -> BalancedSequence:
-    """Sort the distances and map D entries to +1, d entries to -1."""
-    return BalancedSequence(
-        tuple(1 if kind == "D" else -1 for _, kind, _ in profile.values_sorted())
-    )
+    """Read the distances in increasing order: D entries +1, d entries -1."""
+    D = np.fromiter(profile.D.values(), dtype=np.int64, count=len(profile.D))
+    d = np.fromiter(profile.d.values(), dtype=np.int64, count=len(profile.d))
+    marks = _marks(profile.p, D, d)
+    return BalancedSequence(tuple(marks[marks != 0].tolist()))
 
 
 def max_cyclic_sum(seq: BalancedSequence) -> int:
     """Largest cyclic partial sum of the sequence, at least 0.
 
     The empty sum is admissible.  Because the sequence is balanced, sums
-    longer than one period repeat earlier values, so scanning a single
-    period starting at index 0 suffices.
+    longer than one period repeat earlier values, so the partial sums of a
+    single period starting at index 0 suffice.
     """
-    best = 0
-    running = 0
-    for a in seq.entries:
-        running += a
-        if running > best:
-            best = running
-    return best
+    return max(0, max(accumulate(seq.entries), default=0))
 
 
 def max_signature(knot: TorusKnot) -> int:
-    """Peak value of the signature function: sigma + 2M."""
-    if knot.p == 1:
-        return 0
-    m = max_cyclic_sum(balanced_sequence(distance_profile(knot)))
+    """Peak value of the signature function: sigma + 2M.
+
+    M is taken straight from the mark array, without building the profile
+    dicts or the sequence tuple.
+    """
+    s, D = _distances(knot)
+    marks = _marks(knot.p, D, 2 * knot.p - D)
+    m = int(np.cumsum(marks, dtype=np.int64).max(initial=0))
     return classical_signature(knot) + 2 * m
 
 

@@ -1,0 +1,183 @@
+"""Slow, independent reference routes for the fast kernels in `torsig`.
+
+Each function here computes the same quantity as a production kernel by a
+deliberately different and simpler route (point-by-point or column-by-column
+loops, sorting, a list-based walk).  The tests compare the kernels against
+these; nothing in `src/` imports this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from torsig.core import RationalAngle, TorusKnot
+from torsig.lattice import StepFunction
+from torsig.maxsig import BalancedSequence, DistanceProfile
+
+
+def floor_sum_naive(n: int, m: int, a: int, b: int) -> int:
+    """sum of floor((a*i + b) / m) over 0 <= i < n, term by term."""
+    return sum((a * i + b) // m for i in range(n))
+
+
+@dataclass(frozen=True)
+class AnnulusCount:
+    """Lattice points inside the open annulus (t, t+1) versus outside it.
+
+    inside + outside = (p-1)(q-1) unless some point sits exactly on the
+    boundary (which happens only at jump abscissae).
+    """
+
+    inside: int
+    outside: int
+
+
+def annulus_count_bruteforce(knot: TorusKnot, t: RationalAngle) -> AnnulusCount:
+    """O(pq) count looping over every lattice point."""
+    p, q = knot.p, knot.q
+    a, b = t.numerator, t.denominator
+    # d(i,j) = (iq + jp)/(pq); compare against a/b by clearing denominators.
+    lo = a * p * q          # t * (pq) * b ... both sides scaled by b
+    hi = (a + b) * p * q    # (t+1) * pq * b
+    inside = 0
+    outside = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            norm = (i * q + j * p) * b
+            assert norm != p * q * b, "no lattice point has Manhattan norm 1"
+            if lo < norm < hi:
+                inside += 1
+            elif norm < lo or norm > hi:
+                outside += 1
+    return AnnulusCount(inside, outside)
+
+
+def annulus_count(knot: TorusKnot, t: RationalAngle) -> AnnulusCount:
+    """O(p) count: for each column i the admissible j form an open rational
+    interval, counted by clearing denominators."""
+    p, q = knot.p, knot.q
+    a, b = t.numerator, t.denominator
+    den = b * p
+    inside = 0
+    boundary = 0
+    for i in range(1, p):
+        # j must satisfy  q(t - i/p) < j < q(t + 1 - i/p)  and  0 < j < q.
+        n1 = q * (a * p - i * b)
+        n2 = n1 + q * den
+        jmin = max(n1 // den + 1, 1)
+        jmax = min((n2 - 1) // den, q - 1)
+        if jmax >= jmin:
+            inside += jmax - jmin + 1
+        for boundary_num in (n1, n2):
+            if boundary_num % den == 0 and 0 < boundary_num // den < q:
+                boundary += 1
+    total = (p - 1) * (q - 1)
+    return AnnulusCount(inside, total - inside - boundary)
+
+
+def lt_signature_columns(knot: TorusKnot, t: RationalAngle) -> int:
+    """sigma_t from the O(p) per-column annulus count."""
+    return 2 * annulus_count(knot, t).inside - knot.seifert_rank()
+
+
+def classical_signature_loop(knot: TorusKnot) -> int:
+    """(p-1)(q-1) - 4 * sum of floor(jq/2p) over 0 < j < p, j = p (mod 2), in O(p)."""
+    p, q = knot.p, knot.q
+    total = 0
+    for j in range(2 - p % 2, p, 2):
+        total += (j * q) // (2 * p)
+    return (p - 1) * (q - 1) - 4 * total
+
+
+def distance_profile_loop(knot: TorusKnot) -> DistanceProfile:
+    """D_j = (-j*q) mod 2p and d_k = 2p - D_{-k}, one Python int at a time."""
+    p, q = knot.p, knot.q
+    D = {j: (-j * q) % (2 * p) for j in range(-p + 2, 0, 2)}
+    d = {k: 2 * p - D[-k] for k in range(2 - p % 2, p, 2)}
+    return DistanceProfile(p, D, d)
+
+
+def geometric_distance_profile(knot: TorusKnot) -> DistanceProfile:
+    """Distances measured geometrically, by scanning lattice rows.
+
+    Works in coordinates with the origin moved to (1/2, 0), where the two
+    boundary lines of the half-signature annulus become y = -x and
+    y = -x + 1.  For each column the nearest lattice row strictly below the
+    relevant line is found by scanning; the row y = 0 participates as the
+    boundary row (it is the minimizer whenever the column has no interior
+    point below the line).  Distances are scaled by 2pq.
+    """
+    p, q = knot.p, knot.q
+    D: dict[int, int] = {}
+    d: dict[int, int] = {}
+    for j in range(-p + 2, 0, 2):
+        # column x = j/(2p); lower line y = -x, i.e. y = -j/(2p) > 0
+        best = None
+        for row in range(q):  # y = row/q, including the boundary row 0
+            scaled_gap = (-j) * q - 2 * p * row  # 2pq * (-x - y)
+            if scaled_gap > 0 and (best is None or scaled_gap < best):
+                best = scaled_gap
+        D[j] = best
+    for k in range(2 - p % 2, p, 2):
+        # column x = k/(2p); upper line y = -x + 1
+        best = None
+        for row in range(q + 1):
+            scaled_gap = (2 * p - k) * q - 2 * p * row  # 2pq * (1 - x - y)
+            if scaled_gap > 0 and (best is None or scaled_gap < best):
+                best = scaled_gap
+        d[k] = best
+    return DistanceProfile(p, D, d)
+
+
+def sorted_balanced_sequence(profile: DistanceProfile) -> BalancedSequence:
+    """Sort the labelled (value, kind, index) triples; D -> +1, d -> -1."""
+    triples = [(v, "D", j) for j, v in profile.D.items()]
+    triples += [(v, "d", k) for k, v in profile.d.items()]
+    triples.sort()
+    return BalancedSequence(tuple(1 if kind == "D" else -1 for _, kind, _ in triples))
+
+
+def max_cyclic_sum_loop(entries: tuple[int, ...]) -> int:
+    """Largest prefix sum of one period, at least 0 (the empty sum)."""
+    best = running = 0
+    for a in entries:
+        running += a
+        best = max(best, running)
+    return best
+
+
+def max_signature_sorted(knot: TorusKnot) -> int:
+    """sigma + 2M through the loop profile, the sort and the loop sum."""
+    if knot.p == 1:
+        return 0
+    entries = sorted_balanced_sequence(distance_profile_loop(knot)).entries
+    return classical_signature_loop(knot) + 2 * max_cyclic_sum_loop(entries)
+
+
+def step_function_walk(knot: TorusKnot) -> StepFunction:
+    """The step function from a list histogram of the norms and a
+    candidate-by-candidate walk that updates the inside count."""
+    p, q = knot.p, knot.q
+    pq = p * q
+    rank = (p - 1) * (q - 1)
+    if rank == 0:
+        return StepFunction((), (0,), ())
+    counts = [0] * (2 * pq)
+    for i in range(1, p):
+        for j in range(1, q):
+            counts[i * q + j * p] += 1
+    inside = sum(counts[1:pq])
+    breakpoints = []
+    interval_values = [2 * inside - rank]
+    breakpoint_values = []
+    for k in range(1, pq):
+        lost, gained = counts[k], counts[k + pq]
+        if lost == 0 and gained == 0:
+            continue
+        at_breakpoint = inside - lost
+        inside = at_breakpoint + gained
+        breakpoints.append(Fraction(k, pq))
+        breakpoint_values.append(2 * at_breakpoint - rank)
+        interval_values.append(2 * inside - rank)
+    return StepFunction(tuple(breakpoints), tuple(interval_values), tuple(breakpoint_values))

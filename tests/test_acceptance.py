@@ -5,6 +5,7 @@ import math
 import time
 from fractions import Fraction
 
+from reference import annulus_count
 from torsig.cli import main as cli_main
 from torsig.core import RationalAngle, TorusKnot
 from torsig.identities import (
@@ -13,7 +14,7 @@ from torsig.identities import (
     check_glm,
     check_main_recursion,
 )
-from torsig.lattice import annulus_count, classical_signature, lt_signature
+from torsig.lattice import classical_signature, lt_signature
 from torsig.maxsig import balanced_sequence, distance_profile, max_signature
 from torsig.oracle import (
     alexander_from_seifert,

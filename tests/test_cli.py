@@ -1,8 +1,12 @@
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from torsig.cli import main
+from torsig import cli
+from torsig.cli import SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
 
 
 def run(capsys, *argv):
@@ -195,3 +199,47 @@ class TestVerify:
         code2, out2, _ = run(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestSizeCaps:
+    def test_sweep_above_cap_exits_2(self, capsys):
+        # pq is about 2 * 10**12: refused before the step function runs
+        code, out, err = run(capsys, "sweep", "-p", "1000003", "-q", "2000007")
+        assert code == 2 and out == ""
+        assert f"pq <= {SWEEP_MAX_PQ}" in err
+
+    def test_sweep_at_cap_boundary_is_checked_on_pq(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_MAX_PQ", 6)
+        code, out, _ = run(capsys, "sweep", "-p", "2", "-q", "3")
+        assert code == 0 and out.startswith("t_lo,t_hi,sigma\n")
+        code, out, _ = run(capsys, "sweep", "-p", "2", "-q", "5")
+        assert code == 2 and out == ""
+
+    def test_table_above_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "table", "--p-max", "10000", "--q-max", "10000")
+        assert code == 2 and out == ""
+        assert f"at most {TABLE_MAX_ROWS}" in err
+
+    def test_table_candidates_counted_exactly(self):
+        for p_max in range(0, 12):
+            for q_max in range(0, 15):
+                grid = sum(1 for p in range(2, p_max + 1) for q in range(p + 1, q_max + 1))
+                assert cli._table_candidates(p_max, q_max) == grid, (p_max, q_max)
+
+    def test_benchmark_commands_stay_five_times_below_caps(self):
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        sys.path.insert(0, str(bench))
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(str(bench))
+        for name in workloads.WORKLOADS:
+            for seed in range(1, 11):
+                for argv in workloads.build(name, seed):
+                    if argv[0] == "sweep":
+                        pq = int(argv[argv.index("-p") + 1]) * int(argv[argv.index("-q") + 1])
+                        assert 5 * pq <= SWEEP_MAX_PQ, argv
+                    elif argv[0] == "table":
+                        rows = cli._table_candidates(int(argv[argv.index("--p-max") + 1]),
+                                                     int(argv[argv.index("--q-max") + 1]))
+                        assert 5 * rows <= TABLE_MAX_ROWS, argv

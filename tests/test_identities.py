@@ -155,3 +155,16 @@ class TestGapWitness:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameter):
             gap_witness(-1)
+
+
+class TestHugeKnots:
+    """The floor-sum kernels make the classical identities checkable far
+    beyond any grid: each check below runs in well under a millisecond."""
+
+    @pytest.mark.parametrize("p,q", [(10**12, 10**12 + 1), (10**12 + 1, 3 * 10**12 + 7)])
+    def test_glm(self, p, q):
+        assert check_glm(p, q).passed
+
+    def test_even_periodicity(self):
+        assert check_even_periodicity(10**12, 10**12 + 1).passed
+        assert check_even_periodicity(2 * 10**12, 10**13 + 1).passed

@@ -4,10 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsig.core import RationalAngle, TorusKnot
-from torsig.lattice import (
+from reference import (
     annulus_count,
     annulus_count_bruteforce,
+    classical_signature_loop,
+    floor_sum_naive,
+    lt_signature_columns,
+    step_function_walk,
+)
+from torsig.core import InvalidParameter, RationalAngle, TorusKnot
+from torsig.lattice import (
+    _floor_sum,
     classical_signature,
     lt_signature,
     signature_step_function,
@@ -23,10 +30,25 @@ def coprime_pairs(p_max, q_max):
     ]
 
 
+def coprime_knots(p_max):
+    """Strategy for T(p, q) with 1 <= p <= p_max and p <= q <= 3p + 5."""
+    return (
+        st.integers(1, p_max)
+        .flatmap(lambda p: st.tuples(st.just(p), st.integers(p, 3 * p + 5)))
+        .filter(lambda pq: math.gcd(*pq) == 1)
+        .map(lambda pq: TorusKnot(*pq))
+    )
+
+
 class TestAnnulusCount:
+    """The per-column and point-by-point references agree with each other
+    and with the floor-sum kernel."""
+
     def test_figure_example(self):
-        counts = annulus_count(TorusKnot(4, 7), RationalAngle(1, 4))
+        knot, t = TorusKnot(4, 7), RationalAngle(1, 4)
+        counts = annulus_count(knot, t)
         assert counts.inside == 14
+        assert lt_signature(knot, t) == 2 * counts.inside - knot.seifert_rank()
 
     def test_trefoil_half(self):
         # both points have norms 5/6 and 7/6, inside (1/2, 3/2)
@@ -43,7 +65,9 @@ class TestAnnulusCount:
             knot = TorusKnot(p, q)
             for k in range(1, 2 * p * q):
                 t = RationalAngle(k, 2 * p * q)
-                assert annulus_count(knot, t) == annulus_count_bruteforce(knot, t), (p, q, k)
+                counts = annulus_count_bruteforce(knot, t)
+                assert annulus_count(knot, t) == counts, (p, q, k)
+                assert lt_signature(knot, t) == 2 * counts.inside - knot.seifert_rank()
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 39), st.integers(3, 40), st.integers(1, 10**6))
@@ -62,6 +86,23 @@ class TestAnnulusCount:
                 t = RationalAngle(2 * k + 1, 2 * p * q)  # midpoints avoid jumps
                 counts = annulus_count(knot, t)
                 assert counts.inside + counts.outside == knot.seifert_rank()
+
+
+class TestFloorSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 60), st.integers(1, 10**6), st.integers(0, 10**7), st.integers(0, 10**7))
+    def test_matches_naive_sum(self, n, m, a, b):
+        assert _floor_sum(n, m, a, b) == floor_sum_naive(n, m, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 400), st.integers(1, 50), st.integers(0, 200), st.integers(0, 200))
+    def test_matches_naive_sum_small_modulus(self, n, m, a, b):
+        assert _floor_sum(n, m, a, b) == floor_sum_naive(n, m, a, b)
+
+    def test_edge_cases(self):
+        assert _floor_sum(0, 7, 3, 5) == 0
+        assert _floor_sum(5, 1, 0, 0) == 0
+        assert _floor_sum(4, 3, 0, 7) == 4 * 2
 
 
 class TestLtSignature:
@@ -96,6 +137,41 @@ class TestLtSignature:
             assert lt_signature(knot, RationalAngle(1, 2 * p * q)) == 0
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(coprime_knots(2000), st.integers(2, 10**9), st.integers(0, 10**9))
+    def test_matches_columns_at_random_angles(self, knot, b, seed):
+        t = RationalAngle(seed % (b - 1) + 1, b)
+        assert lt_signature(knot, t) == lt_signature_columns(knot, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coprime_knots(2000), st.integers(0, 10**12))
+    def test_matches_columns_at_jump_abscissae(self, knot, seed):
+        # k/(pq) and 1 - k/(pq): the candidate jumps and their mirrors
+        pq = knot.p * knot.q
+        if pq == 1:
+            return
+        k = seed % (pq - 1) + 1
+        for t in (RationalAngle(k, pq), RationalAngle(pq - k, pq)):
+            assert lt_signature(knot, t) == lt_signature_columns(knot, t)
+
+    def test_matches_columns_on_small_grid(self):
+        for p in range(1, 10):
+            for q in range(p, 20):
+                if math.gcd(p, q) != 1:
+                    continue
+                knot = TorusKnot(p, q)
+                for b in range(2, 40):
+                    for a in range(1, b):
+                        if math.gcd(a, b) == 1:
+                            t = RationalAngle(a, b)
+                            assert lt_signature(knot, t) == lt_signature_columns(knot, t)
+
+    def test_huge_knot_at_one_half(self):
+        # O(log) floor sums: p, q near 10**40 take well under a millisecond
+        knot = TorusKnot(10**40 + 1, 10**40 + 3)
+        assert lt_signature(knot, RationalAngle(1, 2)) == classical_signature(knot)
+
+
 class TestClassicalSignature:
     @pytest.mark.parametrize("p,q,expected", [(4, 7, 14), (5, 12, 28), (3, 5, 8)])
     def test_examples(self, p, q, expected):
@@ -112,6 +188,12 @@ class TestClassicalSignature:
         for p, q in coprime_pairs(12, 40):
             knot = TorusKnot(p, q)
             assert classical_signature(knot) == lt_signature(knot, RationalAngle(1, 2))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(coprime_knots(2000))
+    def test_matches_loop(self, knot):
+        assert classical_signature(knot) == classical_signature_loop(knot)
 
 
 class TestStepFunction:
@@ -161,6 +243,23 @@ class TestStepFunction:
     def test_unknot_step(self):
         step = signature_step_function(TorusKnot(1, 4))
         assert step.breakpoints == () and step.interval_values == (0,)
+
+    def test_matches_list_walk_on_grid(self):
+        for p in range(1, 16):
+            for q in range(p, 31):
+                if math.gcd(p, q) == 1:
+                    knot = TorusKnot(p, q)
+                    assert signature_step_function(knot) == step_function_walk(knot), (p, q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(coprime_knots(60))
+    def test_matches_list_walk_sampled(self, knot):
+        assert signature_step_function(knot) == step_function_walk(knot)
+
+    def test_int64_guard(self):
+        # 2pq > 2**63 - 1: refused before anything is allocated
+        with pytest.raises(InvalidParameter, match="int64"):
+            signature_step_function(TorusKnot(2**31 + 1, 2**32 + 1))
 
     def test_value_at_domain(self):
         step = signature_step_function(TorusKnot(2, 3))

@@ -4,14 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import (
+    distance_profile_loop,
+    geometric_distance_profile,
+    max_cyclic_sum_loop,
+    max_signature_sorted,
+    sorted_balanced_sequence,
+)
 from torsig.core import InvalidParameter, TorusKnot
 from torsig.lattice import classical_signature, signature_step_function
 from torsig.maxsig import (
     BalancedSequence,
+    DistanceProfile,
     balanced_sequence,
     distance_profile,
     g4_lower_bound,
-    geometric_distance_profile,
     max_cyclic_sum,
     max_signature,
     rotation_relation,
@@ -25,6 +32,16 @@ def coprime_pairs(p_max, q_max):
         for q in range(p + 1, q_max + 1)
         if math.gcd(p, q) == 1
     ]
+
+
+def coprime_knots(p_max):
+    """Strategy for T(p, q) with 1 <= p <= p_max and p <= q <= 3p + 5."""
+    return (
+        st.integers(1, p_max)
+        .flatmap(lambda p: st.tuples(st.just(p), st.integers(p, 3 * p + 5)))
+        .filter(lambda pq: math.gcd(*pq) == 1)
+        .map(lambda pq: TorusKnot(*pq))
+    )
 
 
 def synthetic(entries):
@@ -75,6 +92,28 @@ class TestDistanceProfile:
                 assert v % (2 * p) == (-j * q) % (2 * p)
                 assert profile.d[-j] == 2 * p - v
 
+    def test_matches_loop_on_grid(self):
+        for p in range(1, 60):
+            for q in range(p, 120):
+                if math.gcd(p, q) == 1:
+                    knot = TorusKnot(p, q)
+                    profile, loop = distance_profile(knot), distance_profile_loop(knot)
+                    assert profile == loop, (p, q)
+                    assert list(profile.D) == list(loop.D) and list(profile.d) == list(loop.d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coprime_knots(5000))
+    def test_matches_loop_sampled(self, knot):
+        assert distance_profile(knot) == distance_profile_loop(knot)
+
+    def test_int64_guard(self):
+        # 2p^2 > 2**63 - 1: refused before anything is allocated
+        knot = TorusKnot(2**31 + 1, 2**31 + 2)
+        with pytest.raises(InvalidParameter, match="int64"):
+            distance_profile(knot)
+        with pytest.raises(InvalidParameter, match="int64"):
+            max_signature(knot)
+
     def test_geometric_cross_check(self):
         for p, q in coprime_pairs(12, 30):
             knot = TorusKnot(p, q)
@@ -96,6 +135,32 @@ class TestBalancedSequence:
     def test_unbalanced_rejected(self):
         with pytest.raises(AssertionError):
             BalancedSequence((1, 1, -1))
+        with pytest.raises(AssertionError):
+            BalancedSequence((1, -1, 0, 0))
+
+    def test_matches_sort_on_grid(self):
+        for p, q in coprime_pairs(59, 119):
+            profile = distance_profile(TorusKnot(p, q))
+            assert balanced_sequence(profile) == sorted_balanced_sequence(profile), (p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coprime_knots(5000))
+    def test_matches_sort_sampled(self, knot):
+        profile = distance_profile(knot)
+        assert balanced_sequence(profile) == sorted_balanced_sequence(profile)
+
+    @pytest.mark.parametrize(
+        "D,d",
+        [
+            ({-1: 3}, {1: 3}),  # repeated value
+            ({-1: 5}, {1: 1}),  # the value p
+            ({-1: 0}, {1: 10}),  # outside (0, 2p)
+            ({-1: 2}, {1: -2}),  # negative
+        ],
+    )
+    def test_invalid_profile_rejected(self, D, d):
+        with pytest.raises(AssertionError):
+            balanced_sequence(DistanceProfile(5, D, d))
 
 
 class TestMaxCyclicSum:
@@ -127,6 +192,12 @@ class TestMaxCyclicSum:
         assert max_cyclic_sum(synthetic(entries)) == max(0, cyclic_max_bruteforce(entries, 0))
         assert cyclic_max_bruteforce(entries, 0) >= 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda m: st.permutations([1] * m + [-1] * m)))
+    def test_matches_loop(self, entries):
+        entries = tuple(entries)
+        assert max_cyclic_sum(synthetic(entries)) == max_cyclic_sum_loop(entries)
+
     def test_recursion_on_knot_sequences(self):
         for p, q in coprime_pairs(11, 23):
             entries = balanced_sequence(distance_profile(TorusKnot(p, q))).entries
@@ -142,6 +213,29 @@ class TestMaxSignature:
 
     def test_unknot(self):
         assert max_signature(TorusKnot(1, 11)) == 0
+
+    def test_matches_sorted_route_on_grid(self):
+        for p in range(1, 60):
+            for q in range(p, 120):
+                if math.gcd(p, q) == 1:
+                    knot = TorusKnot(p, q)
+                    assert max_signature(knot) == max_signature_sorted(knot), (p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coprime_knots(5000))
+    def test_matches_sorted_route_sampled(self, knot):
+        assert max_signature(knot) == max_signature_sorted(knot)
+
+    def test_pipeline_matches_direct_route(self):
+        for p, q in coprime_pairs(30, 70):
+            knot = TorusKnot(p, q)
+            m = max_cyclic_sum(balanced_sequence(distance_profile(knot)))
+            assert max_signature(knot) == classical_signature(knot) + 2 * m
+
+    def test_far_family_at_a_million_strands(self):
+        # T(p, 2p+1) peaks at p^2 + p - 2; one cumulative sum over 2p marks
+        p = 1_000_003
+        assert max_signature(TorusKnot(p, 2 * p + 1)) == p * p + p - 2
 
     def test_bounds_on_grid(self):
         for p, q in coprime_pairs(12, 40):
