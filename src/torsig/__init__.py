@@ -30,6 +30,7 @@ from .maxsig import (
     balanced_sequence,
     distance_profile,
     g4_lower_bound,
+    knot_max_cyclic_sum,
     max_cyclic_sum,
     max_signature,
     rotation_relation,

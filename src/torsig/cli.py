@@ -27,7 +27,8 @@ from .identities import (
     check_odd_shift_identity,
 )
 from .lattice import classical_signature, lt_signature, signature_step_function
-from .maxsig import balanced_sequence, distance_profile, max_cyclic_sum, max_signature
+from .maxsig import (balanced_sequence, distance_profile, knot_max_cyclic_sum,
+                     max_cyclic_sum, max_signature)
 from . import oracle
 
 SCHEMA_VERSION = "1"
@@ -72,11 +73,8 @@ def _write_output(path: str | None, render) -> int:
     return EXIT_OK
 
 
-_SIGNED = {1: "+1", -1: "-1"}
-
-
 def _sequence_str(entries) -> str:
-    return "(" + ",".join(map(_SIGNED.__getitem__, entries)) + ")"
+    return "(" + ",".join(map({1: "+1", -1: "-1"}.__getitem__, entries)) + ")"
 
 
 def _indexed(name: str, values: dict[int, int]) -> str:
@@ -106,17 +104,15 @@ def cmd_sig(args) -> int:
 # max
 
 
-def _peak_row(knot: TorusKnot):
-    """The `max`/`table` row of one knot, with its profile and sequence.
+def _peak_row(knot: TorusKnot, m: int) -> dict:
+    """The `max`/`table` row of one knot with maximal cyclic sum M = m.
 
-    Each kernel runs once per knot: sigma_hat = sigma + 2M and
-    g4_lb = ceil(sigma_hat/2) are derived from sigma and M.
+    sigma_hat = sigma + 2M and g4_lb = ceil(sigma_hat/2) are derived from
+    sigma and M, so each kernel runs once per knot.
     """
-    profile = distance_profile(knot)  # empty for p <= 2
-    sequence = balanced_sequence(profile)
-    sigma, m = classical_signature(knot), max_cyclic_sum(sequence)
+    sigma = classical_signature(knot)
     sigma_hat = sigma + 2 * m
-    row = {
+    return {
         "p": knot.p,
         "q": knot.q,
         "sigma": sigma,
@@ -124,12 +120,13 @@ def _peak_row(knot: TorusKnot):
         "sigma_hat": sigma_hat,
         "g4_lb": (sigma_hat + 1) // 2,
     }
-    return row, profile, sequence
 
 
 def cmd_max(args) -> int:
     knot = TorusKnot(args.p, args.q)
-    row, profile, sequence = _peak_row(knot)
+    profile = distance_profile(knot)  # empty for p <= 2
+    sequence = balanced_sequence(profile)
+    row = _peak_row(knot, max_cyclic_sum(sequence))
     if args.format == "json":
         payload = {
             **row,
@@ -208,7 +205,8 @@ def cmd_table(args) -> int:
     pairs = _coprime_pairs(args.p_max, args.q_max)
 
     def render(stream) -> None:
-        rows = [_peak_row(TorusKnot(p, q))[0] for p, q in pairs]
+        knots = [TorusKnot(p, q) for p, q in pairs]
+        rows = [_peak_row(knot, knot_max_cyclic_sum(knot)) for knot in knots]
         if args.format == "json":
             _emit_json({"rows": rows}, stream)
         else:
@@ -392,16 +390,15 @@ def _build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--format", choices=("text", "json"), default="text")
     mx.set_defaults(func=cmd_max)
 
-    sweep = sub.add_parser(
-        "sweep", help=f"dump the whole signature function (pq <= {SWEEP_MAX_PQ})")
+    sweep = sub.add_parser("sweep", help=f"dump the whole signature function "
+                                         f"(pq <= {SWEEP_MAX_PQ})")
     add_knot_args(sweep)
     sweep.add_argument("--format", choices=("csv", "json", "plot"), default="csv")
     sweep.add_argument("-o", "--output", help="output path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
-    table = sub.add_parser(
-        "table",
-        help=f"grid of sigma, M, sigma_hat, g4 bound (at most {TABLE_MAX_ROWS} pairs)")
+    table = sub.add_parser("table", help=f"grid of sigma, M, sigma_hat, g4 bound "
+                                         f"(at most {TABLE_MAX_ROWS} pairs)")
     table.add_argument("--p-max", type=int, default=10)
     table.add_argument("--q-max", type=int, default=20)
     table.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -25,7 +25,7 @@ intermediate stays below 2p^2, which is checked against int64 up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "distance_profile",
     "balanced_sequence",
     "max_cyclic_sum",
+    "knot_max_cyclic_sum",
     "max_signature",
     "rotation_relation",
     "g4_lower_bound",
@@ -75,30 +76,29 @@ class BalancedSequence:
         return len(self.entries)
 
 
-def _distances(knot: TorusKnot) -> tuple[np.ndarray, np.ndarray]:
-    """(s, D) as int64 arrays with s = -j, in increasing order of j.
+def _distances(knot: TorusKnot) -> np.ndarray:
+    """D_j as an int64 array, in increasing order of j = -p+2, -p+4, ..., < 0.
 
-    s runs over p-2, p-4, ... > 0 and D_{-s} = s*q mod 2p.  With q reduced
-    mod 2p first, s*q < 2p^2, which must fit in int64.
+    D_j = s*q mod 2p with s = -j.  With q reduced mod 2p first, s*q < 2p^2,
+    which must fit in int64.
     """
     p = knot.p
     if 2 * p * p > INT64_MAX:
         raise InvalidParameter(f"{knot}: distances up to 2p^2 = {2 * p * p} overflow int64")
-    s = np.arange(p - 2, 0, -2, dtype=np.int64)
-    return s, s * (knot.q % (2 * p)) % (2 * p)
+    return np.arange(p - 2, 0, -2, dtype=np.int64) * (knot.q % (2 * p)) % (2 * p)
 
 
 def _marks(p: int, D: np.ndarray, d: np.ndarray) -> np.ndarray:
     """int8 array over [0, 2p) with +1 at every D value and -1 at every d value.
 
-    Asserts that the values lie in (0, 2p), avoid p, and are distinct.
+    The values must be indices into [0, 2p); asserts that they avoid 0 and
+    p and are distinct (a repeat leaves fewer nonzero marks than values).
     """
-    values = np.concatenate((D, d))
-    assert np.all((values > 0) & (values < 2 * p) & (values != p))
     marks = np.zeros(2 * p, dtype=np.int8)
     marks[D] = 1
     marks[d] = -1
-    assert np.count_nonzero(marks) == values.size, "distance values must be distinct"
+    assert marks[0] == marks[p] == 0, "distance values must avoid 0 and p"
+    assert np.count_nonzero(marks) == D.size + d.size, "distance values must be distinct"
     return marks
 
 
@@ -111,21 +111,24 @@ def distance_profile(knot: TorusKnot) -> DistanceProfile:
     asserted here.
     """
     p = knot.p
-    s, D = _distances(knot)
-    d = 2 * p - D
+    D = _distances(knot)
+    d = 2 * p - D[::-1]  # d_k for k = -j in increasing order
     _marks(p, D, d)
     return DistanceProfile(
         p,
-        dict(zip((-s).tolist(), D.tolist())),
-        dict(zip(s[::-1].tolist(), d[::-1].tolist())),
+        dict(zip(range(2 - p, 0, 2), D.tolist())),
+        dict(zip(range(2 - p % 2, p, 2), d.tolist())),
     )
 
 
 def balanced_sequence(profile: DistanceProfile) -> BalancedSequence:
     """Read the distances in increasing order: D entries +1, d entries -1."""
-    D = np.fromiter(profile.D.values(), dtype=np.int64, count=len(profile.D))
-    d = np.fromiter(profile.d.values(), dtype=np.int64, count=len(profile.d))
-    marks = _marks(profile.p, D, d)
+    n, p = len(profile.D), profile.p
+    values = np.fromiter(chain(profile.D.values(), profile.d.values()), dtype=np.int64,
+                         count=n + len(profile.d))
+    assert values.size == 0 or 0 < values.min() <= values.max() < 2 * p, \
+        "distance values must lie in (0, 2p)"
+    marks = _marks(p, values[:n], values[n:])
     return BalancedSequence(tuple(marks[marks != 0].tolist()))
 
 
@@ -139,16 +142,20 @@ def max_cyclic_sum(seq: BalancedSequence) -> int:
     return max(0, max(accumulate(seq.entries), default=0))
 
 
-def max_signature(knot: TorusKnot) -> int:
-    """Peak value of the signature function: sigma + 2M.
+def knot_max_cyclic_sum(knot: TorusKnot) -> int:
+    """M of T(p,q) straight from the mark array.
 
-    M is taken straight from the mark array, without building the profile
-    dicts or the sequence tuple.
+    Equal to max_cyclic_sum(balanced_sequence(distance_profile(knot))), but
+    builds neither the profile dicts nor the sequence tuple.
     """
-    s, D = _distances(knot)
+    D = _distances(knot)
     marks = _marks(knot.p, D, 2 * knot.p - D)
-    m = int(np.cumsum(marks, dtype=np.int64).max(initial=0))
-    return classical_signature(knot) + 2 * m
+    return int(np.cumsum(marks, dtype=np.int64).max(initial=0))
+
+
+def max_signature(knot: TorusKnot) -> int:
+    """Peak value of the signature function: sigma + 2M."""
+    return classical_signature(knot) + 2 * knot_max_cyclic_sum(knot)
 
 
 @dataclass(frozen=True)
