@@ -154,6 +154,7 @@ class TestBalancedSequence:
         "D,d",
         [
             ({-1: 3}, {1: 3}),  # repeated value
+            ({-3: 2, -1: 2}, {1: 8, 3: 8}),  # repeats that stay balanced
             ({-1: 5}, {1: 1}),  # the value p
             ({-1: 0}, {1: 10}),  # outside (0, 2p)
             ({-1: 2}, {1: -2}),  # negative
