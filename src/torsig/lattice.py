@@ -16,7 +16,7 @@ The value reported exactly at a jump abscissa is the strict-inequality
 count there; no averaging of the one-sided limits is implied.
 
 Counts are exact Python-int floor sums evaluated in O(log(pqb)) steps, so
-`lt_signature` and `classical_signature` cost the same at p = 10 and at
+`lt_signature` and `classical_signature` take microseconds even at
 p = 10**40.  The step function histograms the pq norms with numpy int64
 arrays, guarded so that no value can wrap.
 """
