@@ -1,12 +1,14 @@
 import importlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from torsig import cli
+from torsig import cli, oracle
 from torsig.cli import SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
+from torsig.core import RationalAngle, TorusKnot
 
 
 def run(capsys, *argv):
@@ -243,3 +245,80 @@ class TestSizeCaps:
                         rows = cli._table_candidates(int(argv[argv.index("--p-max") + 1]),
                                                      int(argv[argv.index("--q-max") + 1]))
                         assert 5 * rows <= TABLE_MAX_ROWS, argv
+
+
+class TestVerifyFailureRows:
+    """Exact failure rows of the oracle and brute-max suites, with the oracle
+    forced into a mismatch (`--jobs 1`, so the monkeypatch reaches every task)."""
+
+    GRID = ("--p-max", "3", "--q-max", "5", "--jobs", "1")
+
+    @pytest.fixture
+    def lying_cross_check(self, monkeypatch):
+        def fake(knot, count=25, tol=oracle.DEFAULT_TOLERANCE):
+            pq2 = 2 * knot.p * knot.q
+            if knot == TorusKnot(2, 3):
+                return [(RationalAngle(1, pq2), 0, 0)]
+            # the first mismatch is reported, the later one is not
+            return [(RationalAngle(1, pq2), 0, 0), (RationalAngle(3, pq2), knot.p, knot.q),
+                    (RationalAngle(5, pq2), 7, 8)]
+
+        monkeypatch.setattr(oracle, "signature_cross_check", fake)
+
+    @pytest.fixture
+    def lying_brute_max(self, monkeypatch):
+        real = oracle.brute_force_max
+
+        def fake(knot):
+            value, pieces = real(knot)
+            lies = {
+                (2, 5): (value + 2, pieces),
+                (3, 4): (value, ((Fraction(1, 10), Fraction(1, 4)),)),  # ends at 1/2 - 1/q
+                (3, 5): (value, ((Fraction(3, 10), Fraction(3, 10)),)),  # the point 1/2 - 1/q
+            }
+            return lies.get((knot.p, knot.q), (value, pieces))
+
+        monkeypatch.setattr(oracle, "brute_force_max", fake)
+
+    def test_oracle_mismatch_text(self, capsys, lying_cross_check):
+        code, out, _ = run(capsys, "verify", "--which", "oracle", *self.GRID)
+        assert code == 1
+        assert out == (
+            "suite=oracle checked=4 failed=3\n"
+            "FAIL suite=oracle p=2 q=5 expected=sigma_3/20=2 computed=sigma_3/20=5\n"
+            "FAIL suite=oracle p=3 q=4 expected=sigma_1/8=3 computed=sigma_1/8=4\n"
+            "FAIL suite=oracle p=3 q=5 expected=sigma_1/10=3 computed=sigma_1/10=5\n"
+            "result=FAIL\n"
+        )
+
+    def test_oracle_mismatch_json(self, capsys, lying_cross_check):
+        code, out, _ = run(capsys, "verify", "--which", "oracle", "--format", "json", *self.GRID)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["suites"] == {"oracle": {"checked": 4, "failed": 3}}
+        assert payload["failures"][0] == {"suite": "oracle", "p": 2, "q": 5,
+                                          "expected": "sigma_3/20=2", "computed": "sigma_3/20=5"}
+        assert payload["result"] == "FAIL"
+
+    def test_brute_max_mismatch_text(self, capsys, lying_brute_max):
+        code, out, _ = run(capsys, "verify", "--which", "brute-max", *self.GRID)
+        assert code == 1
+        assert out == (
+            "suite=brute-max checked=4 failed=3\n"
+            "FAIL suite=brute-max p=2 q=5 expected=4 argmax-in-window computed=6 yes\n"
+            "FAIL suite=brute-max p=3 q=4 expected=6 argmax-in-window computed=6 no\n"
+            "FAIL suite=brute-max p=3 q=5 expected=8 argmax-in-window computed=8 no\n"
+            "result=FAIL\n"
+        )
+
+    def test_brute_max_mismatch_json(self, capsys, lying_brute_max):
+        code, out, _ = run(capsys, "verify", "--which", "brute-max", "--format", "json",
+                           *self.GRID)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["suites"] == {"brute-max": {"checked": 4, "failed": 3}}
+        assert [(f["p"], f["q"], f["expected"], f["computed"]) for f in payload["failures"]] == [
+            (2, 5, "4 argmax-in-window", "6 yes"),
+            (3, 4, "6 argmax-in-window", "6 no"),
+            (3, 5, "8 argmax-in-window", "8 no"),
+        ]

@@ -1,10 +1,10 @@
 """Byte-for-byte comparison of CLI stdout against tests/golden/.
 
 The corpus is rewritten by tests/golden/regen.py; a failure here means a
-command's output changed.
+command's output or exit code changed.
 """
 
-import json
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -12,14 +12,18 @@ import pytest
 from torsig.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+_regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_regen)
+CASES = _regen.load_cases()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):
-    code = main(CASES[name])
+    argv, expected_exit = CASES[name]
+    code = main(argv)
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == expected_exit
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 
