@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import chain
@@ -32,18 +32,11 @@ from .maxsig import (balanced_sequence, distance_profile, knot_max_cyclic_sum,
 from . import oracle
 
 SCHEMA_VERSION = "1"
-SUITES = (
-    "glm",
-    "even-periodicity",
-    "main",
-    "odd-shift",
-    "closed-forms",
-    "oracle",
-    "brute-max",
-)
 
-# Size caps, checked before anything is allocated: `sweep` builds O(pq)
-# arrays and prints about 2pq lines; `table` scans every candidate pair.
+# Size caps, checked before anything is allocated: `max` builds O(p) dicts
+# and prints O(p) text; `sweep` builds O(pq) arrays and prints about 2pq
+# lines; `table` and `verify` scan every candidate pair.
+MAX_MAX_P = 6_000_000
 SWEEP_MAX_PQ = 2_000_000
 TABLE_MAX_ROWS = 100_000
 
@@ -124,6 +117,8 @@ def _peak_row(knot: TorusKnot, m: int) -> dict:
 
 def cmd_max(args) -> int:
     knot = TorusKnot(args.p, args.q)
+    if knot.p > MAX_MAX_P:
+        raise InvalidParameter(f"max needs p <= {MAX_MAX_P}, got p = {knot.p}")
     profile = distance_profile(knot)  # empty for p <= 2
     sequence = balanced_sequence(profile)
     row = _peak_row(knot, max_cyclic_sum(sequence))
@@ -210,157 +205,164 @@ def cmd_table(args) -> int:
         if args.format == "json":
             _emit_json({"rows": rows}, stream)
         else:
+            # the header lists the keys of `_peak_row` in their order
             stream.write("p,q,sigma,M,sigma_hat,g4_lb\n")
-            for r in rows:
-                stream.write(
-                    f"{r['p']},{r['q']},{r['sigma']},{r['M']},{r['sigma_hat']},{r['g4_lb']}\n"
-                )
+            stream.writelines(",".join(map(str, r.values())) + "\n" for r in rows)
 
     return _write_output(args.output, render)
 
 
 # --------------------------------------------------------------------------
 # verify
+#
+# SUITES maps each suite name, in output order, to the grid it runs on (a
+# key of GRIDS) and a checker (p, q, tol) -> (passed, expected, computed).
+# Checkers resolve the kernels they call by module attribute at call time, so
+# tracing wrappers and test doubles installed on those names are seen.  Tasks
+# cross the process pool as (suite, p, q, tol) tuples and find their checker
+# here.
 
 
 def _coprime_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
     return [
         (p, q)
-        for p in range(2, p_max + 1)
+        for p in range(2, min(p_max, q_max - 1) + 1)
         for q in range(p + 1, q_max + 1)
         if math.gcd(p, q) == 1
     ]
 
 
-def _verify_task(task) -> dict:
-    """One unit of verification work; never raises (workers must return)."""
+def _identity(report) -> tuple[bool, str, str]:
+    return report.passed, str(report.expected), str(report.computed)
+
+
+def _check_closed_forms(p: int, q: int, tol: float) -> tuple[bool, str, str]:
+    """Both closed forms at p; a failure shows the first failing report."""
+    bad = [r for r in check_closed_forms(p) if not r.passed]
+    return _identity(bad[0]) if bad else (True, "", "")
+
+
+def _check_oracle(p: int, q: int, tol: float) -> tuple[bool, str, str]:
+    """Lattice against Hermitian signature; a failure shows the first mismatch."""
+    for t, a, b in oracle.signature_cross_check(TorusKnot(p, q), tol=tol):
+        if a != b:
+            return False, f"sigma_{t}={a}", f"sigma_{t}={b}"
+    return True, "", ""
+
+
+def _argmax_in_window(pieces, q: int) -> bool:
+    """Whether some maximising piece meets the window (1/2 - 1/q, 1/2]."""
+    lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
+    return any(
+        (a < b and a < hi and b > lo) or (a == b and lo < a <= hi)
+        for a, b in pieces
+    )
+
+
+def _check_brute_max(p: int, q: int, tol: float) -> tuple[bool, str, str]:
+    knot = TorusKnot(p, q)
+    swept, pieces = oracle.brute_force_max(knot)
+    expected = max_signature(knot)
+    in_window = _argmax_in_window(pieces, q)
+    return (
+        swept == expected and in_window,
+        f"{expected} argmax-in-window",
+        f"{swept} {'yes' if in_window else 'no'}",
+    )
+
+
+# The grids a suite can run on: (coprime pairs, p_max) -> the (p, q) it checks.
+GRIDS = {
+    "all pairs": lambda pairs, p_max: pairs,
+    "even p": lambda pairs, p_max: [(p, q) for p, q in pairs if p % 2 == 0],
+    "odd p": lambda pairs, p_max: [(p, q) for p, q in pairs if p % 2 == 1],
+    "p alone": lambda pairs, p_max: [(p, 0) for p in range(2, p_max + 1)],
+}
+
+
+SUITES = {
+    "glm": ("all pairs", lambda p, q, tol: _identity(check_glm(p, q))),
+    "even-periodicity": ("even p", lambda p, q, tol: _identity(check_even_periodicity(p, q))),
+    "main": ("all pairs", lambda p, q, tol: _identity(check_main_recursion(p, q))),
+    "odd-shift": ("odd p", lambda p, q, tol: _identity(check_odd_shift_identity(p, q))),
+    "closed-forms": ("p alone", _check_closed_forms),
+    "oracle": ("all pairs", _check_oracle),
+    "brute-max": ("all pairs", _check_brute_max),
+}
+
+
+def _verify_task(task) -> tuple[bool, str, str]:
+    """(passed, expected, computed) of one task; never raises (workers must return)."""
     suite, p, q, tol = task
-    row = {"suite": suite, "p": p, "q": q, "passed": False, "expected": "", "computed": ""}
     try:
-        if suite == "glm":
-            report = check_glm(p, q)
-        elif suite == "even-periodicity":
-            report = check_even_periodicity(p, q)
-        elif suite == "main":
-            report = check_main_recursion(p, q)
-        elif suite == "odd-shift":
-            report = check_odd_shift_identity(p, q)
-        elif suite == "closed-forms":
-            reports = check_closed_forms(p)
-            bad = [r for r in reports if not r.passed]
-            row["passed"] = not bad
-            row["expected"] = "" if not bad else str(bad[0].expected)
-            row["computed"] = "" if not bad else str(bad[0].computed)
-            return row
-        elif suite == "oracle":
-            knot = TorusKnot(p, q)
-            results = oracle.signature_cross_check(knot, tol=tol)
-            bad = [(t, a, b) for t, a, b in results if a != b]
-            row["passed"] = not bad
-            if bad:
-                t, a, b = bad[0]
-                row["expected"] = f"sigma_{t}={a}"
-                row["computed"] = f"sigma_{t}={b}"
-            return row
-        elif suite == "brute-max":
-            knot = TorusKnot(p, q)
-            swept, pieces = oracle.brute_force_max(knot)
-            expected = max_signature(knot)
-            lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
-            in_window = any(
-                (a < b and a < hi and b > lo) or (a == b and lo < a <= hi)
-                for a, b in pieces
-            )
-            row["passed"] = swept == expected and in_window
-            row["expected"] = f"{expected} argmax-in-window"
-            row["computed"] = f"{swept} {'yes' if in_window else 'no'}"
-            return row
-        else:  # pragma: no cover
-            raise ValueError(f"unknown suite {suite}")
-        row["passed"] = report.passed
-        row["expected"] = str(report.expected)
-        row["computed"] = str(report.computed)
+        return SUITES[suite][1](p, q, tol)
     except TorsigError as exc:
-        row["passed"] = False
-        row["computed"] = f"error: {exc}"
-    return row
+        return False, "", f"error: {exc}"
 
 
 def _verify_tasks(which, p_max, q_max, tol) -> list[tuple]:
+    """Tasks in output order: by suite as listed in SUITES, then by (p, q)."""
     pairs = _coprime_pairs(p_max, q_max)
-    tasks: list[tuple] = []
-    for suite in SUITES:
-        if suite not in which:
-            continue
-        if suite == "closed-forms":
-            tasks.extend((suite, p, 0, tol) for p in range(2, p_max + 1))
-        elif suite == "even-periodicity":
-            tasks.extend((suite, p, q, tol) for p, q in pairs if p % 2 == 0)
-        elif suite == "odd-shift":
-            tasks.extend((suite, p, q, tol) for p, q in pairs if p % 2 == 1)
-        else:
-            tasks.extend((suite, p, q, tol) for p, q in pairs)
-    return tasks
+    return [
+        (name, p, q, tol)
+        for name, (grid, _) in SUITES.items()
+        if name in which
+        for p, q in GRIDS[grid](pairs, p_max)
+    ]
+
+
+def _parse_which(chunks) -> set[str]:
+    """The suites named by the --which flags (all of them if none is given)."""
+    names = [name for chunk in chunks or [",".join(SUITES)] for name in chunk.split(",")]
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise InvalidParameter(f"unknown suite {unknown[0]!r}")
+    return set(names)
 
 
 def cmd_verify(args) -> int:
-    which = set(SUITES)
-    if args.which:
-        which = set()
-        for chunk in args.which:
-            for name in chunk.split(","):
-                if name not in SUITES:
-                    print(f"error: unknown suite {name!r}", file=sys.stderr)
-                    return EXIT_USAGE
-                which.add(name)
+    which = _parse_which(args.which)
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("TORSIG_TOL", oracle.DEFAULT_TOLERANCE))
+        raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InvalidParameter(f"--tol must be finite and > 0, got {args.tol}")
+    candidates = _table_candidates(args.p_max, args.q_max)
+    if max(candidates, args.p_max) > TABLE_MAX_ROWS:
+        raise InvalidParameter(f"verify allows at most {TABLE_MAX_ROWS} pairs and p values, "
+                               f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates}")
 
-    tasks = _verify_tasks(which, args.p_max, args.q_max, tol)
+    tasks = _verify_tasks(which, args.p_max, args.q_max, args.tol)
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_verify_task, tasks, chunksize=8))
+            outcomes = list(pool.map(_verify_task, tasks, chunksize=8))
     else:
-        rows = [_verify_task(t) for t in tasks]
+        outcomes = [_verify_task(t) for t in tasks]
 
-    rows.sort(key=lambda r: (SUITES.index(r["suite"]), r["p"], r["q"]))
-    failures = [r for r in rows if not r["passed"]]
+    failures = [
+        {"suite": suite, "p": p, "q": q, "expected": expected, "computed": computed}
+        for (suite, p, q, _), (passed, expected, computed) in zip(tasks, outcomes)
+        if not passed
+    ]
+    checked = Counter(suite for suite, *_ in tasks)
+    failed = Counter(f["suite"] for f in failures)
+    counts = {
+        name: {"checked": checked[name], "failed": failed[name]}
+        for name in SUITES
+        if name in which
+    }
+    result = "FAIL" if failures else "PASS"
 
     if args.format == "json":
-        suites_summary = {
-            suite: {
-                "checked": sum(1 for r in rows if r["suite"] == suite),
-                "failed": sum(1 for r in failures if r["suite"] == suite),
-            }
-            for suite in SUITES
-            if suite in which
-        }
-        payload = {
-            "suites": suites_summary,
-            "failures": [
-                {k: r[k] for k in ("suite", "p", "q", "expected", "computed")}
-                for r in failures
-            ],
-            "result": "FAIL" if failures else "PASS",
-        }
-        _emit_json(payload, sys.stdout)
+        _emit_json({"suites": counts, "failures": failures, "result": result}, sys.stdout)
     else:
-        for suite in SUITES:
-            if suite not in which:
-                continue
-            checked = sum(1 for r in rows if r["suite"] == suite)
-            failed = sum(1 for r in failures if r["suite"] == suite)
-            print(f"suite={suite} checked={checked} failed={failed}")
-        for r in failures:
+        for name, c in counts.items():
+            print(f"suite={name} checked={c['checked']} failed={c['failed']}")
+        for f in failures:
             print(
-                f"FAIL suite={r['suite']} p={r['p']} q={r['q']} "
-                f"expected={r['expected']} computed={r['computed']}"
+                f"FAIL suite={f['suite']} p={f['p']} q={f['q']} "
+                f"expected={f['expected']} computed={f['computed']}"
             )
-        print(f"result={'FAIL' if failures else 'PASS'}")
+        print(f"result={result}")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
@@ -385,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sig.add_argument("--format", choices=("text", "json"), default="text")
     sig.set_defaults(func=cmd_sig)
 
-    mx = sub.add_parser("max", help="maximum signature and its certificate")
+    mx = sub.add_parser("max", help=f"maximum signature and its certificate "
+                                    f"(p <= {MAX_MAX_P})")
     add_knot_args(mx)
     mx.add_argument("--format", choices=("text", "json"), default="text")
     mx.set_defaults(func=cmd_max)
@@ -405,7 +408,9 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("-o", "--output", help="output path (default stdout)")
     table.set_defaults(func=cmd_table)
 
-    verify = sub.add_parser("verify", help="run identity and oracle suites")
+    verify = sub.add_parser("verify", help=f"run identity and oracle suites "
+                                           f"(p <= {TABLE_MAX_ROWS}, at most "
+                                           f"{TABLE_MAX_ROWS} pairs)")
     verify.add_argument("--p-max", type=int, default=10)
     verify.add_argument("--q-max", type=int, default=25)
     verify.add_argument(
@@ -417,8 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="oracle eigenvalue tolerance (overrides TORSIG_TOL)",
+        default=oracle.DEFAULT_TOLERANCE,
+        help="oracle eigenvalue tolerance, finite and > 0 (default %(default)s)",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)

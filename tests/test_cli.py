@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from torsig import cli, oracle
-from torsig.cli import SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
+from torsig.cli import MAX_MAX_P, SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
 from torsig.core import RationalAngle, TorusKnot
 
 
@@ -176,14 +176,22 @@ class TestVerify:
         assert "result=FAIL" in out and "FAIL suite=oracle" in out
 
     def test_env_tolerance_and_flag_priority(self, capsys, monkeypatch):
-        monkeypatch.setenv("TORSIG_TOL", "10.0")
-        code, out, _ = run(capsys, "verify", "--p-max", "3", "--q-max", "5", "--which", "oracle")
-        assert code == 1
+        """TORSIG_TOL is not read: --tol is the only tolerance input."""
+        for value in ("10.0", "abc"):
+            monkeypatch.setenv("TORSIG_TOL", value)
+            code, out, _ = run(capsys, "verify", "--p-max", "3", "--q-max", "5", "--which", "oracle")
+            assert code == 0 and "result=PASS" in out
         code, out, _ = run(
             capsys, "verify", "--p-max", "3", "--q-max", "5",
-            "--which", "oracle", "--tol", "1e-8",
+            "--which", "oracle", "--tol", "10.0",
         )
-        assert code == 0
+        assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "0.0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--p-max", "3", "--q-max", "5",
+                             "--which", "oracle", f"--tol={tol}")
+        assert code == 2 and out == "" and "--tol" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -201,6 +209,27 @@ class TestVerify:
         code2, out2, _ = run(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_jobs_do_not_change_failure_rows(self, capsys, fmt):
+        args = ["verify", "--p-max", "3", "--q-max", "5", "--which", "closed-forms,oracle",
+                "--tol", "10.0", "--format", fmt]
+        code1, out1, _ = run(capsys, *args, "--jobs", "1")
+        code2, out2, _ = run(capsys, *args, "--jobs", "2")
+        assert code1 == code2 == 1
+        assert out1 == out2 and "error: eigenvalue within 10.0" in out1
+
+    def test_registry_orders_rows_and_counts(self, capsys):
+        code, out, _ = run(capsys, "verify", "--p-max", "5", "--q-max", "9",
+                           "--which", "brute-max,glm", "--which", "closed-forms,odd-shift")
+        assert code == 0
+        assert out.splitlines() == [
+            "suite=glm checked=15 failed=0",
+            "suite=odd-shift checked=8 failed=0",
+            "suite=closed-forms checked=4 failed=0",
+            "suite=brute-max checked=15 failed=0",
+            "result=PASS",
+        ]
 
 
 class TestSizeCaps:
@@ -222,6 +251,43 @@ class TestSizeCaps:
         assert code == 2 and out == ""
         assert f"at most {TABLE_MAX_ROWS}" in err
 
+    def test_max_above_cap_exits_2_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("allocated above the cap")
+
+        monkeypatch.setattr(cli, "distance_profile", refuse)
+        code, out, err = run(capsys, "max", "-p", "100000007", "-q", "100000008")
+        assert code == 2 and out == ""
+        assert f"p <= {MAX_MAX_P}" in err
+
+    def test_max_at_cap_boundary_is_checked_on_smaller_parameter(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_MAX_P", 5)
+        code, out, _ = run(capsys, "max", "-p", "12", "-q", "5")
+        assert code == 0 and "sigma_hat=30" in out
+        code, out, _ = run(capsys, "max", "-p", "6", "-q", "7")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("p_max,q_max", [("10000", "10000"), ("1000000000000", "2")])
+    def test_verify_above_cap_exits_2_before_enumerating(self, capsys, monkeypatch, p_max, q_max):
+        def refuse(*args):
+            raise AssertionError("enumerated above the cap")
+
+        monkeypatch.setattr(cli, "_coprime_pairs", refuse)
+        code, out, err = run(capsys, "verify", "--which", "closed-forms",
+                             "--p-max", p_max, "--q-max", q_max)
+        assert code == 2 and out == ""
+        assert f"at most {TABLE_MAX_ROWS}" in err
+
+    def test_verify_at_cap_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_MAX_ROWS", 6)
+        # p <= 4, q <= 5: 3 + 2 + 1 = 6 candidate pairs
+        code, out, _ = run(capsys, "verify", "--which", "glm", "--p-max", "4", "--q-max", "5")
+        assert code == 0 and out.startswith("suite=glm checked=5 failed=0\n")
+        code, out, _ = run(capsys, "verify", "--which", "glm", "--p-max", "4", "--q-max", "6")
+        assert code == 2 and out == ""
+        code, out, _ = run(capsys, "verify", "--which", "closed-forms", "--p-max", "7", "--q-max", "1")
+        assert code == 2 and out == ""
+
     def test_table_candidates_counted_exactly(self):
         for p_max in range(0, 12):
             for q_max in range(0, 15):
@@ -235,16 +301,18 @@ class TestSizeCaps:
             workloads = importlib.import_module("workloads")
         finally:
             sys.path.remove(str(bench))
+        parser = cli._build_parser()
         for name in workloads.WORKLOADS:
             for seed in range(1, 11):
                 for argv in workloads.build(name, seed):
-                    if argv[0] == "sweep":
-                        pq = int(argv[argv.index("-p") + 1]) * int(argv[argv.index("-q") + 1])
-                        assert 5 * pq <= SWEEP_MAX_PQ, argv
-                    elif argv[0] == "table":
-                        rows = cli._table_candidates(int(argv[argv.index("--p-max") + 1]),
-                                                     int(argv[argv.index("--q-max") + 1]))
-                        assert 5 * rows <= TABLE_MAX_ROWS, argv
+                    args = parser.parse_args(argv)
+                    if argv[0] == "max":
+                        assert 5 * TorusKnot(args.p, args.q).p <= MAX_MAX_P, argv
+                    elif argv[0] == "sweep":
+                        assert 5 * args.p * args.q <= SWEEP_MAX_PQ, argv
+                    elif argv[0] in ("table", "verify"):
+                        rows = cli._table_candidates(args.p_max, args.q_max)
+                        assert 5 * max(rows, args.p_max) <= TABLE_MAX_ROWS, argv
 
 
 class TestVerifyFailureRows:
