@@ -78,20 +78,16 @@ class BraidWord:
                 raise InvalidParameter(f"letter {g!r} outside [1, {self.strands - 1}]")
 
     def closure_components(self) -> int:
-        """Number of components of the closed-up braid."""
+        """Number of components of the closed-up braid: the cycles of its permutation."""
         perm = list(range(self.strands))
         for g in self.letters:
             perm[g - 1], perm[g] = perm[g], perm[g - 1]
-        seen = [False] * self.strands
-        cycles = 0
-        for start in range(self.strands):
-            if seen[start]:
-                continue
+        unseen, cycles = set(perm), 0
+        while unseen:
+            s = unseen.pop()
             cycles += 1
-            s = start
-            while not seen[s]:
-                seen[s] = True
-                s = perm[s]
+            while (s := perm[s]) in unseen:
+                unseen.remove(s)
         return cycles
 
     def has_connected_closure(self) -> bool:
@@ -109,64 +105,21 @@ def torus_braid(knot: TorusKnot) -> BraidWord:
 # exact integer polynomials (dense, ascending coefficients)
 
 
-def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact(num, den) -> list[int]:
-    """Quotient of an exact division by a monic-leading divisor."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [0] * (len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        if num[k] % lead != 0:
-            raise ValueError("division is not exact")
-        f = num[k] // lead
-        quot[k - dn] = f
-        for i, d in enumerate(den):
-            num[k - dn + i] -= f * d
-    if any(num):
-        raise ValueError("division is not exact")
-    return quot
-
-
-def _t_power_minus_one(n: int) -> list[int]:
-    out = [0] * (n + 1)
-    out[0], out[n] = -1, 1
-    return out  # t^n - 1
-
-
 def torus_alexander(knot: TorusKnot) -> tuple[int, ...]:
-    """Alexander polynomial of T(p,q) as the exact quotient
-    (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), ascending coefficients."""
+    """Alexander polynomial of T(p,q), ascending coefficients.
+
+    (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) is (1 - t) times the sum of t^k
+    over the semigroup <p, q>, which holds k exactly when (k q^{-1} mod p) q <= k.
+    """
     p, q = knot.p, knot.q
-    num = _poly_mul(_t_power_minus_one(p * q), _t_power_minus_one(1))
-    quot = _poly_div_exact(_poly_div_exact(num, _t_power_minus_one(p)), _t_power_minus_one(q))
-    result = _poly_trim(quot)
-    assert len(result) == knot.seifert_rank() + 1
-    return result
+    inverse = pow(q, -1, p)
+    member = [(k * inverse % p) * q <= k for k in range(-1, knot.seifert_rank() + 1)]
+    return tuple(int(b) - int(a) for a, b in zip(member, member[1:]))
 
 
 def _associates(f, g) -> bool:
     """Equality up to sign and a power of t."""
-    f, g = list(f), list(g)
-    while f and f[0] == 0:
-        f.pop(0)
-    while g and g[0] == 0:
-        g.pop(0)
-    f, g = list(_poly_trim(f or [0])), list(_poly_trim(g or [0]))
+    f, g = np.trim_zeros(list(f)), np.trim_zeros(list(g))
     return f == g or f == [-x for x in g]
 
 
@@ -178,10 +131,16 @@ def _associates(f, g) -> bool:
 # the symmetric lift is treated as exact.  All mod-p kernels keep every
 # intermediate below 2^63: entries < p, so products < p^2 < 2^52, and a
 # matmul over n terms accumulates < n * (p-1)^2, which
-# `alexander_from_seifert` keeps below 2^63 by rejecting larger n
-# (the limit is n <= 2048).
+# `alexander_from_seifert` and `seifert_matrix` keep below 2^63 by
+# rejecting any n above _MAX_RANK (2048).
 
 _PRIMES = (67108859, 67108837, 67108819)
+_MAX_RANK = (2**63 - 1) // (max(_PRIMES) - 1) ** 2
+
+
+def _require_rank(n: int) -> None:
+    if n > _MAX_RANK:
+        raise InvalidParameter(f"rank {n} is too large for exact int64 arithmetic")
 
 
 def _solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -256,6 +215,7 @@ def alexander_from_seifert(matrix) -> tuple[int, ...]:
     large for the int64 bound above, raises InvalidParameter.  Then
     A - tA^T = A (I - t A^{-1}A^T), so the pencil is det(A), the product of
     the diagonal, times the reversed characteristic polynomial of A^{-1}A^T.
+    Its degree is exactly n: the leading coefficient is det(-A^T) = +-1.
     """
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=np.int64)
     n = len(a)
@@ -263,14 +223,12 @@ def alexander_from_seifert(matrix) -> tuple[int, ...]:
         return (1,)
     if a.shape != (n, n) or np.tril(a, -1).any() or (np.abs(a.diagonal()) != 1).any():
         raise InvalidParameter("need a square upper-triangular matrix with diagonal +-1")
-    if n * (max(_PRIMES) - 1) ** 2 >= 2**63:
-        raise InvalidParameter(f"rank {n} is too large for exact int64 arithmetic")
+    _require_rank(n)
     det_a = int(np.prod(a.diagonal()))
     per_prime = [det_a * _charpoly_mod(_solve_mod(a, a.T, p), p)[::-1] % p for p in _PRIMES]
-    coeffs = [
+    return tuple(
         _crt_symmetric([vec[k] for vec in per_prime], _PRIMES) for k in range(n + 1)
-    ]
-    return _poly_trim(coeffs)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -348,8 +306,11 @@ def seifert_matrix(braid: BraidWord, expected_alexander=None) -> SeifertMatrix:
 
     The closure must be connected (a knot).  When expected_alexander is
     given, the construction is validated against it: det(A - t*A^T) must
-    match up to sign and a power of t.
+    match up to sign and a power of t, and a rank too large to validate is
+    refused before any brick is built.
     """
+    if expected_alexander is not None:
+        _require_rank(len(braid.letters) - braid.strands + 1)
     if not braid.has_connected_closure():
         raise InvalidParameter(
             f"closure has {braid.closure_components()} components, need a knot"

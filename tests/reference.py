@@ -181,3 +181,42 @@ def step_function_walk(knot: TorusKnot) -> StepFunction:
         breakpoint_values.append(2 * at_breakpoint - rank)
         interval_values.append(2 * inside - rank)
     return StepFunction(tuple(breakpoints), tuple(interval_values), tuple(breakpoint_values))
+
+
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(num, den) -> list[int]:
+    """Quotient of an exact division by a divisor with leading coefficient +-1."""
+    num = list(num)
+    dn = len(den) - 1
+    lead = den[-1]
+    quot = [0] * (len(num) - dn)
+    for k in range(len(num) - 1, dn - 1, -1):
+        f = num[k] // lead
+        quot[k - dn] = f
+        for i, d in enumerate(den):
+            num[k - dn + i] -= f * d
+    if any(num):
+        raise ValueError("division is not exact")
+    return quot
+
+
+def _t_power_minus_one(n: int) -> list[int]:
+    return [-1] + [0] * (n - 1) + [1]
+
+
+def torus_alexander_by_division(knot: TorusKnot) -> tuple[int, ...]:
+    """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) by two exact long divisions."""
+    p, q = knot.p, knot.q
+    num = _poly_mul(_t_power_minus_one(p * q), _t_power_minus_one(1))
+    quot = _poly_div_exact(_poly_div_exact(num, _t_power_minus_one(p)), _t_power_minus_one(q))
+    while len(quot) > 1 and quot[-1] == 0:
+        quot.pop()
+    return tuple(quot)

@@ -8,6 +8,7 @@ import pytest
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
 from torsig.lattice import classical_signature, lt_signature
 from torsig.maxsig import max_signature
+from torsig import oracle
 from torsig.oracle import (
     _PRIMES,
     BraidWord,
@@ -22,6 +23,8 @@ from torsig.oracle import (
     torus_braid,
     torus_seifert_matrix,
 )
+
+from reference import torus_alexander_by_division
 
 
 def coprime_pairs(p_max, q_max):
@@ -229,6 +232,22 @@ class TestAlexanderContract:
         with pytest.raises(InvalidParameter, match="rank 2049"):
             alexander_from_seifert(np.eye(2049, dtype=np.int64))
 
+    def test_over_rank_braid_rejected_before_bricks(self, monkeypatch):
+        def refuse(braid):
+            raise AssertionError("built the bricks of an over-rank braid")
+
+        monkeypatch.setattr(oracle, "_brick_entries", refuse)
+        with pytest.raises(InvalidParameter, match="rank 2668"):
+            torus_seifert_matrix(TorusKnot(47, 59))
+        braid = BraidWord(3, (1, 2) * 1025 + (1,))  # rank 2051 - 3 + 1 = 2049
+        with pytest.raises(InvalidParameter, match="rank 2049"):
+            seifert_matrix(braid, expected_alexander=(1,))
+
+    def test_rank_limit_is_the_int64_bound(self):
+        assert oracle._MAX_RANK == 2048
+        assert oracle._MAX_RANK * (max(_PRIMES) - 1) ** 2 < 2**63
+        assert (oracle._MAX_RANK + 1) * (max(_PRIMES) - 1) ** 2 >= 2**63
+
     def test_negative_diagonal_accepted(self):
         raw = -torus_seifert_matrix(TorusKnot(3, 4)).as_array()
         assert associates(alexander_from_seifert(raw), torus_alexander(TorusKnot(3, 4)))
@@ -246,6 +265,11 @@ class TestTorusAlexander:
     )
     def test_examples(self, p, q, coeffs):
         assert torus_alexander(TorusKnot(p, q)) == coeffs
+
+    def test_semigroup_formula_matches_division(self):
+        for p, q in coprime_pairs(19, 60) + [(1, 2), (1, 9), (31, 113), (47, 59)]:
+            knot = TorusKnot(p, q)
+            assert torus_alexander(knot) == torus_alexander_by_division(knot), (p, q)
 
     def test_properties_on_grid(self):
         for p, q in coprime_pairs(8, 13):
