@@ -8,12 +8,14 @@ these; nothing in `src/` imports this module.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from torsig.core import RationalAngle, TorusKnot
 from torsig.lattice import StepFunction
 from torsig.maxsig import BalancedSequence, DistanceProfile
+from torsig.oracle import BraidWord
 
 
 def floor_sum_naive(n: int, m: int, a: int, b: int) -> int:
@@ -220,3 +222,77 @@ def torus_alexander_by_division(knot: TorusKnot) -> tuple[int, ...]:
     while len(quot) > 1 and quot[-1] == 0:
         quot.pop()
     return tuple(quot)
+
+
+def seifert_bricks_loop(braid: BraidWord) -> list[list[int]]:
+    """Brick matrix of a positive braid closure, one pair of bricks at a time.
+
+    Bricks are consecutive occurrences (a, b) of a generator g, ordered by
+    generator and then by position.  Raw rules: each brick links its own
+    pushoff -1; the earlier of two consecutive bricks of one generator links
+    the later +1; a brick of g links an interleaving brick of g+1 with +1 when
+    it starts first (a < c < b < d) and -1 when it starts second
+    (c < a < d < b).  The whole matrix is then multiplied by -1, the sign
+    under which sigma(T(2,3)) = +2.
+    """
+    occurrences: dict[int, list[int]] = defaultdict(list)
+    for pos, g in enumerate(braid.letters):
+        occurrences[g].append(pos)
+    bricks = []
+    for g in sorted(occurrences):
+        positions = occurrences[g]
+        bricks.extend((g, a, b) for a, b in zip(positions, positions[1:]))
+    m = len(bricks)
+    raw = [[0] * m for _ in range(m)]
+    for u, (gu, a, b) in enumerate(bricks):
+        raw[u][u] = -1
+        for v, (gv, c, d) in enumerate(bricks):
+            if gv == gu and b == c:
+                raw[u][v] = 1
+            elif gv == gu + 1:
+                if a < c < b < d:
+                    raw[u][v] = 1
+                elif c < a < d < b:
+                    raw[u][v] = -1
+    return [[-x for x in row] for row in raw]
+
+
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """det mod p by Gaussian elimination on Python ints."""
+    m = [[x % p for x in row] for row in rows]
+    n, det = len(m), 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            det = -det
+        det = det * m[k][k] % p
+        inverse = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            f = m[i][k] * inverse % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
+    return det % p
+
+
+def charpoly_mod_interp(rows: list[list[int]], p: int) -> list[int]:
+    """Ascending coefficients of det(x*I - M) mod p: the determinant at
+    x = 0..n, then Lagrange interpolation mod p."""
+    n = len(rows)
+    points = range(n + 1)
+    values = [
+        _det_mod([[(x if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)], p)
+        for x in points
+    ]
+    coeffs = [0] * (n + 1)
+    for i in points:
+        basis, denom = [1], 1
+        for j in points:
+            if j != i:
+                basis = [(lo - j * hi) % p for lo, hi in zip([0] + basis, basis + [0])]
+                denom = denom * (i - j) % p
+        weight = values[i] * pow(denom, -1, p) % p
+        coeffs = [(c + weight * b) % p for c, b in zip(coeffs, basis)]
+    return coeffs

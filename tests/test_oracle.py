@@ -24,7 +24,7 @@ from torsig.oracle import (
     torus_seifert_matrix,
 )
 
-from reference import torus_alexander_by_division
+from reference import charpoly_mod_interp, seifert_bricks_loop, torus_alexander_by_division
 
 
 def coprime_pairs(p_max, q_max):
@@ -186,6 +186,16 @@ class TestSeifertMatrix:
         for braid in random_knot_braids(seed=2212, count=300, max_strands=8, max_rank=40):
             assert_unit_upper_triangular(seifert_matrix(braid))
 
+    def test_bricks_match_loop_reference_on_torus_grid(self):
+        pairs = [(p, q) for p, q in coprime_pairs(12, 201) if (p - 1) * (q - 1) <= 200]
+        for p, q in pairs:
+            braid = torus_braid(TorusKnot(p, q))
+            assert np.asarray(seifert_matrix(braid).entries).tolist() == seifert_bricks_loop(braid)
+
+    def test_bricks_match_loop_reference_on_random_braids(self):
+        for braid in random_knot_braids(seed=2212, count=300, max_strands=8, max_rank=40):
+            assert np.asarray(seifert_matrix(braid).entries).tolist() == seifert_bricks_loop(braid)
+
     def test_pencil_matches_bruteforce_on_random_braids(self):
         for braid in random_knot_braids(seed=9604, count=40):
             matrix = seifert_matrix(braid)
@@ -252,6 +262,52 @@ class TestAlexanderContract:
         raw = -torus_seifert_matrix(TorusKnot(3, 4)).as_array()
         assert associates(alexander_from_seifert(raw), torus_alexander(TorusKnot(3, 4)))
         assert alexander_from_seifert(raw) == pencil_det_bruteforce(raw.tolist())
+
+
+def random_square_matrices(seed, count, max_n=30):
+    """Seeded integer matrices: dense ones with entries below the primes, small
+    ones, and sparse ones whose Hessenberg reduction meets zero subdiagonal
+    entries (an already reduced column, or a pivot found further down)."""
+    rng = random.Random(seed)
+    matrices = []
+    for index in range(count):
+        n = rng.randint(0, max_n)
+        kind = index % 3
+        if kind == 0:
+            rows = [[rng.randrange(max(_PRIMES)) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        else:
+            density = rng.choice((0.05, 0.1, 0.2))
+            rows = [[rng.choice((-1, 1, 2)) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(n)]
+        matrices.append(rows)
+    return matrices
+
+
+class TestCharpolyMod:
+    SMALL = [
+        [],
+        [[5]],
+        [[-7]],
+        [[1, 2], [3, 4]],
+        [[0, 0], [0, 0]],
+        [[0, 1], [-1, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],  # pivot below the subdiagonal
+        [[2, 0, 0], [0, 3, 0], [0, 0, 4]],  # nothing to reduce
+    ]
+
+    @pytest.mark.parametrize("p", _PRIMES)
+    def test_small_matrices(self, p):
+        for rows in self.SMALL:
+            m = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+            assert oracle._charpoly_mod(m, p).tolist() == charpoly_mod_interp(rows, p), rows
+
+    @pytest.mark.parametrize("p", _PRIMES)
+    def test_random_matrices(self, p):
+        for rows in random_square_matrices(seed=4102, count=100):
+            m = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+            assert oracle._charpoly_mod(m, p).tolist() == charpoly_mod_interp(rows, p), rows
 
 
 class TestTorusAlexander:
