@@ -11,20 +11,18 @@ ordered by generator, then by position, and only earlier bricks link later
 ones).  So det A = +-1, and the exact pencil det(A - t*A^T) needs only a
 mod-p back-substitution and one characteristic polynomial per prime.
 
-Entry conventions for the brick matrix vary between write-ups (and a wrong
-choice silently computes the mirror knot), so they are pinned
-operationally rather than trusted: the Alexander-polynomial check catches
-wrong linking patterns, and a one-time calibration on T(2,3) fixes the
-global sign so that positive torus knots get positive signatures.
+The brick matrix is one read-only int64 array built by broadcasting.  Its
+sign convention (a wrong one silently computes the mirror knot) is fixed so
+that sigma(T(2,3)) = +2 and pinned by tests: the Alexander-polynomial check
+catches wrong linking patterns, the comparison of Hermitian signatures with
+the lattice engine a wrong global sign.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-8
+_MIDPOINT_SAMPLES = 25
 
 
 class ValidationFailure(TorsigError):
@@ -177,22 +176,20 @@ def _charpoly_mod(matrix: np.ndarray, p: int) -> np.ndarray:
         f = h[k + 2 :, k] * pow(int(h[k + 1, k]), -1, p) % p
         h[k + 2 :, :] = (h[k + 2 :, :] - f[:, None] * h[k + 1, :]) % p
         h[:, k + 1] = (h[:, k + 1] + h[:, k + 2 :] @ f) % p
+    # beta[i] is the product of the subdiagonals H[i+1,i] ... H[k-1,k-2];
+    # column k extends every product by H[k-1,k-2] and starts beta[k-2].
+    # Products of two residues stay below p^2 < 2^52, and the matmul adds
+    # k-1 < n of them to acc < p: below n(p-1)^2 + p, which for
+    # n <= _MAX_RANK leaves a slack of about 1.6e12 under 2^63.
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
-    subdiag = np.concatenate(([1], h.diagonal(-1))) if n > 1 else np.ones(1, np.int64)
+    beta = np.ones(n, dtype=np.int64)
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        shifted = np.roll(prev, 1)
-        shifted[0] = 0
-        acc = (shifted - int(h[k - 1, k - 1]) * prev) % p
-        if k >= 2:
-            beta = 1
-            weights = np.zeros(k - 1, dtype=np.int64)
-            for i in range(k - 2, -1, -1):
-                beta = beta * int(subdiag[i + 1]) % p
-                weights[i] = int(h[i, k - 1]) * beta % p
-            acc = (acc - weights @ polys[: k - 1]) % p
-        polys[k] = acc
+        beta[: k - 1] = beta[: k - 1] * h[k - 1, k - 2] % p
+        weights = h[: k - 1, k - 1] * beta[: k - 1] % p
+        polys[k, 1:] = polys[k - 1, :-1]
+        acc = (polys[k] - h[k - 1, k - 1] * polys[k - 1]) % p
+        polys[k] = (acc - weights @ polys[: k - 1]) % p
     return polys[n]
 
 
@@ -235,70 +232,41 @@ def alexander_from_seifert(matrix) -> tuple[int, ...]:
 # brick construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeifertMatrix:
-    """Integer Seifert matrix of a positive braid closure, size l - n + 1."""
+    """Integer Seifert matrix of a positive braid closure, size l - n + 1,
+    as a read-only int64 array."""
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.size, self.size)
 
-    def symmetrized(self) -> np.ndarray:
-        a = self.as_array()
-        return a + a.T
+def _brick_matrix(braid: BraidWord) -> np.ndarray:
+    """Brick matrix: one brick per pair (a, b) of consecutive positions of
+    the same generator g, ordered by generator and then by position.
 
-
-def _brick_entries(braid: BraidWord) -> list[list[int]]:
-    """Raw brick matrix, one row per pair of consecutive occurrences of the
-    same generator.
-
-    Entry rules (pinned by the polynomial validation, see module docstring):
-      * each brick links its own pushoff once negatively;
-      * consecutive bricks of the same generator share a band: the earlier
-        one links the later one's pushoff once positively;
-      * bricks of adjacent generators link only when their position
-        intervals interleave, contributing at [lower][higher] with sign +1
-        when the lower-generator brick starts first, -1 otherwise.
+    Entry [u][v], in the sign where sigma(T(2,3)) = +2:
+      * +1 on the diagonal;
+      * -1 when v is the next brick of u's generator (b_u = a_v);
+      * for v of generator g_u + 1 whose interval interleaves u's:
+        -1 when u starts first (a_u < a_v < b_u < b_v), +1 when it starts
+        second (a_v < a_u < b_v < b_u).
     """
-    occurrences: dict[int, list[int]] = defaultdict(list)
-    for pos, g in enumerate(braid.letters):
-        occurrences[g].append(pos)
-    bricks: list[tuple[int, int, int]] = []
-    for g in sorted(occurrences):
-        positions = occurrences[g]
-        bricks.extend((g, a, b) for a, b in zip(positions, positions[1:]))
-    m = len(bricks)
-    entries = [[0] * m for _ in range(m)]
-    for u, (gu, a, b) in enumerate(bricks):
-        entries[u][u] = -1
-        for v, (gv, c, d) in enumerate(bricks):
-            if gv == gu and b == c:
-                entries[u][v] = 1
-            elif gv == gu + 1:
-                if a < c < b < d:
-                    entries[u][v] = 1
-                elif c < a < d < b:
-                    entries[u][v] = -1
-    return entries
-
-
-@lru_cache(maxsize=1)
-def _calibration_sign() -> int:
-    """Global sign fixing the convention where sigma(T(2,3)) = +2.
-
-    Computed, not assumed: builds the raw brick matrix of the trefoil and
-    checks the sign of its symmetrized form.
-    """
-    raw = np.array(_brick_entries(torus_braid(TorusKnot(2, 3))), dtype=np.int64)
-    eigenvalues = np.linalg.eigvalsh((raw + raw.T).astype(float))
-    sig = int((eigenvalues > 0).sum()) - int((eigenvalues < 0).sum())
-    assert abs(sig) == 2
-    return 1 if sig > 0 else -1
+    letters = np.asarray(braid.letters, dtype=np.int64)
+    order = np.lexsort((np.arange(letters.size), letters))
+    gens = letters[order]
+    same = gens[1:] == gens[:-1]
+    g, a, b = (x[same][:, None] for x in (gens[1:], order[:-1], order[1:]))
+    adjacent = g.T == g + 1
+    return (
+        np.eye(len(g), dtype=np.int64)
+        - ((g.T == g) & (a.T == b))
+        - (adjacent & (a < a.T) & (a.T < b) & (b < b.T))
+        + (adjacent & (a.T < a) & (a < b.T) & (b.T < b))
+    )
 
 
 def seifert_matrix(braid: BraidWord, expected_alexander=None) -> SeifertMatrix:
@@ -311,14 +279,13 @@ def seifert_matrix(braid: BraidWord, expected_alexander=None) -> SeifertMatrix:
     """
     if expected_alexander is not None:
         _require_rank(len(braid.letters) - braid.strands + 1)
-    if not braid.has_connected_closure():
-        raise InvalidParameter(
-            f"closure has {braid.closure_components()} components, need a knot"
-        )
-    raw = _brick_entries(braid)
-    assert len(raw) == len(braid.letters) - braid.strands + 1
-    sign = _calibration_sign()
-    matrix = SeifertMatrix(tuple(tuple(sign * x for x in row) for row in raw))
+    components = braid.closure_components()
+    if components != 1:
+        raise InvalidParameter(f"closure has {components} components, need a knot")
+    entries = _brick_matrix(braid)
+    assert len(entries) == len(braid.letters) - braid.strands + 1
+    entries.flags.writeable = False
+    matrix = SeifertMatrix(entries)
     if expected_alexander is not None:
         computed = alexander_from_seifert(matrix)
         if not _associates(computed, expected_alexander):
@@ -346,11 +313,8 @@ def hermitian_signature(matrix, t: RationalAngle, tol: float = DEFAULT_TOLERANCE
     should pick a different t (midpoints between candidate jumps are always
     safe), never round.
     """
-    a = np.asarray(
-        matrix.as_array() if isinstance(matrix, SeifertMatrix) else matrix, dtype=float
-    )
-    n = a.shape[0] if a.ndim == 2 else 0
-    if n == 0:
+    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    if a.size == 0:
         return 0
     w = cmath.exp(2j * cmath.pi * t.numerator / t.denominator)
     eigenvalues = np.linalg.eigvalsh((1 - w) * a + (1 - w.conjugate()) * a.T)
@@ -375,7 +339,7 @@ def brute_force_max(knot: TorusKnot) -> tuple[int, tuple]:
     return step.max_value(), step.argmax_pieces()
 
 
-def midpoint_sample(knot: TorusKnot, count: int = 25) -> list[RationalAngle]:
+def midpoint_sample(knot: TorusKnot) -> list[RationalAngle]:
     """Deterministic pseudo-random sample of midpoint angles (2k+1)/(2pq).
 
     Midpoints fall strictly between candidate jump abscissae, so the
@@ -384,20 +348,20 @@ def midpoint_sample(knot: TorusKnot, count: int = 25) -> list[RationalAngle]:
     """
     pq = knot.p * knot.q
     rng = random.Random(1_000_003 * knot.p + knot.q)
-    ks = sorted(rng.sample(range(pq), min(count, pq)))
+    ks = sorted(rng.sample(range(pq), min(_MIDPOINT_SAMPLES, pq)))
     return [RationalAngle(2 * k + 1, 2 * pq) for k in ks]
 
 
 def signature_cross_check(
-    knot: TorusKnot, count: int = 25, tol: float = DEFAULT_TOLERANCE
+    knot: TorusKnot, tol: float = DEFAULT_TOLERANCE
 ) -> list[tuple[RationalAngle, int, int]]:
     """Compare the lattice engine and the Hermitian oracle at sampled angles.
 
     Returns (t, lattice value, oracle value) triples; the Seifert matrix is
     validated against the cyclotomic Alexander polynomial on the way.
     """
-    a = torus_seifert_matrix(knot).as_array().astype(float)
+    matrix = torus_seifert_matrix(knot)
     return [
-        (t, lt_signature(knot, t), hermitian_signature(a, t, tol))
-        for t in midpoint_sample(knot, count)
+        (t, lt_signature(knot, t), hermitian_signature(matrix, t, tol))
+        for t in midpoint_sample(knot)
     ]

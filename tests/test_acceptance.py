@@ -164,7 +164,7 @@ def test_criterion_8_oracle_equivalence():
         if pencil != expected and pencil != tuple(-c for c in expected):
             ok, detail = False, f" pencil mismatch at T({p},{q})"
             break
-        for t in midpoint_sample(knot, 25):
+        for t in midpoint_sample(knot):
             if hermitian_signature(matrix, t, tol) != lt_signature(knot, t):
                 ok, detail = False, f" signature mismatch at T({p},{q}), t={t}"
                 break

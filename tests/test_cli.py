@@ -323,7 +323,7 @@ class TestVerifyFailureRows:
 
     @pytest.fixture
     def lying_cross_check(self, monkeypatch):
-        def fake(knot, count=25, tol=oracle.DEFAULT_TOLERANCE):
+        def fake(knot, tol=oracle.DEFAULT_TOLERANCE):
             pq2 = 2 * knot.p * knot.q
             if knot == TorusKnot(2, 3):
                 return [(RationalAngle(1, pq2), 0, 0)]
