@@ -177,7 +177,7 @@ def _charpoly_mod(matrix: np.ndarray, p: int) -> np.ndarray:
         h[k + 2 :, :] = (h[k + 2 :, :] - f[:, None] * h[k + 1, :]) % p
         h[:, k + 1] = (h[:, k + 1] + h[:, k + 2 :] @ f) % p
     # beta[i] is the product of the subdiagonals H[i+1,i] ... H[k-1,k-2];
-    # column k extends every product by H[k-1,k-2] and starts beta[k-2].
+    # column k > 1 extends every product by H[k-1,k-2] and starts beta[k-2].
     # Products of two residues stay below p^2 < 2^52, and the matmul adds
     # k-1 < n of them to acc < p: below n(p-1)^2 + p, which for
     # n <= _MAX_RANK leaves a slack of about 1.6e12 under 2^63.

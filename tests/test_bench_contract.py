@@ -6,7 +6,6 @@ and a Seifert matrix without a rank-valued `size` would be miscounted.
 The module is loaded from its path and not modified.
 """
 
-import importlib
 import importlib.util
 import sys
 from pathlib import Path

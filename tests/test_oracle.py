@@ -198,11 +198,11 @@ class TestSeifertMatrix:
         pairs = [(p, q) for p, q in coprime_pairs(12, 201) if (p - 1) * (q - 1) <= 200]
         for p, q in pairs:
             braid = torus_braid(TorusKnot(p, q))
-            assert np.asarray(seifert_matrix(braid).entries).tolist() == seifert_bricks_loop(braid)
+            assert seifert_matrix(braid).entries.tolist() == seifert_bricks_loop(braid)
 
     def test_bricks_match_loop_reference_on_random_braids(self):
         for braid in random_knot_braids(seed=2212, count=300, max_strands=8, max_rank=40):
-            assert np.asarray(seifert_matrix(braid).entries).tolist() == seifert_bricks_loop(braid)
+            assert seifert_matrix(braid).entries.tolist() == seifert_bricks_loop(braid)
 
     def test_pencil_matches_bruteforce_on_random_braids(self):
         for braid in random_knot_braids(seed=9604, count=40):
@@ -306,14 +306,8 @@ class TestCharpolyMod:
     ]
 
     @pytest.mark.parametrize("p", _PRIMES)
-    def test_small_matrices(self, p):
-        for rows in self.SMALL:
-            m = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
-            assert oracle._charpoly_mod(m, p).tolist() == charpoly_mod_interp(rows, p), rows
-
-    @pytest.mark.parametrize("p", _PRIMES)
-    def test_random_matrices(self, p):
-        for rows in random_square_matrices(seed=4102, count=100):
+    def test_matches_interpolation(self, p):
+        for rows in self.SMALL + random_square_matrices(seed=4102, count=100):
             m = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
             assert oracle._charpoly_mod(m, p).tolist() == charpoly_mod_interp(rows, p), rows
 
