@@ -18,6 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 from .core import InvalidParameter, RationalAngle, TorsigError, TorusKnot
 from .identities import (
     check_closed_forms,
@@ -27,13 +29,12 @@ from .identities import (
     check_odd_shift_identity,
 )
 from .lattice import classical_signature, lt_signature, signature_step_function
-from .maxsig import (balanced_sequence, distance_profile, knot_max_cyclic_sum,
-                     max_cyclic_sum, max_signature)
+from .maxsig import _g4_from_peak, _mark_profile, _peak, knot_max_cyclic_sum, max_signature
 from . import oracle
 
 SCHEMA_VERSION = "1"
 
-# Size caps, checked before anything is allocated: `max` builds O(p) dicts
+# Size caps, checked before anything is allocated: `max` builds O(p) arrays
 # and prints O(p) text; `sweep` builds O(pq) arrays and prints about 2pq
 # lines; `table` and `verify` scan every candidate pair.
 MAX_MAX_P = 6_000_000
@@ -66,16 +67,15 @@ def _write_output(path: str | None, render) -> int:
     return EXIT_OK
 
 
-def _sequence_str(entries) -> str:
-    return "(" + ",".join(map({1: "+1", -1: "-1"}.__getitem__, entries)) + ")"
+def _sequence_str(entries: np.ndarray) -> str:
+    """The +-1 array as "(+1,-1,...)"; every entry is the same three bytes."""
+    return "(" + np.where(entries > 0, b"+1,", b"-1,").tobytes()[:-1].decode("ascii") + ")"
 
 
-def _indexed(name: str, values: dict[int, int]) -> str:
-    """Space-separated name[k]=v in the dict's order, formatted by one % call.
-
-    `distance_profile` inserts the keys in increasing order.
-    """
-    return " ".join([f"{name}[%d]=%d"] * len(values)) % tuple(chain.from_iterable(values.items()))
+def _indexed(name: str, keys: np.ndarray, values: np.ndarray) -> str:
+    """Space-separated name[k]=v over paired arrays, formatted by one % call."""
+    pairs = np.stack((keys, values), axis=1).ravel().tolist()
+    return " ".join([f"{name}[%d]=%d"] * len(values)) % tuple(pairs)
 
 
 # --------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def _peak_row(knot: TorusKnot, m: int) -> dict:
         "sigma": sigma,
         "M": m,
         "sigma_hat": sigma_hat,
-        "g4_lb": (sigma_hat + 1) // 2,
+        "g4_lb": _g4_from_peak(sigma_hat),
     }
 
 
@@ -119,24 +119,26 @@ def cmd_max(args) -> int:
     knot = TorusKnot(args.p, args.q)
     if knot.p > MAX_MAX_P:
         raise InvalidParameter(f"max needs p <= {MAX_MAX_P}, got p = {knot.p}")
-    profile = distance_profile(knot)  # empty for p <= 2
-    sequence = balanced_sequence(profile)
-    row = _peak_row(knot, max_cyclic_sum(sequence))
+    p = knot.p
+    D, d, marks = _mark_profile(knot)  # empty for p <= 2
+    sequence = marks[marks != 0]
+    row = _peak_row(knot, _peak(marks))
+    js, ks = np.arange(2 - p, 0, 2), np.arange(2 - p % 2, p, 2)  # indices of D and d
     if args.format == "json":
         payload = {
             **row,
-            "D": {str(j): v for j, v in profile.D.items()},
-            "d": {str(k): v for k, v in profile.d.items()},
-            "sequence": list(sequence.entries),
+            "D": dict(zip(map(str, js.tolist()), D.tolist())),
+            "d": dict(zip(map(str, ks.tolist()), d.tolist())),
+            "sequence": sequence.tolist(),
         }
         _emit_json(payload, sys.stdout)
     else:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
-        if profile.D:
-            print(_indexed("D", profile.D))
-            print(_indexed("d", profile.d))
-        print(f"sequence={_sequence_str(sequence.entries)}")
+        if D.size:
+            print(_indexed("D", js, D))
+            print(_indexed("d", ks, d))
+        print(f"sequence={_sequence_str(sequence)}")
         print(f"M={row['M']}")
         print(f"sigma_hat={row['sigma_hat']}")
         print(f"g4_lb={row['g4_lb']}")
@@ -147,34 +149,49 @@ def cmd_max(args) -> int:
 # sweep
 
 
+def _fractions(numerators: np.ndarray, denominator: int) -> list[str]:
+    """Each numerator/denominator in lowest terms as "n/d", as str(Fraction) has it."""
+    g = np.gcd(numerators, denominator)
+    pairs = np.stack((numerators // g, denominator // g), axis=1).ravel().tolist()
+    return (("%d/%d\n" * numerators.size) % tuple(pairs)).split()
+
+
+def _rows(row: str, *columns) -> str:
+    """`row` filled from each index of the columns in turn, by one % call."""
+    count = min(map(len, columns))
+    return (row * count) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def cmd_sweep(args) -> int:
     knot = TorusKnot(args.p, args.q)
     if knot.p * knot.q > SWEEP_MAX_PQ:
         raise InvalidParameter(f"sweep needs pq <= {SWEEP_MAX_PQ}, got pq = {knot.p * knot.q}")
     step = signature_step_function(knot)
-    values = step.interval_values
+    ks, pq, values = step.breakpoints, step.denominator, step.interval_values
 
     def render(stream) -> None:
+        if args.format == "plot":  # step data with doubled abscissae at the jumps
+            # k and pq are below 2**53, so k / pq is float(Fraction(k, pq)) exactly
+            bounds = [0.0, *(ks / pq).tolist(), 1.0]
+            stream.write(_rows("%s %d\n%s %d\n", bounds, values, bounds[1:], values))
+            return
+        points = _fractions(ks, pq)
         if args.format == "json":
             payload = {
                 "p": knot.p,
                 "q": knot.q,
-                "breakpoints": list(map(str, step.breakpoints)),
+                "breakpoints": points,
                 "interval_values": list(values),
                 "breakpoint_values": list(step.breakpoint_values),
             }
             _emit_json(payload, stream)
             return
-        if args.format == "csv":
-            # bounds[i], bounds[i+1] enclose interval i; bounds[1:-1] are the jumps
-            bounds = ["0", *map(str, step.breakpoints), "1"]
-            stream.write("t_lo,t_hi,sigma\n")
-            stream.writelines(map("{},{},{}\n".format, bounds, bounds[1:], values))
-            stream.write("\nt,sigma\n")
-            stream.writelines(map("{},{}\n".format, bounds[1:-1], step.breakpoint_values))
-        else:  # plot: step data with doubled abscissae at the jumps
-            bounds = ["0.0", *(str(float(t)) for t in step.breakpoints), "1.0"]
-            stream.writelines(map("{0} {2}\n{1} {2}\n".format, bounds, bounds[1:], values))
+        # bounds[i], bounds[i+1] enclose interval i; bounds[1:-1] are the jumps
+        bounds = ["0", *points, "1"]
+        stream.write("t_lo,t_hi,sigma\n")
+        stream.write(_rows("%s,%s,%d\n", bounds, bounds[1:], values))
+        stream.write("\nt,sigma\n")
+        stream.write(_rows("%s,%d\n", points, step.breakpoint_values))
 
     return _write_output(args.output, render)
 

@@ -18,14 +18,15 @@ count there; no averaging of the one-sided limits is implied.
 Counts are exact Python-int floor sums evaluated in O(log(pqb)) steps, so
 `lt_signature` and `classical_signature` take microseconds even at
 p = 10**40.  The step function histograms the pq norms with numpy int64
-arrays, guarded so that no value can wrap.
+arrays, guarded so that no value can wrap, and keeps its breakpoints as
+int64 numerators over the common denominator pq.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -100,51 +101,45 @@ def classical_signature(knot: TorusKnot) -> int:
     return (p - 1) * (q - 1) - 4 * _floor_sum(terms, 2 * p, 2 * q, j0 * q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """The full signature function t -> sigma_t on (0, 1).
 
-    breakpoints are the jump abscissae in increasing order; interval_values
-    holds the constant value on each open interval between consecutive
-    breakpoints (including the leading and trailing intervals), so
-    len(interval_values) == len(breakpoints) + 1.  breakpoint_values holds
-    the exact value at each breakpoint, which genuinely differs from the
-    neighbouring intervals.
+    Every jump lies on the grid k/pq, so breakpoints holds the numerators k
+    in increasing order as one read-only int64 array over the common
+    denominator pq.  interval_values holds the constant value on each open
+    interval between consecutive breakpoints (including the leading and
+    trailing intervals), so len(interval_values) == len(breakpoints) + 1.
+    breakpoint_values holds the exact value at each breakpoint, which
+    genuinely differs from the neighbouring intervals.
     """
 
-    breakpoints: tuple[Fraction, ...]
+    breakpoints: np.ndarray
+    denominator: int
     interval_values: tuple[int, ...]
     breakpoint_values: tuple[int, ...]
 
-    def value_at(self, t: Fraction) -> int:
-        if not 0 < t < 1:
-            raise ValueError(f"t = {t} outside (0, 1)")
-        k = bisect.bisect_left(self.breakpoints, t)
-        if k < len(self.breakpoints) and self.breakpoints[k] == t:
-            return self.breakpoint_values[k]
-        return self.interval_values[k]
+    def __post_init__(self) -> None:
+        self.breakpoints.flags.writeable = False
 
     def max_value(self) -> int:
-        values = self.interval_values + self.breakpoint_values
-        return max(values)
+        return max(chain(self.interval_values, self.breakpoint_values))
 
     def argmax_pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Maximizing pieces as (lo, hi) pairs.
 
         lo < hi denotes the open interval (lo, hi); lo == hi denotes the
-        single breakpoint t = lo.
+        single breakpoint t = lo.  The pieces are found and ordered on the
+        numerators; only they become Fractions.
         """
         m = self.max_value()
-        bounds = (Fraction(0),) + self.breakpoints + (Fraction(1),)
-        pieces = []
-        for k, value in enumerate(self.interval_values):
-            if value == m:
-                pieces.append((bounds[k], bounds[k + 1]))
-        for t, value in zip(self.breakpoints, self.breakpoint_values):
-            if value == m:
-                pieces.append((t, t))
-        pieces.sort()
-        return tuple(pieces)
+        bounds = np.concatenate(([0], self.breakpoints, [self.denominator]))
+        intervals = np.flatnonzero(np.asarray(self.interval_values, dtype=np.int64) == m)
+        points = self.breakpoints[np.asarray(self.breakpoint_values, dtype=np.int64) == m]
+        pieces = sorted(chain(zip(bounds[intervals].tolist(), bounds[intervals + 1].tolist()),
+                              zip(points.tolist(), points.tolist())))
+        den = self.denominator
+        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in pieces)
 
 
 def signature_step_function(knot: TorusKnot) -> StepFunction:
@@ -163,7 +158,7 @@ def signature_step_function(knot: TorusKnot) -> StepFunction:
     pq = p * q
     rank = (p - 1) * (q - 1)
     if rank == 0:
-        return StepFunction((), (0,), ())
+        return StepFunction(np.empty(0, dtype=np.int64), pq, (0,), ())
     if 2 * pq > INT64_MAX:
         raise InvalidParameter(f"{knot}: norms up to 2pq = {2 * pq} overflow int64")
 
@@ -184,7 +179,6 @@ def signature_step_function(knot: TorusKnot) -> StepFunction:
     jumps = np.flatnonzero(lost + gained)
     lost, gained = lost[jumps], gained[jumps]
     after = inside + np.cumsum(gained - lost)
-    breakpoints = tuple(Fraction(k, pq) for k in (jumps + 1).tolist())
     interval_values = (2 * inside - rank,) + tuple((2 * after - rank).tolist())
     breakpoint_values = tuple((2 * (after - gained) - rank).tolist())
-    return StepFunction(breakpoints, interval_values, breakpoint_values)
+    return StepFunction(jumps + 1, pq, interval_values, breakpoint_values)

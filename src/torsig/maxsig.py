@@ -102,6 +102,22 @@ def _marks(p: int, D: np.ndarray, d: np.ndarray) -> np.ndarray:
     return marks
 
 
+def _mark_profile(knot: TorusKnot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D and d as int64 arrays in increasing index order, and their marks.
+
+    D_j is read for j = -p+2, -p+4, ..., < 0 and d_k for k = -j in
+    increasing order; the mark array asserts the profile's invariants.
+    """
+    D = _distances(knot)
+    d = 2 * knot.p - D[::-1]
+    return D, d, _marks(knot.p, D, d)
+
+
+def _peak(marks: np.ndarray) -> int:
+    """M: the largest cumulative sum of a mark array, at least 0."""
+    return int(np.cumsum(marks, dtype=np.int64).max(initial=0))
+
+
 def distance_profile(knot: TorusKnot) -> DistanceProfile:
     """Compute every D_j and d_k by modular reduction.
 
@@ -111,9 +127,7 @@ def distance_profile(knot: TorusKnot) -> DistanceProfile:
     asserted here.
     """
     p = knot.p
-    D = _distances(knot)
-    d = 2 * p - D[::-1]  # d_k for k = -j in increasing order
-    _marks(p, D, d)
+    D, d, _ = _mark_profile(knot)
     return DistanceProfile(
         p,
         dict(zip(range(2 - p, 0, 2), D.tolist())),
@@ -148,9 +162,7 @@ def knot_max_cyclic_sum(knot: TorusKnot) -> int:
     Equal to max_cyclic_sum(balanced_sequence(distance_profile(knot))), but
     builds neither the profile dicts nor the sequence tuple.
     """
-    D = _distances(knot)
-    marks = _marks(knot.p, D, 2 * knot.p - D)
-    return int(np.cumsum(marks, dtype=np.int64).max(initial=0))
+    return _peak(_mark_profile(knot)[2])
 
 
 def max_signature(knot: TorusKnot) -> int:
@@ -192,7 +204,11 @@ def rotation_relation(knot: TorusKnot) -> RotationReport:
     return RotationReport(knot, other, shift, seq, seq_other, seq_other == expected)
 
 
+def _g4_from_peak(sigma_hat: int) -> int:
+    """ceil(sigma_hat / 2), the 4-genus bound given by a peak value."""
+    return (sigma_hat + 1) // 2
+
+
 def g4_lower_bound(knot: TorusKnot) -> int:
     """Lower bound for the topological 4-genus: ceil(max_signature / 2)."""
-    sig_hat = max_signature(knot)
-    return (sig_hat + 1) // 2
+    return _g4_from_peak(max_signature(knot))

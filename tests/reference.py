@@ -8,6 +8,7 @@ these; nothing in `src/` imports this module.
 
 from __future__ import annotations
 
+import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,14 +158,56 @@ def max_signature_sorted(knot: TorusKnot) -> int:
     return classical_signature_loop(knot) + 2 * max_cyclic_sum_loop(entries)
 
 
-def step_function_walk(knot: TorusKnot) -> StepFunction:
+@dataclass(frozen=True)
+class FractionStep:
+    """A step function with its breakpoints as a tuple of Fractions.
+
+    The list-based form that `torsig.lattice.StepFunction` (int64
+    numerators over pq) replaced; it compares by value.
+    """
+
+    breakpoints: tuple[Fraction, ...]
+    interval_values: tuple[int, ...]
+    breakpoint_values: tuple[int, ...]
+
+    @classmethod
+    def of(cls, step: StepFunction) -> "FractionStep":
+        pq = step.denominator
+        points = tuple(Fraction(k, pq) for k in step.breakpoints.tolist())
+        return cls(points, step.interval_values, step.breakpoint_values)
+
+    def value_at(self, t: Fraction) -> int:
+        """sigma_t by bisection over the breakpoints, for 0 < t < 1."""
+        if not 0 < t < 1:
+            raise ValueError(f"t = {t} outside (0, 1)")
+        k = bisect.bisect_left(self.breakpoints, t)
+        if k < len(self.breakpoints) and self.breakpoints[k] == t:
+            return self.breakpoint_values[k]
+        return self.interval_values[k]
+
+    def argmax_pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Maximizing pieces as (lo, hi) pairs, collected piece by piece."""
+        m = max(self.interval_values + self.breakpoint_values)
+        bounds = (Fraction(0),) + self.breakpoints + (Fraction(1),)
+        pieces = []
+        for k, value in enumerate(self.interval_values):
+            if value == m:
+                pieces.append((bounds[k], bounds[k + 1]))
+        for t, value in zip(self.breakpoints, self.breakpoint_values):
+            if value == m:
+                pieces.append((t, t))
+        pieces.sort()
+        return tuple(pieces)
+
+
+def step_function_walk(knot: TorusKnot) -> FractionStep:
     """The step function from a list histogram of the norms and a
     candidate-by-candidate walk that updates the inside count."""
     p, q = knot.p, knot.q
     pq = p * q
     rank = (p - 1) * (q - 1)
     if rank == 0:
-        return StepFunction((), (0,), ())
+        return FractionStep((), (0,), ())
     counts = [0] * (2 * pq)
     for i in range(1, p):
         for j in range(1, q):
@@ -182,7 +225,7 @@ def step_function_walk(knot: TorusKnot) -> StepFunction:
         breakpoints.append(Fraction(k, pq))
         breakpoint_values.append(2 * at_breakpoint - rank)
         interval_values.append(2 * inside - rank)
-    return StepFunction(tuple(breakpoints), tuple(interval_values), tuple(breakpoint_values))
+    return FractionStep(tuple(breakpoints), tuple(interval_values), tuple(breakpoint_values))
 
 
 def _poly_mul(a, b) -> list[int]:

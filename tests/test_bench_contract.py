@@ -1,8 +1,9 @@
 """What `perfbench/spans.py` relies on in `torsig`.
 
-The tracer wraps functions by name and counts the oracle's Seifert rank
-from `result.size`, so a renamed traced function would crash a traced run
-and a Seifert matrix without a rank-valued `size` would be miscounted.
+The tracer wraps functions by name, counts the oracle's Seifert rank from
+`result.size` and the step function's jumps from `len(result.breakpoints)`,
+so a renamed traced function would crash a traced run and a result without
+those sized fields would be miscounted.
 The module is loaded from its path and not modified.
 """
 
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import torsig.cli  # noqa: F401  (the tracer wraps torsig.cli.main)
-from torsig import oracle
-from torsig.core import TorusKnot
+from torsig import lattice, oracle
+from torsig.core import RationalAngle, TorusKnot
+from torsig.lattice import lt_signature
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -64,3 +66,22 @@ def test_traced_seifert_matrix_counts_its_rank(spans):
     finally:
         tracer.uninstall()
     assert tracer.counts["oracle.seifert_rank"] == 6
+
+
+def test_step_function_breakpoints_count_the_jumps(spans):
+    # spans.py adds len(result.breakpoints) to the traced breakpoint count
+    knot = TorusKnot(3, 4)
+    pq = knot.p * knot.q
+
+    def sigma(num):  # sigma at num / (2pq)
+        return lt_signature(knot, RationalAngle(num, 2 * pq))
+
+    jumps = sum(sigma(2 * k - 1) != sigma(2 * k + 1) for k in range(1, pq))
+    assert len(lattice.signature_step_function(knot).breakpoints) == jumps
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        lattice.signature_step_function(knot)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["lattice.signature_step_function.breakpoints"] == jumps

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (
+    FractionStep,
     annulus_count,
     annulus_count_bruteforce,
     classical_signature_loop,
@@ -208,16 +210,16 @@ class TestStepFunction:
             counts = annulus_count_bruteforce(knot, t)
             values[Fraction(k, 2 * pq)] = 2 * counts.inside - knot.seifert_rank()
         step = signature_step_function(knot)
-        assert step.breakpoints == (Fraction(1, 6), Fraction(5, 6))
+        assert step.breakpoints.tolist() == [1, 5] and step.denominator == 6
         assert step.interval_values == (0, 2, 0)
         assert step.breakpoint_values == (0, 0)
         for t, sigma in values.items():
-            assert step.value_at(t) == sigma
+            assert FractionStep.of(step).value_at(t) == sigma
 
     def test_matches_pointwise_evaluation(self):
         for p, q in coprime_pairs(6, 9):
             knot = TorusKnot(p, q)
-            step = signature_step_function(knot)
+            step = FractionStep.of(signature_step_function(knot))
             for k in range(1, 2 * p * q):
                 t = RationalAngle(k, 2 * p * q)
                 assert step.value_at(t.as_fraction()) == lt_signature(knot, t), (p, q, k)
@@ -235,26 +237,53 @@ class TestStepFunction:
 
     def test_symmetric_dump(self):
         step = signature_step_function(TorusKnot(4, 7))
-        for t, sigma in zip(step.breakpoints, step.breakpoint_values):
-            mirrored = 1 - t
-            k = step.breakpoints.index(mirrored)
-            assert step.breakpoint_values[k] == sigma
+        ks = step.breakpoints.tolist()
+        for k, sigma in zip(ks, step.breakpoint_values):
+            mirrored = ks.index(step.denominator - k)  # t -> 1 - t
+            assert step.breakpoint_values[mirrored] == sigma
 
     def test_unknot_step(self):
         step = signature_step_function(TorusKnot(1, 4))
-        assert step.breakpoints == () and step.interval_values == (0,)
+        assert len(step.breakpoints) == 0 and step.interval_values == (0,)
+        assert step.argmax_pieces() == ((Fraction(0), Fraction(1)),)
+
+    def test_breakpoints_are_one_read_only_int64_array(self):
+        step = signature_step_function(TorusKnot(4, 7))
+        assert isinstance(step.breakpoints, np.ndarray) and step.breakpoints.dtype == np.int64
+        assert step.denominator == 28
+        with pytest.raises(ValueError):
+            step.breakpoints[0] = 0
 
     def test_matches_list_walk_on_grid(self):
         for p in range(1, 16):
             for q in range(p, 31):
                 if math.gcd(p, q) == 1:
                     knot = TorusKnot(p, q)
-                    assert signature_step_function(knot) == step_function_walk(knot), (p, q)
+                    step = FractionStep.of(signature_step_function(knot))
+                    assert step == step_function_walk(knot), (p, q)
 
     @settings(max_examples=25, deadline=None)
     @given(coprime_knots(60))
     def test_matches_list_walk_sampled(self, knot):
-        assert signature_step_function(knot) == step_function_walk(knot)
+        assert FractionStep.of(signature_step_function(knot)) == step_function_walk(knot)
+
+    def test_argmax_pieces_match_list_reference_on_grid(self):
+        for p in range(1, 16):
+            for q in range(p, 31):
+                if math.gcd(p, q) == 1:
+                    knot = TorusKnot(p, q)
+                    pieces = signature_step_function(knot).argmax_pieces()
+                    assert pieces == step_function_walk(knot).argmax_pieces(), (p, q)
+                    assert all(type(t) is Fraction for piece in pieces for t in piece)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2, 2**53 - 1).flatmap(lambda pq: st.tuples(st.integers(1, pq - 1),
+                                                                   st.just(pq))))
+    def test_int64_quotient_is_float_of_fraction(self, k_pq):
+        # `sweep --format plot` prints (ks / pq).tolist() for float(Fraction(k, pq))
+        k, pq = k_pq
+        assert np.int64(k) / np.int64(pq) == float(Fraction(k, pq))
+        assert (np.array([k], dtype=np.int64) / pq).tolist() == [float(Fraction(k, pq))]
 
     def test_int64_guard(self):
         # 2pq > 2**63 - 1: refused before anything is allocated
@@ -262,7 +291,7 @@ class TestStepFunction:
             signature_step_function(TorusKnot(2**31 + 1, 2**32 + 1))
 
     def test_value_at_domain(self):
-        step = signature_step_function(TorusKnot(2, 3))
+        step = FractionStep.of(signature_step_function(TorusKnot(2, 3)))
         with pytest.raises(ValueError):
             step.value_at(Fraction(0))
         with pytest.raises(ValueError):
