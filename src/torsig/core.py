@@ -6,7 +6,8 @@ exact (arbitrary-precision integers and rationals, never floats).
 Sign convention used throughout the package: positive torus knots have
 positive signatures, e.g. sigma(T(2,3)) = +2 and sigma(T(4,7)) = +14.
 A large part of the literature uses the negated convention; the numeric
-oracle calibrates itself to this one (see `torsig.oracle`).
+oracle builds its Seifert matrices in this one with a fixed sign, which
+tests pin (see `torsig.oracle`).
 """
 
 from __future__ import annotations

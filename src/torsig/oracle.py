@@ -123,15 +123,20 @@ def _associates(f, g) -> bool:
 
 
 # --------------------------------------------------------------------------
-# exact det(A - t*A^T) via CRT over word-size primes
+# det(A - t*A^T) via CRT over word-size primes
 #
-# Residues are combined over three primes below 2^26 (product ~3e23), far
-# beyond the coefficient size of any Alexander polynomial at desk scale;
-# the symmetric lift is treated as exact.  All mod-p kernels keep every
-# intermediate below 2^63: entries < p, so products < p^2 < 2^52, and a
-# matmul over n terms accumulates < n * (p-1)^2, which
-# `alexander_from_seifert` and `seifert_matrix` keep below 2^63 by
-# rejecting any n above _MAX_RANK (2048).
+# Residues are combined over three primes below 2^26 (product about 3e23,
+# 2^78) and lifted symmetrically.  A passing check therefore proves
+# det(A - t*A^T) = +-Delta coefficientwise modulo that product.  It proves
+# exact equality only while every pencil coefficient is below half the
+# product.  Hadamard's bound on |det(A - t*A^T)| over |t| = 1, taken from
+# the row norms of |A| + |A^T|, guarantees this only for small ranks: up to
+# n = 48 on the default `verify` grid, whose largest rank is 198.
+#
+# All mod-p kernels keep every intermediate below 2^63: entries < p, so
+# products < p^2 < 2^52, and a matmul over n terms accumulates
+# < n * (p-1)^2, which `alexander_from_seifert` and `seifert_matrix` keep
+# below 2^63 by rejecting any n above _MAX_RANK (2048).
 
 _PRIMES = (67108859, 67108837, 67108819)
 _MAX_RANK = (2**63 - 1) // (max(_PRIMES) - 1) ** 2
@@ -205,7 +210,11 @@ def _crt_symmetric(residues, primes) -> int:
 
 
 def alexander_from_seifert(matrix) -> tuple[int, ...]:
-    """Exact det(A - t*A^T), ascending coefficients.
+    """det(A - t*A^T), ascending coefficients, lifted from three primes.
+
+    The lift is exact while the coefficients stay below half the product
+    of the primes (see the comment above `_PRIMES`); beyond that it is the
+    pencil's symmetric residue modulo that product.
 
     A must be an upper-triangular integer matrix with diagonal +-1, which
     is every matrix `seifert_matrix` builds; anything else, or a rank too
