@@ -171,7 +171,7 @@ def cmd_sweep(args) -> int:
 
     def render(stream) -> None:
         if args.format == "plot":  # step data with doubled abscissae at the jumps
-            # k and pq are below 2**53, so k / pq is float(Fraction(k, pq)) exactly
+            # k < pq <= SWEEP_MAX_PQ < 2**53, so k / pq is float(Fraction(k, pq)) exactly
             bounds = [0.0, *(ks / pq).tolist(), 1.0]
             stream.write(_rows("%s %d\n%s %d\n", bounds, values, bounds[1:], values))
             return

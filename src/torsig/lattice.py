@@ -123,7 +123,8 @@ class StepFunction:
         self.breakpoints.flags.writeable = False
 
     def max_value(self) -> int:
-        return max(chain(self.interval_values, self.breakpoint_values))
+        values = self.interval_values + self.breakpoint_values
+        return max(values)
 
     def argmax_pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Maximizing pieces as (lo, hi) pairs.
