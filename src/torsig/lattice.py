@@ -110,8 +110,9 @@ class StepFunction:
     denominator pq.  interval_values holds the constant value on each open
     interval between consecutive breakpoints (including the leading and
     trailing intervals), so len(interval_values) == len(breakpoints) + 1.
-    breakpoint_values holds the exact value at each breakpoint, which
-    genuinely differs from the neighbouring intervals.
+    breakpoint_values holds the exact value at each breakpoint: the smaller
+    of its two neighbouring interval values, since a jump either loses or
+    gains points, never both.
     """
 
     breakpoints: np.ndarray

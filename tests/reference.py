@@ -162,8 +162,8 @@ def max_signature_sorted(knot: TorusKnot) -> int:
 class FractionStep:
     """A step function with its breakpoints as a tuple of Fractions.
 
-    The list-based form that `torsig.lattice.StepFunction` (int64
-    numerators over pq) replaced; it compares by value.
+    The list-based reference form of `torsig.lattice.StepFunction`, whose
+    breakpoints are int64 numerators over pq; this one compares by value.
     """
 
     breakpoints: tuple[Fraction, ...]

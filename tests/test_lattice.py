@@ -229,8 +229,9 @@ class TestStepFunction:
             step = signature_step_function(TorusKnot(p, q))
             assert len(step.interval_values) == len(step.breakpoints) + 1
             assert list(step.breakpoints) == sorted(set(step.breakpoints))
-            for left, right in zip(step.interval_values, step.interval_values[1:]):
-                assert left != right
+            for left, right, at in zip(step.interval_values, step.interval_values[1:],
+                                       step.breakpoint_values):
+                assert left != right and at == min(left, right)
 
     def test_figure_maximum(self):
         assert signature_step_function(TorusKnot(4, 7)).max_value() == 14
