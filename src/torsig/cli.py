@@ -149,17 +149,16 @@ def cmd_max(args) -> int:
 # sweep
 
 
-def _fractions(numerators: np.ndarray, denominator: int) -> list[str]:
-    """Each numerator/denominator in lowest terms as "n/d", as str(Fraction) has it."""
-    g = np.gcd(numerators, denominator)
-    pairs = np.stack((numerators // g, denominator // g), axis=1).ravel().tolist()
-    return (("%d/%d\n" * numerators.size) % tuple(pairs)).split()
-
-
 def _rows(row: str, *columns) -> str:
     """`row` filled from each index of the columns in turn, by one % call."""
     count = min(map(len, columns))
     return (row * count) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _fractions(numerators: np.ndarray, denominator: int) -> list[str]:
+    """Each numerator/denominator in lowest terms as "n/d", as str(Fraction) has it."""
+    g = np.gcd(numerators, denominator)
+    return _rows("%d/%d\n", (numerators // g).tolist(), (denominator // g).tolist()).split()
 
 
 def cmd_sweep(args) -> int:
