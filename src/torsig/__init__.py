@@ -13,7 +13,6 @@ from .core import (
     NotCoprime,
     OutOfRange,
     RationalAngle,
-    SignatureDatum,
     TorsigError,
     TorusKnot,
 )
@@ -24,7 +23,6 @@ from .lattice import (
     signature_step_function,
 )
 from .maxsig import (
-    BalancedSequence,
     DistanceProfile,
     RotationReport,
     balanced_sequence,

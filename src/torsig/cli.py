@@ -29,7 +29,8 @@ from .identities import (
     check_odd_shift_identity,
 )
 from .lattice import classical_signature, lt_signature, signature_step_function
-from .maxsig import _g4_from_peak, _mark_profile, _peak, knot_max_cyclic_sum, max_signature
+from .maxsig import (_g4_from_peak, balanced_sequence, distance_profile, knot_max_cyclic_sum,
+                     max_cyclic_sum, max_signature)
 from . import oracle
 
 SCHEMA_VERSION = "1"
@@ -119,11 +120,11 @@ def cmd_max(args) -> int:
     knot = TorusKnot(args.p, args.q)
     if knot.p > MAX_MAX_P:
         raise InvalidParameter(f"max needs p <= {MAX_MAX_P}, got p = {knot.p}")
-    p = knot.p
-    D, d, marks = _mark_profile(knot)  # empty for p <= 2
-    sequence = marks[marks != 0]
-    row = _peak_row(knot, _peak(marks))
-    js, ks = np.arange(2 - p, 0, 2), np.arange(2 - p % 2, p, 2)  # indices of D and d
+    profile = distance_profile(knot)  # empty for p <= 2
+    sequence = balanced_sequence(profile)
+    row = _peak_row(knot, max_cyclic_sum(sequence))
+    D, d, js = profile.D, profile.d, profile.j
+    ks = -js[::-1]  # the indices of d
     if args.format == "json":
         payload = {
             **row,
@@ -267,12 +268,9 @@ def _check_oracle(p: int, q: int, tol: float) -> tuple[bool, str, str]:
 
 
 def _argmax_in_window(pieces, q: int) -> bool:
-    """Whether some maximising piece meets the window (1/2 - 1/q, 1/2]."""
+    """Whether some maximising open interval meets the window (1/2 - 1/q, 1/2]."""
     lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
-    return any(
-        (a < b and a < hi and b > lo) or (a == b and lo < a <= hi)
-        for a, b in pieces
-    )
+    return any(a < hi and b > lo for a, b in pieces)
 
 
 def _check_brute_max(p: int, q: int, tol: float) -> tuple[bool, str, str]:

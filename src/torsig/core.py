@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class TorsigError(Exception):
@@ -34,6 +33,11 @@ class OutOfRange(TorsigError):
     """A rational angle falls outside the open interval (0, 1)."""
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int; bools are ints to Python but are refused here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TorusKnot:
     """Torus knot T(p, q), normalized so that p <= q.
@@ -48,7 +52,7 @@ class TorusKnot:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
-        if not (isinstance(p, int) and isinstance(q, int)):
+        if not (_is_int(p) and _is_int(q)):
             raise InvalidParameter(f"p and q must be integers, got ({p!r}, {q!r})")
         if p < 1 or q < 1:
             raise InvalidParameter(f"p and q must be >= 1, got ({p}, {q})")
@@ -83,17 +87,13 @@ class RationalAngle:
 
     def __post_init__(self) -> None:
         n, d = self.numerator, self.denominator
-        if not (isinstance(n, int) and isinstance(d, int)) or d <= 0:
+        if not (_is_int(n) and _is_int(d)) or d <= 0:
             raise InvalidParameter(f"need integer n and d > 0, got ({n!r}, {d!r})")
         if not 0 < n < d:
             raise OutOfRange(f"t = {n}/{d} is outside the open interval (0, 1)")
         g = math.gcd(n, d)
         object.__setattr__(self, "numerator", n // g)
         object.__setattr__(self, "denominator", d // g)
-
-    @classmethod
-    def from_fraction(cls, t: Fraction) -> "RationalAngle":
-        return cls(t.numerator, t.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "RationalAngle":
@@ -106,22 +106,6 @@ class RationalAngle:
             raise InvalidParameter(f"angle must be written as n/d, got {text!r}")
         return cls(int(match[1]), int(match[2]))
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
-
-@dataclass(frozen=True)
-class SignatureDatum:
-    """A single evaluated signature value sigma_t for one knot."""
-
-    knot: TorusKnot
-    t: RationalAngle
-    sigma: int
-
-    def __post_init__(self) -> None:
-        # Torus knots are knots, so every signature value is even.
-        if self.sigma % 2 != 0:
-            raise InvalidParameter(f"odd signature {self.sigma} for {self.knot}")

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import InvalidParameter, TorusKnot
 from .lattice import classical_signature
-from .maxsig import DistanceProfile, balanced_sequence, distance_profile, max_signature
+from .maxsig import balanced_sequence, distance_profile, max_signature
 
 __all__ = [
     "IdentityReport",
@@ -103,33 +105,30 @@ def check_odd_shift_identity(p: int, q: int) -> IdentityReport:
         raise InvalidParameter(f"odd-shift identity requires odd p >= 3, got {p}")
     base = TorusKnot(p, q)
     stepped = TorusKnot(p, q + p)
-    profile = distance_profile(base)
-    above = sum(1 for v in profile.D.values() if v > p)
-    below = sum(1 for v in profile.D.values() if v < p)
+    D = distance_profile(base).D
+    above = int(np.count_nonzero(D > p))
+    below = int(np.count_nonzero(D < p))
     if below + above != (p - 1) // 2:
         return _report("odd-shift", (base, stepped), (p - 1) // 2, below + above,
-                       D=dict(profile.D))
+                       D=D.tolist())
     expected = classical_signature(base) - 4 * above + (p - 1) * (p + 3) // 2
     computed = classical_signature(stepped)
     return _report("odd-shift", (base, stepped), expected, computed,
-                   D=dict(profile.D), above=above, below=below)
+                   D=D.tolist(), above=above, below=below)
 
 
-def _ordering_holds(p: int, profile: DistanceProfile, kinds: tuple[int, ...]) -> bool:
+def _ordering_holds(p: int, D: np.ndarray, kinds: np.ndarray) -> bool:
     """Distance ordering in T(p,p+1): all D before all d for even p (with
     D_{-2} < D_{-4} < ...), all d before all D for odd p.
 
-    kinds is the balanced sequence of the profile: +1 marks a D value and
-    -1 a d value.
+    D is the profile's array, in increasing order of j, and kinds its
+    balanced sequence: +1 marks a D value and -1 a d value.
     """
-    m = len(kinds) // 2
-    expected = (1,) * m + (-1,) * m if p % 2 == 0 else (-1,) * m + (1,) * m
-    if kinds != expected:
+    first = 1 if p % 2 == 0 else -1
+    if not np.array_equal(kinds, np.repeat([first, -first], kinds.size // 2)):
         return False
-    if p % 2 == 0:
-        by_index = [profile.D[j] for j in sorted(profile.D, reverse=True)]
-        return by_index == sorted(by_index)
-    return True
+    # D_{-2} < D_{-4} < ... reads as a decreasing array
+    return p % 2 == 1 or bool(np.all(np.diff(D) < 0))
 
 
 def check_closed_forms(p: int) -> list[IdentityReport]:
@@ -155,9 +154,10 @@ def check_closed_forms(p: int) -> list[IdentityReport]:
                            max_signature(far), sigma=classical_signature(far)))
 
     profile = distance_profile(near)
-    sequence = balanced_sequence(profile).entries
+    sequence = balanced_sequence(profile)
     reports.append(_report("closed-form-ordering", (near,), 1,
-                           int(_ordering_holds(p, profile, sequence)), sequence=sequence))
+                           int(_ordering_holds(p, profile.D, sequence)),
+                           sequence=tuple(sequence.tolist())))
     return reports
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -128,20 +127,19 @@ class StepFunction:
         return max(values)
 
     def argmax_pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Maximizing pieces as (lo, hi) pairs.
+        """Maximizing pieces as open intervals (lo, hi), lo < hi, in order.
 
-        lo < hi denotes the open interval (lo, hi); lo == hi denotes the
-        single breakpoint t = lo.  The pieces are found and ordered on the
+        The maximum is reached on intervals only: a breakpoint's value is the
+        smaller of its two neighbouring interval values, which differ, so it
+        stays below the larger one.  The intervals are found on the
         numerators; only they become Fractions.
         """
         m = self.max_value()
         bounds = np.concatenate(([0], self.breakpoints, [self.denominator]))
         intervals = np.flatnonzero(np.asarray(self.interval_values, dtype=np.int64) == m)
-        points = self.breakpoints[np.asarray(self.breakpoint_values, dtype=np.int64) == m]
-        pieces = sorted(chain(zip(bounds[intervals].tolist(), bounds[intervals + 1].tolist()),
-                              zip(points.tolist(), points.tolist())))
         den = self.denominator
-        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in pieces)
+        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in
+                     zip(bounds[intervals].tolist(), bounds[intervals + 1].tolist()))
 
 
 def signature_step_function(knot: TorusKnot) -> StepFunction:

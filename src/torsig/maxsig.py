@@ -16,16 +16,16 @@ function:
 
     max_signature = classical_signature + 2*M.
 
-The values are distinct integers in (0, 2p), so the sequence is read off an
-int8 mark array over [0, 2p) with no sort, and M is the maximum of one
-cumulative sum.  Distances are computed with q reduced mod 2p, so every
-intermediate stays below 2p^2, which is checked against int64 up front.
+The profile is one int64 array of the D_j, and d is derived from it.  The
+values are distinct integers in (0, 2p), so the sequence is an int8 array
+read off an int8 mark array over [0, 2p) with no sort, and M is the maximum
+of one cumulative sum.  Distances are computed with q reduced mod 2p, so
+every intermediate stays below 2p^2, which is checked against int64 up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .lattice import INT64_MAX, classical_signature
 
 __all__ = [
     "DistanceProfile",
-    "BalancedSequence",
     "RotationReport",
     "distance_profile",
     "balanced_sequence",
@@ -46,123 +45,84 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceProfile:
     """Scaled column-to-boundary distances for one torus knot.
 
-    D maps each negative column index j to D_j; d maps each positive index
-    k to d_k; `distance_profile` inserts the keys in increasing order.
-    All 2m values (m = ceil(p/2) - 1) are distinct integers in (0, 2p),
-    never equal to p, and satisfy D_j + d_{-j} = 2p.
+    D holds D_j in increasing order of its index j = 2-p, 4-p, ..., < 0, as
+    one read-only int64 array; d_k = 2p - D_{-k} and the indices are derived
+    from it.  All 2m values (m = ceil(p/2) - 1) are distinct integers in
+    (0, 2p), never equal to p.
     """
 
     p: int
-    D: dict[int, int]
-    d: dict[int, int]
-
-
-@dataclass(frozen=True)
-class BalancedSequence:
-    """A +-1 sequence with equally many entries of each sign."""
-
-    entries: tuple[int, ...]
+    D: np.ndarray
 
     def __post_init__(self) -> None:
-        plus = self.entries.count(1)
-        assert plus == self.entries.count(-1)
-        assert 2 * plus == len(self.entries), "entries must all be +1 or -1"
+        self.D.flags.writeable = False
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def j(self) -> np.ndarray:
+        """The indices of D; those of d are k = -j in increasing order."""
+        return np.arange(2 - self.p, 0, 2, dtype=np.int64)
+
+    @property
+    def d(self) -> np.ndarray:
+        """d_k for k = 2 - p%2, 4 - p%2, ..., < p."""
+        return 2 * self.p - self.D[::-1]
 
 
-def _distances(knot: TorusKnot) -> np.ndarray:
-    """D_j as an int64 array, in increasing order of j = -p+2, -p+4, ..., < 0.
+def distance_profile(knot: TorusKnot) -> DistanceProfile:
+    """Compute every D_j = s*q mod 2p, s = -j, by one modular reduction.
 
-    D_j = s*q mod 2p with s = -j.  With q reduced mod 2p first, s*q < 2p^2,
-    which must fit in int64.
+    p = 1 and p = 2 have empty index sets and return an empty profile.  With
+    q reduced mod 2p first, s*q < 2p^2, which must fit in int64.
     """
     p = knot.p
     if 2 * p * p > INT64_MAX:
         raise InvalidParameter(f"{knot}: distances up to 2p^2 = {2 * p * p} overflow int64")
-    return np.arange(p - 2, 0, -2, dtype=np.int64) * (knot.q % (2 * p)) % (2 * p)
+    s = np.arange(p - 2, 0, -2, dtype=np.int64)  # -j for each j of DistanceProfile.j
+    return DistanceProfile(p, s * (knot.q % (2 * p)) % (2 * p))
 
 
-def _marks(p: int, D: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """int8 array over [0, 2p) with +1 at every D value and -1 at every d value.
+def balanced_sequence(profile: DistanceProfile) -> np.ndarray:
+    """Read the distances in increasing order: D entries +1, d entries -1.
 
-    The values must be indices into [0, 2p); asserts that they avoid 0 and
-    p and are distinct (a repeat leaves fewer nonzero marks than values).
+    The int8 mark array over [0, 2p) holds +1 at every D value and -1 at
+    every d value; its nonzero entries, in order, are the sequence.
+    Distinctness and the value p being avoided both follow from coprimality;
+    a violation would mean a bug upstream, so they are asserted here, with
+    the range (0, 2p) that makes the values valid indices (numpy would read
+    a negative one from the end of the array).  d = 2p - D lies in that
+    range exactly when D does.
     """
+    p, D = profile.p, profile.D
+    assert D.size == 0 or 0 < D.min() <= D.max() < 2 * p, "distance values must lie in (0, 2p)"
     marks = np.zeros(2 * p, dtype=np.int8)
     marks[D] = 1
-    marks[d] = -1
-    assert marks[0] == marks[p] == 0, "distance values must avoid 0 and p"
-    assert np.count_nonzero(marks) == D.size + d.size, "distance values must be distinct"
-    return marks
+    marks[profile.d] = -1
+    assert marks[p] == 0, "distance values must avoid p"
+    # a repeat leaves fewer nonzero marks than values
+    assert np.count_nonzero(marks) == 2 * D.size, "distance values must be distinct"
+    return marks[marks != 0]
 
 
-def _mark_profile(knot: TorusKnot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D and d as int64 arrays in increasing index order, and their marks.
+def max_cyclic_sum(seq: np.ndarray) -> int:
+    """Largest cyclic partial sum of a balanced sequence, at least 0.
 
-    D_j is read for j = -p+2, -p+4, ..., < 0 and d_k for k = -j in
-    increasing order; the mark array asserts the profile's invariants.
+    The empty sum is admissible.  Because the sequence sums to 0 (asserted
+    on the last partial sum), sums longer than one period repeat earlier
+    values, so the partial sums of a single period starting at index 0
+    suffice.
     """
-    D = _distances(knot)
-    d = 2 * knot.p - D[::-1]
-    return D, d, _marks(knot.p, D, d)
-
-
-def _peak(marks: np.ndarray) -> int:
-    """M: the largest cumulative sum of a mark array, at least 0."""
-    return int(np.cumsum(marks, dtype=np.int64).max(initial=0))
-
-
-def distance_profile(knot: TorusKnot) -> DistanceProfile:
-    """Compute every D_j and d_k by modular reduction.
-
-    p = 1 and p = 2 have empty index sets and return an empty profile.
-    Distinctness and the value p being avoided both follow from
-    coprimality; a violation would mean a bug upstream, so they are
-    asserted here.
-    """
-    p = knot.p
-    D, d, _ = _mark_profile(knot)
-    return DistanceProfile(
-        p,
-        dict(zip(range(2 - p, 0, 2), D.tolist())),
-        dict(zip(range(2 - p % 2, p, 2), d.tolist())),
-    )
-
-
-def balanced_sequence(profile: DistanceProfile) -> BalancedSequence:
-    """Read the distances in increasing order: D entries +1, d entries -1."""
-    n, p = len(profile.D), profile.p
-    values = np.fromiter(chain(profile.D.values(), profile.d.values()), dtype=np.int64,
-                         count=n + len(profile.d))
-    assert values.size == 0 or 0 < values.min() <= values.max() < 2 * p, \
-        "distance values must lie in (0, 2p)"
-    marks = _marks(p, values[:n], values[n:])
-    return BalancedSequence(tuple(marks[marks != 0].tolist()))
-
-
-def max_cyclic_sum(seq: BalancedSequence) -> int:
-    """Largest cyclic partial sum of the sequence, at least 0.
-
-    The empty sum is admissible.  Because the sequence is balanced, sums
-    longer than one period repeat earlier values, so the partial sums of a
-    single period starting at index 0 suffice.
-    """
-    return max(0, max(accumulate(seq.entries), default=0))
+    sums = seq.cumsum(dtype=np.int64)
+    assert sums.size == 0 or sums[-1] == 0, "the sequence must be balanced"
+    return int(sums.max(initial=0))
 
 
 def knot_max_cyclic_sum(knot: TorusKnot) -> int:
-    """M of T(p,q) straight from the mark array.
-
-    Equal to max_cyclic_sum(balanced_sequence(distance_profile(knot))), but
-    builds neither the profile dicts nor the sequence tuple.
-    """
-    return _peak(_mark_profile(knot)[2])
+    """M of T(p,q): max_cyclic_sum(balanced_sequence(distance_profile(knot)))."""
+    return max_cyclic_sum(balanced_sequence(distance_profile(knot)))
 
 
 def max_signature(knot: TorusKnot) -> int:
@@ -192,16 +152,13 @@ def rotation_relation(knot: TorusKnot) -> RotationReport:
     if p < 2:
         raise InvalidParameter("rotation relation needs p >= 2")
     other = TorusKnot(p, q + p)
-    seq = balanced_sequence(distance_profile(knot)).entries
-    seq_other = balanced_sequence(distance_profile(other)).entries
+    seq = balanced_sequence(distance_profile(knot))
+    seq_other = balanced_sequence(distance_profile(other))
     shift = 0 if p % 2 == 0 else (p - 1) // 2
-    n = len(seq)
-    if n == 0:
-        expected = seq
-    else:
-        # left shift: entry i of the new sequence is entry i+shift of the old
-        expected = tuple(seq[(i + shift) % n] for i in range(n))
-    return RotationReport(knot, other, shift, seq, seq_other, seq_other == expected)
+    # left shift: entry i of the new sequence is entry i+shift of the old
+    passed = np.array_equal(seq_other, np.roll(seq, -shift))
+    return RotationReport(knot, other, shift, tuple(seq.tolist()), tuple(seq_other.tolist()),
+                          passed)
 
 
 def _g4_from_peak(sigma_hat: int) -> int:

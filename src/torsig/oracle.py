@@ -89,9 +89,6 @@ class BraidWord:
                 unseen.remove(s)
         return cycles
 
-    def has_connected_closure(self) -> bool:
-        return self.closure_components() == 1
-
 
 def torus_braid(knot: TorusKnot) -> BraidWord:
     """The standard presentation on p strands: (p-1, p-2, ..., 1) repeated q times."""
@@ -341,8 +338,10 @@ def hermitian_signature(matrix, t: RationalAngle, tol: float = DEFAULT_TOLERANCE
 def brute_force_max(knot: TorusKnot) -> tuple[int, tuple]:
     """Maximum of the full signature function and every maximizing piece.
 
-    Pieces are (lo, hi) pairs from StepFunction.argmax_pieces: an open
-    interval when lo < hi, a single breakpoint when lo == hi.
+    Pieces are the open intervals (lo, hi) of StepFunction.argmax_pieces.
+    No single breakpoint is a piece: its value is the smaller of its two
+    neighbouring interval values, which differ, so it stays below the
+    maximum.
     """
     step: StepFunction = signature_step_function(knot)
     return step.max_value(), step.argmax_pieces()

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from torsig.core import RationalAngle, TorusKnot
 from torsig.lattice import StepFunction
-from torsig.maxsig import BalancedSequence, DistanceProfile
+from torsig.maxsig import DistanceProfile
 from torsig.oracle import BraidWord
 
 
@@ -93,15 +93,36 @@ def classical_signature_loop(knot: TorusKnot) -> int:
     return (p - 1) * (q - 1) - 4 * total
 
 
-def distance_profile_loop(knot: TorusKnot) -> DistanceProfile:
+@dataclass(frozen=True)
+class DictProfile:
+    """A distance profile as dicts from column index to distance.
+
+    The dict reference form of `torsig.maxsig.DistanceProfile`, whose D is
+    one int64 array with d and the indices derived from it; this one keys
+    every value by its index, in increasing order, and compares by value.
+    """
+
+    p: int
+    D: dict[int, int]
+    d: dict[int, int]
+
+    @classmethod
+    def of(cls, profile: DistanceProfile) -> "DictProfile":
+        js = profile.j.tolist()
+        ks = [-j for j in reversed(js)]
+        return cls(profile.p, dict(zip(js, profile.D.tolist())),
+                   dict(zip(ks, profile.d.tolist())))
+
+
+def distance_profile_loop(knot: TorusKnot) -> DictProfile:
     """D_j = (-j*q) mod 2p and d_k = 2p - D_{-k}, one Python int at a time."""
     p, q = knot.p, knot.q
     D = {j: (-j * q) % (2 * p) for j in range(-p + 2, 0, 2)}
     d = {k: 2 * p - D[-k] for k in range(2 - p % 2, p, 2)}
-    return DistanceProfile(p, D, d)
+    return DictProfile(p, D, d)
 
 
-def geometric_distance_profile(knot: TorusKnot) -> DistanceProfile:
+def geometric_distance_profile(knot: TorusKnot) -> DictProfile:
     """Distances measured geometrically, by scanning lattice rows.
 
     Works in coordinates with the origin moved to (1/2, 0), where the two
@@ -130,15 +151,15 @@ def geometric_distance_profile(knot: TorusKnot) -> DistanceProfile:
             if scaled_gap > 0 and (best is None or scaled_gap < best):
                 best = scaled_gap
         d[k] = best
-    return DistanceProfile(p, D, d)
+    return DictProfile(p, D, d)
 
 
-def sorted_balanced_sequence(profile: DistanceProfile) -> BalancedSequence:
+def sorted_balanced_sequence(profile: DictProfile) -> tuple[int, ...]:
     """Sort the labelled (value, kind, index) triples; D -> +1, d -> -1."""
     triples = [(v, "D", j) for j, v in profile.D.items()]
     triples += [(v, "d", k) for k, v in profile.d.items()]
     triples.sort()
-    return BalancedSequence(tuple(1 if kind == "D" else -1 for _, kind, _ in triples))
+    return tuple(1 if kind == "D" else -1 for _, kind, _ in triples)
 
 
 def max_cyclic_sum_loop(entries: tuple[int, ...]) -> int:
@@ -154,8 +175,22 @@ def max_signature_sorted(knot: TorusKnot) -> int:
     """sigma + 2M through the loop profile, the sort and the loop sum."""
     if knot.p == 1:
         return 0
-    entries = sorted_balanced_sequence(distance_profile_loop(knot)).entries
+    entries = sorted_balanced_sequence(distance_profile_loop(knot))
     return classical_signature_loop(knot) + 2 * max_cyclic_sum_loop(entries)
+
+
+def ordering_holds_sorted(p: int, profile: DictProfile, kinds: tuple[int, ...]) -> bool:
+    """The T(p,p+1) distance ordering, read off the dicts and the sorted kinds:
+    all D before all d with D_{-2} < D_{-4} < ... for even p, all d before
+    all D for odd p."""
+    m = len(kinds) // 2
+    expected = (1,) * m + (-1,) * m if p % 2 == 0 else (-1,) * m + (1,) * m
+    if kinds != expected:
+        return False
+    if p % 2 == 0:
+        by_index = [profile.D[j] for j in sorted(profile.D, reverse=True)]
+        return by_index == sorted(by_index)
+    return True
 
 
 @dataclass(frozen=True)

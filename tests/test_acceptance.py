@@ -48,7 +48,7 @@ def test_criterion_1_figure_reproduction():
     start = time.perf_counter()
     counts = annulus_count(knot, t)
     sigma_quarter = lt_signature(knot, t)
-    sequence = balanced_sequence(distance_profile(knot)).entries
+    sequence = tuple(balanced_sequence(distance_profile(knot)).tolist())
     sigma = classical_signature(knot)
     sigma_hat = max_signature(knot)
     elapsed = time.perf_counter() - start
@@ -69,9 +69,10 @@ def test_criterion_2_worked_example():
     sigma = classical_signature(knot)
     sigma_hat = max_signature(knot)
     ok = (
-        profile.D == {-1: 2, -3: 6}
-        and profile.d == {1: 8, 3: 4}
-        and sequence.entries == (1, -1, 1, -1)
+        profile.j.tolist() == [-3, -1]
+        and profile.D.tolist() == [6, 2]  # D_{-3}, D_{-1}
+        and profile.d.tolist() == [8, 4]  # d_1, d_3
+        and sequence.tolist() == [1, -1, 1, -1]
         and (sigma_hat - sigma) // 2 == 1
         and sigma == 28
         and sigma_hat == 30

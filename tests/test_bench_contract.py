@@ -1,7 +1,8 @@
 """What `perfbench/spans.py` relies on in `torsig`.
 
 The tracer wraps functions by name, counts the oracle's Seifert rank from
-`result.size` and the step function's jumps from `len(result.breakpoints)`,
+`result.size`, the step function's jumps from `len(result.breakpoints)` and
+the balanced sequence's entries from `len(result)`,
 so a renamed traced function would crash a traced run and a result without
 those sized fields would be miscounted.
 The module is loaded from its path and not modified.
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import torsig.cli  # noqa: F401  (the tracer wraps torsig.cli.main)
-from torsig import lattice, oracle
+from torsig import lattice, maxsig, oracle
 from torsig.core import RationalAngle, TorusKnot
 from torsig.lattice import lt_signature
 
@@ -85,3 +86,15 @@ def test_step_function_breakpoints_count_the_jumps(spans):
     finally:
         tracer.uninstall()
     assert tracer.counts["lattice.signature_step_function.breakpoints"] == jumps
+
+
+def test_traced_max_signature_counts_the_sequence(spans):
+    # spans.py adds len(result) of balanced_sequence; max_signature reaches it
+    # through knot_max_cyclic_sum, and T(5,12) has a sequence of 4 entries
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        maxsig.max_signature(TorusKnot(5, 12))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["maxsig.sequence_len"] == 4

@@ -255,7 +255,7 @@ class TestSizeCaps:
         def refuse(*args):
             raise AssertionError("allocated above the cap")
 
-        monkeypatch.setattr(cli, "_mark_profile", refuse)
+        monkeypatch.setattr(cli, "distance_profile", refuse)
         code, out, err = run(capsys, "max", "-p", "100000007", "-q", "100000008")
         assert code == 2 and out == ""
         assert f"p <= {MAX_MAX_P}" in err

@@ -8,7 +8,6 @@ from torsig.core import (
     NotCoprime,
     OutOfRange,
     RationalAngle,
-    SignatureDatum,
     TorusKnot,
 )
 
@@ -32,6 +31,12 @@ class TestTorusKnot:
 
     @pytest.mark.parametrize("p,q", [(0, 3), (3, 0), (-2, 3)])
     def test_nonpositive_rejected(self, p, q):
+        with pytest.raises(InvalidParameter):
+            TorusKnot(p, q)
+
+    @pytest.mark.parametrize("p,q", [(True, 3), (3, True), (2, True), (False, 3)])
+    def test_bool_rejected(self, p, q):
+        # bool is an int subclass; True would pass as 1 and print as T(True,3)
         with pytest.raises(InvalidParameter):
             TorusKnot(p, q)
 
@@ -78,6 +83,11 @@ class TestRationalAngle:
         with pytest.raises(InvalidParameter):
             RationalAngle(1, 0)
 
+    @pytest.mark.parametrize("n,d", [(True, 2), (1, True), (False, True)])
+    def test_bool_rejected(self, n, d):
+        with pytest.raises(InvalidParameter):
+            RationalAngle(n, d)
+
     def test_parse(self):
         assert RationalAngle.parse("3/12") == RationalAngle(1, 4)
         for bad in ("0.25", "1", "1/2/3", "a/b", "1_0/30", "+1/2", "-1/2", " 1/ 2",
@@ -93,16 +103,9 @@ class TestRationalAngle:
         else:
             t = RationalAngle(n, d)
             assert math.gcd(t.numerator, t.denominator) == 1
-            assert 0 < t.as_fraction() < 1
+            assert 0 < t.numerator < t.denominator
 
     def test_str_roundtrip(self):
         t = RationalAngle(3, 14)
         assert RationalAngle.parse(str(t)) == t
 
-
-class TestSignatureDatum:
-    def test_even_signature_enforced(self):
-        knot, t = TorusKnot(4, 7), RationalAngle(1, 4)
-        SignatureDatum(knot, t, 10)
-        with pytest.raises(InvalidParameter):
-            SignatureDatum(knot, t, 9)

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import distance_profile_loop, ordering_holds_sorted, sorted_balanced_sequence
 from torsig.core import InvalidParameter, NotCoprime, TorusKnot
 from torsig.identities import (
     check_closed_forms,
@@ -133,6 +135,17 @@ class TestClosedForms:
     def test_range(self):
         for p in range(2, 61):
             assert all(r.passed for r in check_closed_forms(p)), p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5000))
+    def test_ordering_sampled_against_sorted_reference(self, p):
+        profile = distance_profile_loop(TorusKnot(p, p + 1))
+        kinds = sorted_balanced_sequence(profile)
+        report = check_closed_forms(p)[2]
+        assert report.identity_name == "closed-form-ordering"
+        assert report.details["sequence"] == kinds
+        assert report.computed == int(ordering_holds_sorted(p, profile, kinds))
+        assert report.passed
 
 
 class TestGapWitness:

@@ -128,9 +128,9 @@ class TestLtSignature:
         for p, q in coprime_pairs(6, 11):
             knot = TorusKnot(p, q)
             for num in range(1, p * q):
-                delta = Fraction(num, 2 * p * q)
-                left = RationalAngle.from_fraction(Fraction(1, 2) - delta)
-                right = RationalAngle.from_fraction(Fraction(1, 2) + delta)
+                # 1/2 -+ num/(2pq)
+                left = RationalAngle(p * q - num, 2 * p * q)
+                right = RationalAngle(p * q + num, 2 * p * q)
                 assert lt_signature(knot, left) == lt_signature(knot, right)
 
     def test_zero_below_first_jump(self):
@@ -222,7 +222,7 @@ class TestStepFunction:
             step = FractionStep.of(signature_step_function(knot))
             for k in range(1, 2 * p * q):
                 t = RationalAngle(k, 2 * p * q)
-                assert step.value_at(t.as_fraction()) == lt_signature(knot, t), (p, q, k)
+                assert step.value_at(Fraction(k, 2 * p * q)) == lt_signature(knot, t), (p, q, k)
 
     def test_merged_representation(self):
         for p, q in coprime_pairs(9, 14):

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (
+    DictProfile,
     distance_profile_loop,
     geometric_distance_profile,
     max_cyclic_sum_loop,
@@ -14,7 +16,6 @@ from reference import (
 from torsig.core import InvalidParameter, TorusKnot
 from torsig.lattice import classical_signature, signature_step_function
 from torsig.maxsig import (
-    BalancedSequence,
     DistanceProfile,
     balanced_sequence,
     distance_profile,
@@ -35,10 +36,10 @@ def coprime_pairs(p_max, q_max):
     ]
 
 
-def coprime_knots(p_max):
-    """Strategy for T(p, q) with 1 <= p <= p_max and p <= q <= 3p + 5."""
+def coprime_knots(p_max, p_min=1):
+    """Strategy for T(p, q) with p_min <= p <= p_max and p <= q <= 3p + 5."""
     return (
-        st.integers(1, p_max)
+        st.integers(p_min, p_max)
         .flatmap(lambda p: st.tuples(st.just(p), st.integers(p, 3 * p + 5)))
         .filter(lambda pq: math.gcd(*pq) == 1)
         .map(lambda pq: TorusKnot(*pq))
@@ -46,7 +47,7 @@ def coprime_knots(p_max):
 
 
 def synthetic(entries):
-    return BalancedSequence(tuple(entries))
+    return np.array(entries, dtype=np.int8)
 
 
 def cyclic_max_bruteforce(entries, start):
@@ -63,11 +64,13 @@ def cyclic_max_bruteforce(entries, start):
 class TestDistanceProfile:
     def test_worked_example(self):
         profile = distance_profile(TorusKnot(5, 12))
-        assert profile.D == {-1: 2, -3: 6}
-        assert profile.d == {1: 8, 3: 4}
+        assert profile.j.tolist() == [-3, -1]
+        assert profile.D.tolist() == [6, 2] and profile.d.tolist() == [8, 4]
+        assert DictProfile.of(profile).D == {-1: 2, -3: 6}
+        assert DictProfile.of(profile).d == {1: 8, 3: 4}
 
     def test_figure_example(self):
-        profile = distance_profile(TorusKnot(4, 7))
+        profile = DictProfile.of(distance_profile(TorusKnot(4, 7)))
         assert profile.D == {-2: 6}
         assert profile.d == {2: 2}
         assert profile.d[2] < profile.D[-2]
@@ -75,37 +78,46 @@ class TestDistanceProfile:
     def test_two_strand_profile_empty(self):
         for q in (3, 9, 15):
             profile = distance_profile(TorusKnot(2, q))
-            assert profile.D == {} and profile.d == {}
+            assert profile.D.size == profile.d.size == profile.j.size == 0
 
     def test_unknot_profile_empty(self):
         profile = distance_profile(TorusKnot(1, 8))
-        assert profile.D == {} and profile.d == {}
+        assert profile.D.size == profile.d.size == profile.j.size == 0
+
+    def test_one_read_only_int64_array(self):
+        profile = distance_profile(TorusKnot(7, 17))
+        assert isinstance(profile.D, np.ndarray) and profile.D.dtype == np.int64
+        assert profile.d.dtype == profile.j.dtype == np.int64
+        with pytest.raises(ValueError):
+            profile.D[0] = 1
 
     def test_structure_on_grid(self):
         for p, q in coprime_pairs(15, 40):
             profile = distance_profile(TorusKnot(p, q))
             m = -(-p // 2) - 1  # ceil(p/2) - 1
-            assert len(profile.D) == len(profile.d) == m
-            values = list(profile.D.values()) + list(profile.d.values())
+            assert profile.D.size == profile.d.size == profile.j.size == m
+            values = profile.D.tolist() + profile.d.tolist()
             assert len(set(values)) == 2 * m
             assert all(0 < v < 2 * p and v != p for v in values)
-            for j, v in profile.D.items():
+            dicts = DictProfile.of(profile)
+            for j, v in dicts.D.items():
                 assert v % (2 * p) == (-j * q) % (2 * p)
-                assert profile.d[-j] == 2 * p - v
+                assert dicts.d[-j] == 2 * p - v
 
     def test_matches_loop_on_grid(self):
         for p in range(1, 60):
             for q in range(p, 120):
                 if math.gcd(p, q) == 1:
                     knot = TorusKnot(p, q)
-                    profile, loop = distance_profile(knot), distance_profile_loop(knot)
+                    profile = DictProfile.of(distance_profile(knot))
+                    loop = distance_profile_loop(knot)
                     assert profile == loop, (p, q)
                     assert list(profile.D) == list(loop.D) and list(profile.d) == list(loop.d)
 
     @settings(max_examples=100, deadline=None)
     @given(coprime_knots(5000))
     def test_matches_loop_sampled(self, knot):
-        assert distance_profile(knot) == distance_profile_loop(knot)
+        assert DictProfile.of(distance_profile(knot)) == distance_profile_loop(knot)
 
     def test_int64_guard(self):
         # 2p^2 > 2**63 - 1: refused before anything is allocated
@@ -116,53 +128,58 @@ class TestDistanceProfile:
             max_signature(knot)
 
     def test_geometric_cross_check(self):
+        # d is derived from D, so the geometric d checks d_k = 2p - D_{-k}
         for p, q in coprime_pairs(12, 30):
             knot = TorusKnot(p, q)
-            assert geometric_distance_profile(knot) == distance_profile(knot), (p, q)
+            geometric = geometric_distance_profile(knot)
+            profile = DictProfile.of(distance_profile(knot))
+            assert geometric.D == profile.D, (p, q)
+            assert geometric.d == profile.d, (p, q)
 
 
 class TestBalancedSequence:
     def test_worked_example(self):
         seq = balanced_sequence(distance_profile(TorusKnot(5, 12)))
-        assert seq.entries == (1, -1, 1, -1)
+        assert seq.dtype == np.int8 and seq.tolist() == [1, -1, 1, -1]
 
     def test_figure_example(self):
         seq = balanced_sequence(distance_profile(TorusKnot(4, 7)))
-        assert seq.entries == (-1, 1)
+        assert seq.tolist() == [-1, 1]
 
     def test_empty(self):
-        assert balanced_sequence(distance_profile(TorusKnot(2, 7))).entries == ()
-
-    def test_unbalanced_rejected(self):
-        with pytest.raises(AssertionError):
-            BalancedSequence((1, 1, -1))
-        with pytest.raises(AssertionError):
-            BalancedSequence((1, -1, 0, 0))
+        seq = balanced_sequence(distance_profile(TorusKnot(2, 7)))
+        assert seq.dtype == np.int8 and len(seq) == 0
 
     def test_matches_sort_on_grid(self):
         for p, q in coprime_pairs(59, 119):
             profile = distance_profile(TorusKnot(p, q))
-            assert balanced_sequence(profile) == sorted_balanced_sequence(profile), (p, q)
+            expected = sorted_balanced_sequence(DictProfile.of(profile))
+            assert tuple(balanced_sequence(profile).tolist()) == expected, (p, q)
 
     @settings(max_examples=100, deadline=None)
     @given(coprime_knots(5000))
     def test_matches_sort_sampled(self, knot):
         profile = distance_profile(knot)
-        assert balanced_sequence(profile) == sorted_balanced_sequence(profile)
+        expected = sorted_balanced_sequence(DictProfile.of(profile))
+        assert tuple(balanced_sequence(profile).tolist()) == expected
 
     @pytest.mark.parametrize(
         "D,d",
         [
-            ({-1: 3}, {1: 3}),  # repeated value
-            ({-3: 2, -1: 2}, {1: 8, 3: 8}),  # repeats that stay balanced
-            ({-1: 5}, {1: 1}),  # the value p
-            ({-1: 0}, {1: 10}),  # outside (0, 2p)
-            ({-1: 2}, {1: -2}),  # negative
+            ([3, 7], [3, 7]),  # values shared by D and d
+            ([2, 2], [8, 8]),  # repeats that stay balanced
+            ([5], [5]),  # the value p
+            ([0], [10]),  # 0, outside (0, 2p)
+            ([-2], [12]),  # negative
+            ([10], [0]),  # 2p, outside (0, 2p)
         ],
     )
     def test_invalid_profile_rejected(self, D, d):
+        # p = 5; d is derived as 2p - D reversed
+        profile = DistanceProfile(5, np.array(D, dtype=np.int64))
+        assert profile.d.tolist() == d
         with pytest.raises(AssertionError):
-            balanced_sequence(DistanceProfile(5, D, d))
+            balanced_sequence(profile)
 
 
 class TestMaxCyclicSum:
@@ -177,6 +194,11 @@ class TestMaxCyclicSum:
     )
     def test_examples(self, entries, expected):
         assert max_cyclic_sum(synthetic(entries)) == expected
+
+    def test_unbalanced_rejected(self):
+        for entries in ((1, 1, -1), (-1,), (1, -1, -1, -1)):
+            with pytest.raises(AssertionError):
+                max_cyclic_sum(synthetic(entries))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6).flatmap(lambda m: st.permutations([1] * m + [-1] * m)))
@@ -202,7 +224,7 @@ class TestMaxCyclicSum:
 
     def test_recursion_on_knot_sequences(self):
         for p, q in coprime_pairs(11, 23):
-            entries = balanced_sequence(distance_profile(TorusKnot(p, q))).entries
+            entries = balanced_sequence(distance_profile(TorusKnot(p, q))).tolist()
             n = len(entries)
             for start in range(n):
                 assert cyclic_max_bruteforce(entries, start) == entries[start] + cyclic_max_bruteforce(entries, (start + 1) % n)
@@ -229,11 +251,12 @@ class TestMaxSignature:
         assert max_signature(knot) == max_signature_sorted(knot)
 
     def test_pipeline_matches_direct_route(self):
+        # the array pipeline against the loop profile, the sort and the loop sum
         for p in range(1, 40):
             for q in range(p, 90):
                 if math.gcd(p, q) == 1:
                     knot = TorusKnot(p, q)
-                    m = max_cyclic_sum(balanced_sequence(distance_profile(knot)))
+                    m = max_cyclic_sum_loop(sorted_balanced_sequence(distance_profile_loop(knot)))
                     assert knot_max_cyclic_sum(knot) == m, (p, q)
                     assert max_signature(knot) == classical_signature(knot) + 2 * m
 
@@ -266,10 +289,7 @@ class TestMaxSignature:
         for p, q in coprime_pairs(10, 24):
             step = signature_step_function(TorusKnot(p, q))
             lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
-            hit = any(
-                (a < b and a < hi and b > lo) or (a == b and lo < a <= hi)
-                for a, b in step.argmax_pieces()
-            )
+            hit = any(a < hi and b > lo for a, b in step.argmax_pieces())
             assert hit, (p, q)
 
 
@@ -289,6 +309,19 @@ class TestRotationRelation:
     def test_grid(self):
         for p, q in coprime_pairs(14, 30):
             assert rotation_relation(TorusKnot(p, q)).passed, (p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coprime_knots(5000, p_min=2))
+    def test_sampled_against_sorted_reference(self, knot):
+        p, q = knot.p, knot.q
+        seq = sorted_balanced_sequence(distance_profile_loop(knot))
+        shifted = sorted_balanced_sequence(distance_profile_loop(TorusKnot(p, q + p)))
+        shift = 0 if p % 2 == 0 else (p - 1) // 2
+        report = rotation_relation(knot)
+        assert report.sequence == seq and report.shifted_sequence == shifted
+        assert report.shift == shift
+        assert report.passed == (shifted == seq[shift:] + seq[:shift])
+        assert report.passed
 
     def test_unknot_rejected(self):
         with pytest.raises(InvalidParameter):

@@ -95,7 +95,7 @@ def random_knot_braids(seed, count, max_strands=5, max_rank=10):
         strands = rng.randint(2, max_strands)
         length = rng.randint(strands - 1, strands - 1 + max_rank)
         braid = BraidWord(strands, tuple(rng.randint(1, strands - 1) for _ in range(length)))
-        if braid.has_connected_closure():
+        if braid.closure_components() == 1:
             braids.append(braid)
     return braids
 
@@ -129,7 +129,7 @@ class TestBraidWord:
     def test_torus_braid_unknot(self):
         braid = torus_braid(TorusKnot(1, 9))
         assert braid.strands == 1 and braid.letters == ()
-        assert braid.has_connected_closure()
+        assert braid.closure_components() == 1
 
     def test_letter_validation(self):
         with pytest.raises(InvalidParameter):
@@ -138,8 +138,8 @@ class TestBraidWord:
             BraidWord(3, (3,))
 
     def test_connectivity(self):
-        assert BraidWord(3, (1, 2)).has_connected_closure()
-        assert not BraidWord(3, (1, 1)).has_connected_closure()
+        assert BraidWord(3, (1, 2)).closure_components() == 1
+        assert BraidWord(3, (1, 1)).closure_components() == 3
         assert BraidWord(2, ()).closure_components() == 2
 
     def test_disconnected_closure_rejected(self):
