@@ -90,33 +90,37 @@ def balanced_sequence(profile: DistanceProfile) -> np.ndarray:
 
     The int8 mark array over [0, 2p) holds +1 at every D value and -1 at
     every d value; its nonzero entries, in order, are the sequence.
-    Distinctness and the value p being avoided both follow from coprimality;
-    a violation would mean a bug upstream, so they are asserted here, with
-    the range (0, 2p) that makes the values valid indices (numpy would read
-    a negative one from the end of the array).  d = 2p - D lies in that
-    range exactly when D does.
+    Distinctness and the value p being avoided both follow from coprimality,
+    and the range (0, 2p) makes the values valid indices (numpy would read
+    a negative one from the end of the array); d = 2p - D lies in that
+    range exactly when D does.  A profile that breaks any of the three
+    raises InvalidParameter.
     """
     p, D = profile.p, profile.D
-    assert D.size == 0 or 0 < D.min() <= D.max() < 2 * p, "distance values must lie in (0, 2p)"
+    if D.size and not 0 < D.min() <= D.max() < 2 * p:
+        raise InvalidParameter("distance values must lie in (0, 2p)")
     marks = np.zeros(2 * p, dtype=np.int8)
     marks[D] = 1
     marks[profile.d] = -1
-    assert marks[p] == 0, "distance values must avoid p"
+    if marks[p]:
+        raise InvalidParameter("distance values must avoid p")
     # a repeat leaves fewer nonzero marks than values
-    assert np.count_nonzero(marks) == 2 * D.size, "distance values must be distinct"
+    if np.count_nonzero(marks) != 2 * D.size:
+        raise InvalidParameter("distance values must be distinct")
     return marks[marks != 0]
 
 
 def max_cyclic_sum(seq: np.ndarray) -> int:
     """Largest cyclic partial sum of a balanced sequence, at least 0.
 
-    The empty sum is admissible.  Because the sequence sums to 0 (asserted
-    on the last partial sum), sums longer than one period repeat earlier
-    values, so the partial sums of a single period starting at index 0
-    suffice.
+    The empty sum is admissible.  Because the sequence sums to 0 (checked
+    on the last partial sum, InvalidParameter otherwise), sums longer than
+    one period repeat earlier values, so the partial sums of a single period
+    starting at index 0 suffice.
     """
     sums = seq.cumsum(dtype=np.int64)
-    assert sums.size == 0 or sums[-1] == 0, "the sequence must be balanced"
+    if sums.size and sums[-1]:
+        raise InvalidParameter("the sequence must be balanced")
     return int(sums.max(initial=0))
 
 

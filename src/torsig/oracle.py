@@ -1,15 +1,15 @@
 """Independent verification path for the lattice and profile engines.
 
 Builds the Seifert matrix of a positive braid closure from its brick
-decomposition, validates it against the exact cyclotomic Alexander
-polynomial, and evaluates the signature numerically as the sign count of
-the Hermitian form (1-w)A + (1-conj(w))A^T.  None of this shares code with
-`torsig.lattice` or `torsig.maxsig`, which is the point.
+decomposition, checks it against the exact cyclotomic Alexander polynomial
+modulo three primes, and evaluates the signature numerically as the sign
+count of the Hermitian form (1-w)A + (1-conj(w))A^T.  None of this shares
+code with `torsig.lattice` or `torsig.maxsig`, which is the point.
 
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
-ones).  So det A = +-1, and the exact pencil det(A - t*A^T) needs only a
-mod-p back-substitution and one characteristic polynomial per prime.
+ones).  So det A = +-1, and the pencil det(A - t*A^T) mod each prime needs
+only one stacked back-substitution and a Krylov sequence per prime.
 
 The brick matrix is one read-only int64 array built by broadcasting.  Its
 sign convention (a wrong one silently computes the mirror knot) is fixed so
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameter, RationalAngle, TorsigError, TorusKnot
+from .core import InvalidParameter, RationalAngle, TorsigError, TorusKnot, _is_int
 from .lattice import StepFunction, lt_signature, signature_step_function
 
 __all__ = [
@@ -73,7 +73,7 @@ class BraidWord:
             raise InvalidParameter(f"need at least one strand, got {self.strands}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for g in self.letters:
-            if not isinstance(g, int) or not 1 <= g < self.strands:
+            if not _is_int(g) or not 1 <= g < self.strands:
                 raise InvalidParameter(f"letter {g!r} outside [1, {self.strands - 1}]")
 
     def closure_components(self) -> int:
@@ -113,30 +113,28 @@ def torus_alexander(knot: TorusKnot) -> tuple[int, ...]:
     return tuple(int(b) - int(a) for a, b in zip(member, member[1:]))
 
 
-def _associates(f, g) -> bool:
-    """Equality up to sign and a power of t."""
-    f, g = np.trim_zeros(list(f)), np.trim_zeros(list(g))
-    return f == g or f == [-x for x in g]
-
-
 # --------------------------------------------------------------------------
-# det(A - t*A^T) via CRT over word-size primes
+# det(A - t*A^T) checked modulo word-size primes
 #
-# Residues are combined over three primes below 2^26 (product about 3e23,
-# 2^78) and lifted symmetrically.  A passing check therefore proves
-# det(A - t*A^T) = +-Delta coefficientwise modulo that product.  It proves
-# exact equality only while every pencil coefficient is below half the
-# product.  Hadamard's bound on |det(A - t*A^T)| over |t| = 1, taken from
-# the row norms of |A| + |A^T|, guarantees this only for small ranks: up to
-# n = 48 on the default `verify` grid, whose largest rank is 198.
+# A pass proves det(A - t*A^T) = +-Delta coefficientwise modulo each of
+# three primes below 2^26, with one sign for all three, so modulo their
+# product (about 2^78).  It proves exact equality only while every pencil
+# coefficient is below half the product.  Hadamard's bound on
+# |det(A - t*A^T)| over |t| = 1, taken from the row norms of |A| + |A^T|,
+# guarantees this only for small ranks: up to n = 48 on the default
+# `verify` grid, whose largest rank is 198.
 #
-# All mod-p kernels keep every intermediate below 2^63: entries < p, so
-# products < p^2 < 2^52, and a matmul over n terms accumulates
-# < n * (p-1)^2, which `alexander_from_seifert` and `seifert_matrix` keep
+# Every intermediate stays below 2^63: residues are below p, products below
+# p^2 < 2^52.  A back-substitution row, a mat-vec, a dot product with u and
+# a Berlekamp-Massey discrepancy (its length is at most n, as the sequence
+# obeys charpoly(M)) each add at most n products to one residue: below
+# n(p-1)^2 + p, which `alexander_from_seifert` and `seifert_matrix` keep
 # below 2^63 by rejecting any n above _MAX_RANK (2048).
 
 _PRIMES = (67108859, 67108837, 67108819)
+_MODULI = np.array(_PRIMES, dtype=np.int64)[:, None]
 _MAX_RANK = (2**63 - 1) // (max(_PRIMES) - 1) ** 2
+_KRYLOV_TRIES = 3
 
 
 def _require_rank(n: int) -> None:
@@ -144,94 +142,86 @@ def _require_rank(n: int) -> None:
         raise InvalidParameter(f"rank {n} is too large for exact int64 arithmetic")
 
 
-def _solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """X with a @ X = b (mod p) for upper-triangular a with diagonal +-1.
+def _monodromy_mod(a: np.ndarray) -> np.ndarray:
+    """M = A^{-1} A^T modulo each prime, one (3, n, n) stack, by back-substitution
+    on the upper-triangular A: M[k] = A[k,k] (A^T[k] - A[k,k+1:] M[k+1:])."""
+    m = np.ascontiguousarray(a.T % _MODULI[:, :, None])
+    for k in range(len(a) - 1, -1, -1):
+        row = a[k, k + 1 :] % _MODULI
+        m[:, k] = a[k, k] * (m[:, k] - np.einsum("pj,pjc->pc", row, m[:, k + 1 :])) % _MODULI
+    return m
 
-    Back-substitution; each diagonal entry is its own inverse."""
-    diagonal = a.diagonal().copy()
-    a, x = a % p, b % p
-    for k in range(a.shape[0] - 1, -1, -1):
-        x[k] = diagonal[k] * (x[k] - a[k, k + 1 :] @ x[k + 1 :]) % p
-    return x
 
+def _minpoly_mod(s: np.ndarray, p: int) -> np.ndarray:
+    """Berlekamp-Massey: the shortest c = (1, c_1, ..., c_L) with
+    s[i] + c_1 s[i-1] + ... + c_L s[i-L] = 0 (mod p) for L <= i < len(s).
 
-def _charpoly_mod(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients (ascending) of det(x*I - M) mod p.
-
-    Reduces M to upper Hessenberg form by a mod-p similarity transform,
-    then runs the leading-minor recurrence: expanding det(xI - H_k) along
-    the last column gives
-
-        p_k = (x - H[k-1,k-1]) p_{k-1}
-              - sum_i H[i,k-1] * (prod of subdiagonals below i) * p_i.
+    x^L c(1/x) is the minimal polynomial of s.  For s[i] = u^T M^i v with
+    i < 2n it divides charpoly(M), and at L = n, c is det(I - xM).
     """
-    n = matrix.shape[0]
-    h = matrix.astype(np.int64) % p
-    for k in range(n - 2):
-        nz = np.nonzero(h[k + 1 :, k])[0]
-        if nz.size == 0:
+    c = np.zeros(len(s) + 1, dtype=np.int64)
+    c[0] = 1
+    b, length, shift, last = c.copy(), 0, 1, 1
+    for i in range(len(s)):
+        d = int(s[i] + c[1 : length + 1] @ s[i - 1 :: -1][:length]) % p
+        if d == 0:
+            shift += 1
             continue
-        r = k + 1 + int(nz[0])
-        if r != k + 1:
-            h[[k + 1, r]] = h[[r, k + 1]]
-            h[:, [k + 1, r]] = h[:, [r, k + 1]]
-        f = h[k + 2 :, k] * pow(int(h[k + 1, k]), -1, p) % p
-        h[k + 2 :, :] = (h[k + 2 :, :] - f[:, None] * h[k + 1, :]) % p
-        h[:, k + 1] = (h[:, k + 1] + h[:, k + 2 :] @ f) % p
-    # beta[i] is the product of the subdiagonals H[i+1,i] ... H[k-1,k-2];
-    # column k > 1 extends every product by H[k-1,k-2] and starts beta[k-2].
-    # Products of two residues stay below p^2 < 2^52, and the matmul adds
-    # k-1 < n of them to acc < p: below n(p-1)^2 + p, which for
-    # n <= _MAX_RANK leaves a slack of about 1.6e12 under 2^63.
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    beta = np.ones(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        beta[: k - 1] = beta[: k - 1] * h[k - 1, k - 2] % p
-        weights = h[: k - 1, k - 1] * beta[: k - 1] % p
-        polys[k, 1:] = polys[k - 1, :-1]
-        acc = (polys[k] - h[k - 1, k - 1] * polys[k - 1]) % p
-        polys[k] = (acc - weights @ polys[: k - 1]) % p
-    return polys[n]
+        previous = c.copy()
+        c[shift:] = (c[shift:] - d * pow(last, -1, p) % p * b[:-shift]) % p
+        if 2 * length <= i:
+            length, b, last, shift = i + 1 - length, previous, d, 1
+        else:
+            shift += 1
+    return c[: length + 1]
 
 
-def _crt_symmetric(residues, primes) -> int:
-    x, modulus = 0, 1
-    for r, p in zip(residues, primes):
-        h = (int(r) - x) * pow(modulus % p, -1, p) % p
-        x += modulus * h
-        modulus *= p
-    if x > modulus // 2:
-        x -= modulus
-    return x
-
-
-def alexander_from_seifert(matrix) -> tuple[int, ...]:
-    """det(A - t*A^T), ascending coefficients, lifted from three primes.
-
-    The lift is exact while the coefficients stay below half the product
-    of the primes (see the comment above `_PRIMES`); beyond that it is the
-    pencil's symmetric residue modulo that product.
+def alexander_from_seifert(matrix, expected) -> None:
+    """Raise ValidationFailure unless det(A - t*A^T) = +-expected modulo each
+    of the three primes, with one sign for all (see the comment above
+    `_PRIMES`).  expected is read up to a power of t: zeros at both ends are
+    dropped, and what is left must have n + 1 coefficients.
 
     A must be an upper-triangular integer matrix with diagonal +-1, which
     is every matrix `seifert_matrix` builds; anything else, or a rank too
-    large for the int64 bound above, raises InvalidParameter.  Then
-    A - tA^T = A (I - t A^{-1}A^T), so the pencil is det(A), the product of
-    the diagonal, times the reversed characteristic polynomial of A^{-1}A^T.
-    Its degree is exactly n: the leading coefficient is det(-A^T) = +-1.
+    large for the int64 bound, raises InvalidParameter.  Then the pencil is
+    det(A), the product of the diagonal, times det(I - tM), M = A^{-1}A^T,
+    which Berlekamp-Massey on u^T M^i v (i < 2n) finds once it reaches
+    degree n.  u and v come from random.Random(n), so no result depends on
+    the process; a shortfall is retried with fresh ones, _KRYLOV_TRIES times.
+
+    Degree n needs minpoly(M) = charpoly(M) mod p, so a matrix whose pencil
+    has a repeated factor, such as (1 - t + t^2 - t^3 + t^4)^2, can fail
+    even when the pencil is right.  A torus knot never does: its Alexander
+    polynomial divides t^{pq} - 1, which has no repeated roots mod a prime
+    that does not divide pq.
     """
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=np.int64)
     n = len(a)
-    if n == 0:
-        return (1,)
     if a.shape != (n, n) or np.tril(a, -1).any() or (np.abs(a.diagonal()) != 1).any():
         raise InvalidParameter("need a square upper-triangular matrix with diagonal +-1")
     _require_rank(n)
-    det_a = int(np.prod(a.diagonal()))
-    per_prime = [det_a * _charpoly_mod(_solve_mod(a, a.T, p), p)[::-1] % p for p in _PRIMES]
-    return tuple(
-        _crt_symmetric([vec[k] for vec in per_prime], _PRIMES) for k in range(n + 1)
-    )
+    m, rng = _monodromy_mod(a), random.Random(n)
+    for _ in range(_KRYLOV_TRIES):
+        u, w = (np.array([[rng.randrange(p) for _ in range(n)] for p in _PRIMES],
+                         dtype=np.int64) for _ in range(2))
+        s = np.empty((len(_PRIMES), 2 * n), dtype=np.int64)
+        for i in range(2 * n):
+            s[:, i] = np.einsum("pj,pj->p", u, w) % _MODULI[:, 0]
+            w = np.einsum("pjk,pk->pj", m, w) % _MODULI
+        polys = [_minpoly_mod(row, p) for row, p in zip(s, _PRIMES)]
+        short = [(p, len(c) - 1) for p, c in zip(_PRIMES, polys) if len(c) <= n]
+        if not short:
+            break
+    else:
+        raise ValidationFailure("Krylov sequence mod %d reaches degree %d, not %d" % (*short[0], n))
+    pencil = np.prod(a.diagonal()) * np.array(polys) % _MODULI
+    target = np.trim_zeros(list(expected))
+    residues = np.array([[int(x) % p for x in target] for p in _PRIMES], dtype=np.int64)
+    if residues.shape != pencil.shape or not (
+        (pencil == residues).all() or (pencil == -residues % _MODULI).all()
+    ):
+        raise ValidationFailure(f"det(A - tA^T) is not +-{tuple(expected)} modulo {_PRIMES}")
 
 
 # --------------------------------------------------------------------------
@@ -293,12 +283,7 @@ def seifert_matrix(braid: BraidWord, expected_alexander=None) -> SeifertMatrix:
     entries.flags.writeable = False
     matrix = SeifertMatrix(entries)
     if expected_alexander is not None:
-        computed = alexander_from_seifert(matrix)
-        if not _associates(computed, expected_alexander):
-            raise ValidationFailure(
-                f"det(A - tA^T) = {computed} does not match the expected "
-                f"Alexander polynomial {tuple(expected_alexander)}"
-            )
+        alexander_from_seifert(matrix, expected_alexander)
     return matrix
 
 

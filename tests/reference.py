@@ -374,3 +374,24 @@ def charpoly_mod_interp(rows: list[list[int]], p: int) -> list[int]:
         weight = values[i] * pow(denom, -1, p) % p
         coeffs = [(c + weight * b) % p for c, b in zip(coeffs, basis)]
     return coeffs
+
+
+def has_repeated_root_mod(coeffs: list[int], p: int) -> bool:
+    """Whether a polynomial (ascending coefficients) has a repeated root over
+    the algebraic closure of F_p: gcd(f, f') mod p has positive degree, by
+    Euclid's algorithm on Python ints."""
+
+    def trimmed(f):
+        f = [c % p for c in f]
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    f, g = trimmed(coeffs), trimmed([k * c for k, c in enumerate(coeffs)][1:])
+    while g:
+        inverse = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            factor, shift = f[-1] * inverse, len(f) - len(g)
+            f = trimmed([c - factor * g[i - shift] if i >= shift else c for i, c in enumerate(f)])
+        f, g = g, f
+    return len(f) > 1

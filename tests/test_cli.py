@@ -204,7 +204,7 @@ class TestVerify:
         assert payload["suites"]["main"]["failed"] == 0
 
     def test_jobs_do_not_change_output(self, capsys):
-        args = ["verify", "--p-max", "6", "--q-max", "12", "--which", "glm,main,brute-max"]
+        args = ["verify", "--p-max", "6", "--q-max", "12", "--which", "glm,main,brute-max,oracle"]
         code1, out1, _ = run(capsys, *args, "--jobs", "1")
         code2, out2, _ = run(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 0

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +182,7 @@ class TestBalancedSequence:
         # p = 5; d is derived as 2p - D reversed
         profile = DistanceProfile(5, np.array(D, dtype=np.int64))
         assert profile.d.tolist() == d
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidParameter):
             balanced_sequence(profile)
 
 
@@ -197,8 +201,28 @@ class TestMaxCyclicSum:
 
     def test_unbalanced_rejected(self):
         for entries in ((1, 1, -1), (-1,), (1, -1, -1, -1)):
-            with pytest.raises(AssertionError):
+            with pytest.raises(InvalidParameter):
                 max_cyclic_sum(synthetic(entries))
+
+    def test_contracts_hold_under_python_O(self):
+        # python -O strips assert statements; the public contracts must not be asserts
+        script = (
+            "import numpy as np\n"
+            "from torsig.core import InvalidParameter\n"
+            "from torsig.maxsig import DistanceProfile, balanced_sequence, max_cyclic_sum\n"
+            "for call, arg in ((max_cyclic_sum, np.array([1, 1, -1], np.int8)),\n"
+            "                  (balanced_sequence, DistanceProfile(5, np.array([3, 7])))):\n"
+            "    try:\n"
+            "        call(arg)\n"
+            "    except InvalidParameter:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{call.__name__} accepted {arg}')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stdout + done.stderr
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6).flatmap(lambda m: st.permutations([1] * m + [-1] * m)))

@@ -24,7 +24,12 @@ from torsig.oracle import (
     torus_seifert_matrix,
 )
 
-from reference import charpoly_mod_interp, seifert_bricks_loop, torus_alexander_by_division
+from reference import (
+    charpoly_mod_interp,
+    has_repeated_root_mod,
+    seifert_bricks_loop,
+    torus_alexander_by_division,
+)
 
 
 def coprime_pairs(p_max, q_max):
@@ -116,6 +121,25 @@ def associates(f, g):
     return f == g or f == [-x for x in g]
 
 
+def crt(residues):
+    """The integer in [0, product of _PRIMES) with these residues modulo _PRIMES."""
+    x, modulus = 0, 1
+    for r, p in zip(residues, _PRIMES):
+        x += modulus * ((r - x) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return x
+
+
+def assert_validates_exactly(matrix, pencil):
+    """Validation accepts the pencil, and rejects it with any one coefficient changed."""
+    alexander_from_seifert(matrix, pencil)
+    for k in range(len(pencil)):
+        wrong = list(pencil)
+        wrong[k] += 1
+        with pytest.raises(ValidationFailure):
+            alexander_from_seifert(matrix, wrong)
+
+
 class TestBraidWord:
     def test_torus_braid_trefoil(self):
         braid = torus_braid(TorusKnot(2, 3))
@@ -136,6 +160,8 @@ class TestBraidWord:
             BraidWord(3, (0,))
         with pytest.raises(InvalidParameter):
             BraidWord(3, (3,))
+        with pytest.raises(InvalidParameter):
+            BraidWord(3, (True, 2))
 
     def test_connectivity(self):
         assert BraidWord(3, (1, 2)).closure_components() == 1
@@ -153,7 +179,7 @@ class TestSeifertMatrix:
         assert matrix.size == 2
         eigenvalues = np.linalg.eigvalsh((matrix.entries + matrix.entries.T).astype(float))
         assert int((eigenvalues > 0).sum() - (eigenvalues < 0).sum()) == 2
-        assert associates(alexander_from_seifert(matrix), (1, -1, 1))
+        alexander_from_seifert(matrix, (1, -1, 1))
         # independent dual route for the pencil determinant
         assert associates(pencil_det_bruteforce(matrix.entries), (1, -1, 1))
 
@@ -172,7 +198,8 @@ class TestSeifertMatrix:
     def test_unknot_matrix(self):
         matrix = torus_seifert_matrix(TorusKnot(1, 5))
         assert matrix.size == 0
-        assert alexander_from_seifert(matrix) == (1,)
+        assert_validates_exactly(matrix, (1,))
+        alexander_from_seifert(matrix, (-1,))
 
     def test_size_is_rank_on_grid(self):
         for p, q in coprime_pairs(7, 11):
@@ -182,7 +209,7 @@ class TestSeifertMatrix:
     def test_pencil_matches_bruteforce_on_small_knots(self):
         for p, q in [(2, 5), (2, 7), (3, 4), (3, 5)]:
             matrix = torus_seifert_matrix(TorusKnot(p, q))
-            assert alexander_from_seifert(matrix) == pencil_det_bruteforce(matrix.entries)
+            assert_validates_exactly(matrix, pencil_det_bruteforce(matrix.entries))
 
     def test_unit_upper_triangular_on_torus_grid(self):
         pairs = [(p, q) for p, q in coprime_pairs(12, 201) if (p - 1) * (q - 1) <= 200]
@@ -205,9 +232,18 @@ class TestSeifertMatrix:
             assert seifert_matrix(braid).entries.tolist() == seifert_bricks_loop(braid)
 
     def test_pencil_matches_bruteforce_on_random_braids(self):
+        refused = 0
         for braid in random_knot_braids(seed=9604, count=40):
             matrix = seifert_matrix(braid)
-            assert alexander_from_seifert(matrix) == pencil_det_bruteforce(matrix.entries)
+            pencil = pencil_det_bruteforce(matrix.entries)
+            try:
+                assert_validates_exactly(matrix, pencil)
+            except ValidationFailure:
+                # the Krylov sequence falls short of degree n only when
+                # minpoly(M) != charpoly(M), which needs a repeated root
+                assert any(has_repeated_root_mod(pencil, p) for p in _PRIMES), braid
+                refused += 1
+        assert refused == 1  # pencil (1 - t + t^2 - t^3 + t^4)^2
 
     def test_validation_failure_on_wrong_target(self):
         with pytest.raises(ValidationFailure):
@@ -244,11 +280,11 @@ class TestAlexanderContract:
     )
     def test_outside_contract_rejected(self, entries):
         with pytest.raises(InvalidParameter):
-            alexander_from_seifert(entries)
+            alexander_from_seifert(entries, (1, -1, 1))
 
     def test_over_rank_rejected(self):
         with pytest.raises(InvalidParameter, match="rank 2049"):
-            alexander_from_seifert(np.eye(2049, dtype=np.int64))
+            alexander_from_seifert(np.eye(2049, dtype=np.int64), (1,) * 2050)
 
     def test_over_rank_braid_rejected_before_bricks(self, monkeypatch):
         def refuse(braid):
@@ -265,17 +301,69 @@ class TestAlexanderContract:
         assert oracle._MAX_RANK == 2048
         assert oracle._MAX_RANK * (max(_PRIMES) - 1) ** 2 < 2**63
         assert (oracle._MAX_RANK + 1) * (max(_PRIMES) - 1) ** 2 >= 2**63
+        # a Berlekamp-Massey discrepancy: at most n products plus one residue
+        for p in _PRIMES:
+            assert oracle._MAX_RANK * (p - 1) ** 2 + p < 2**63
+
+    def test_flipped_interleave_sign_rejected(self):
+        knot = TorusKnot(7, 20)
+        entries = seifert_matrix(torus_braid(knot)).entries.copy()
+        # +1 off the diagonal comes only from the interleave rule
+        entries[tuple(np.argwhere(np.triu(entries, 1) == 1)[0])] = -1
+        with pytest.raises(ValidationFailure):
+            alexander_from_seifert(entries, torus_alexander(knot))
+
+    def test_one_sign_for_all_primes(self):
+        knot = TorusKnot(3, 4)
+        # +Delta modulo the first prime, -Delta modulo the other two
+        mixed = [crt((c, -c, -c)) for c in torus_alexander(knot)]
+        with pytest.raises(ValidationFailure):
+            alexander_from_seifert(seifert_matrix(torus_braid(knot)), mixed)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_every_prime_is_checked(self, index):
+        knot = TorusKnot(3, 4)
+        # Delta modulo every prime except the one at index, where t^2 is off by one
+        target = list(torus_alexander(knot))
+        target[2] = crt([target[2] + (i == index) for i in range(3)])
+        with pytest.raises(ValidationFailure):
+            alexander_from_seifert(seifert_matrix(torus_braid(knot)), target)
+
+    def test_short_sequence_retried_with_fresh_vectors(self, monkeypatch):
+        matrix = seifert_matrix(torus_braid(TorusKnot(3, 4)))
+        sequences, real = [], oracle._minpoly_mod
+
+        def short_once(s, p):
+            sequences.append(s.copy())
+            return real(s, p)[: 1 if len(sequences) == 1 else None]
+
+        monkeypatch.setattr(oracle, "_minpoly_mod", short_once)
+        alexander_from_seifert(matrix, torus_alexander(TorusKnot(3, 4)))
+        assert len(sequences) == 6 and not np.array_equal(sequences[0], sequences[3])
+
+    def test_gives_up_after_three_tries(self, monkeypatch):
+        matrix = seifert_matrix(torus_braid(TorusKnot(3, 4)))
+        calls, real = [], oracle._minpoly_mod
+
+        def short_mod_second(s, p):
+            calls.append(p)
+            return real(s, p)[: 3 if p == _PRIMES[1] else None]
+
+        monkeypatch.setattr(oracle, "_minpoly_mod", short_mod_second)
+        with pytest.raises(ValidationFailure, match=f"mod {_PRIMES[1]} reaches degree 2, not 6"):
+            alexander_from_seifert(matrix, torus_alexander(TorusKnot(3, 4)))
+        assert calls == list(_PRIMES) * 3
 
     def test_negative_diagonal_accepted(self):
         raw = -torus_seifert_matrix(TorusKnot(3, 4)).entries
-        assert associates(alexander_from_seifert(raw), torus_alexander(TorusKnot(3, 4)))
-        assert alexander_from_seifert(raw) == pencil_det_bruteforce(raw.tolist())
+        alexander_from_seifert(raw, torus_alexander(TorusKnot(3, 4)))
+        assert_validates_exactly(raw, pencil_det_bruteforce(raw.tolist()))
 
 
 def random_square_matrices(seed, count, max_n=30):
     """Seeded integer matrices: dense ones with entries below the primes, small
-    ones, and sparse ones whose Hessenberg reduction meets zero subdiagonal
-    entries (an already reduced column, or a pivot found further down)."""
+    ones, and sparse ones, which are often singular with a repeated root of
+    the characteristic polynomial at 0."""
     rng = random.Random(seed)
     matrices = []
     for index in range(count):
@@ -293,23 +381,51 @@ def random_square_matrices(seed, count, max_n=30):
     return matrices
 
 
-class TestCharpolyMod:
+def krylov_sequence(rows, p, rng):
+    """u^T M^i v mod p for i < 2n, with u and v drawn from rng."""
+    n = len(rows)
+    m = np.array(rows, dtype=np.int64).reshape(n, n) % p
+    u, w = (np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64) for _ in range(2))
+    s = []
+    for _ in range(2 * n):
+        s.append(int(u @ w) % p)
+        w = m @ w % p
+    return np.array(s, dtype=np.int64)
+
+
+class TestMinpolyMod:
     SMALL = [
         [],
         [[5]],
         [[-7]],
         [[1, 2], [3, 4]],
-        [[0, 0], [0, 0]],
+        [[0, 0], [0, 0]],  # minpoly x, charpoly x^2
+        [[3, 0], [0, 3]],  # a scalar matrix: minpoly of degree 1
+        [[3, 1], [0, 3]],  # a Jordan block: degree n despite the repeated root
         [[0, 1], [-1, 0]],
-        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],  # pivot below the subdiagonal
-        [[2, 0, 0], [0, 3, 0], [0, 0, 4]],  # nothing to reduce
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
     ]
 
     @pytest.mark.parametrize("p", _PRIMES)
-    def test_matches_interpolation(self, p):
+    def test_krylov_sequences_against_interpolation(self, p):
+        rng = random.Random(p)
+        short = 0
         for rows in self.SMALL + random_square_matrices(seed=4102, count=100):
-            m = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
-            assert oracle._charpoly_mod(m, p).tolist() == charpoly_mod_interp(rows, p), rows
+            n, s = len(rows), krylov_sequence(rows, p, rng)
+            c = oracle._minpoly_mod(s, p).tolist()
+            length = len(c) - 1
+            assert c[0] == 1 and all(
+                sum(c[j] * int(s[i - j]) for j in range(len(c))) % p == 0
+                for i in range(length, 2 * n)
+            ), rows
+            charpoly = charpoly_mod_interp(rows, p)
+            if length == n:
+                assert c == charpoly[::-1], rows
+            else:
+                assert length < n and has_repeated_root_mod(charpoly, p), rows
+                short += 1
+        assert 0 < short < 50
 
 
 class TestTorusAlexander:
