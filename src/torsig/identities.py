@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidParameter, TorusKnot
+from .core import InvalidParameter, TorsigError, TorusKnot, _is_int
 from .lattice import classical_signature
 from .maxsig import balanced_sequence, distance_profile, max_signature
 
@@ -36,11 +36,11 @@ class IdentityReport:
     knot_params: tuple[tuple[int, int], ...]
     expected: int
     computed: int
-    passed: bool
     details: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self) -> None:
-        assert self.passed == (self.expected == self.computed)
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.computed
 
 
 def _report(name, knots, expected, computed, **details) -> IdentityReport:
@@ -49,20 +49,22 @@ def _report(name, knots, expected, computed, **details) -> IdentityReport:
         knot_params=tuple((k.p, k.q) for k in knots),
         expected=expected,
         computed=computed,
-        passed=expected == computed,
         details=details,
     )
 
 
+def _step(name, kernel, p, q, s, c, base_key) -> IdentityReport:
+    """kernel(T(p,q+s)) = kernel(T(p,q)) + c; details hold base_key and increment."""
+    base = TorusKnot(p, q)
+    stepped = TorusKnot(p, q + s)
+    value = kernel(base)
+    return _report(name, (base, stepped), value + c, kernel(stepped),
+                   **{base_key: value}, increment=c)
+
+
 def check_glm(p: int, q: int) -> IdentityReport:
     """sigma(T(p,q+2p)) = sigma(T(p,q)) + p^2 (p even) or p^2 - 1 (p odd)."""
-    base = TorusKnot(p, q)
-    stepped = TorusKnot(p, q + 2 * p)
-    increment = p * p if p % 2 == 0 else p * p - 1
-    sigma_base = classical_signature(base)
-    computed = classical_signature(stepped)
-    return _report("glm", (base, stepped), sigma_base + increment, computed,
-                   sigma_base=sigma_base, increment=increment)
+    return _step("glm", classical_signature, p, q, 2 * p, p * p - p % 2, "sigma_base")
 
 
 def check_even_periodicity(p: int, q: int) -> IdentityReport:
@@ -73,25 +75,14 @@ def check_even_periodicity(p: int, q: int) -> IdentityReport:
     """
     if p % 2 != 0:
         raise InvalidParameter(f"even-p periodicity requires even p, got {p}")
-    base = TorusKnot(p, q)
-    stepped = TorusKnot(p, q + p)
-    sigma_base = classical_signature(base)
-    computed = classical_signature(stepped)
-    return _report("even-periodicity", (base, stepped), sigma_base + p * p // 2, computed,
-                   sigma_base=sigma_base)
+    return _step("even-periodicity", classical_signature, p, q, p, p * p // 2, "sigma_base")
 
 
 def check_main_recursion(p: int, q: int) -> IdentityReport:
     """max_signature(T(p,q+p)) = max_signature(T(p,q)) + p^2/2 or (p^2-1)/2."""
     if not 0 < p < q:
         raise InvalidParameter(f"need 0 < p < q, got ({p}, {q})")
-    base = TorusKnot(p, q)
-    stepped = TorusKnot(p, q + p)
-    increment = p * p // 2 if p % 2 == 0 else (p * p - 1) // 2
-    sigma_hat_base = max_signature(base)
-    computed = max_signature(stepped)
-    return _report("main-recursion", (base, stepped), sigma_hat_base + increment, computed,
-                   sigma_hat_base=sigma_hat_base, increment=increment)
+    return _step("main-recursion", max_signature, p, q, p, p * p // 2, "sigma_hat_base")
 
 
 def check_odd_shift_identity(p: int, q: int) -> IdentityReport:
@@ -172,17 +163,14 @@ class GapWitness:
 def gap_witness(n: int) -> GapWitness:
     """Smallest p such that T(p,2p+1) has max_signature - sigma >= n.
 
-    For this family the gap is p - 2 (even p) or p - 1 (odd p); the witness
-    is re-verified against the actual signature computations.
+    For this family the gap is p - 2 (even p) or p - 1 (odd p), so p is n + 1
+    (even n > 0) or n + 2 (odd n); TorsigError if the signatures disagree.
     """
-    if n < 0:
-        raise InvalidParameter(f"need n >= 0, got {n}")
-    p = 2
-    while True:
-        formula_gap = p - 2 if p % 2 == 0 else p - 1
-        if formula_gap >= n:
-            knot = TorusKnot(p, 2 * p + 1)
-            gap = max_signature(knot) - classical_signature(knot)
-            assert gap == formula_gap
-            return GapWitness(knot, gap)
-        p += 1
+    if not _is_int(n) or n < 0:
+        raise InvalidParameter(f"need an integer n >= 0, got {n!r}")
+    p = 2 if n == 0 else n + 1 + n % 2
+    knot = TorusKnot(p, 2 * p + 1)
+    gap = p - 2 if p % 2 == 0 else p - 1
+    if max_signature(knot) - classical_signature(knot) != gap:
+        raise TorsigError(f"{knot}: max_signature - sigma is not {gap}")
+    return GapWitness(knot, gap)

@@ -123,8 +123,7 @@ class StepFunction:
         self.breakpoints.flags.writeable = False
 
     def max_value(self) -> int:
-        values = self.interval_values + self.breakpoint_values
-        return max(values)
+        return max(self.interval_values)
 
     def argmax_pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Maximizing pieces as open intervals (lo, hi), lo < hi, in order.

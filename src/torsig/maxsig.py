@@ -147,7 +147,10 @@ class RotationReport:
     shift: int
     sequence: tuple[int, ...]
     shifted_sequence: tuple[int, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.shifted_sequence == self.sequence[self.shift:] + self.sequence[:self.shift]
 
 
 def rotation_relation(knot: TorusKnot) -> RotationReport:
@@ -159,10 +162,7 @@ def rotation_relation(knot: TorusKnot) -> RotationReport:
     seq = balanced_sequence(distance_profile(knot))
     seq_other = balanced_sequence(distance_profile(other))
     shift = 0 if p % 2 == 0 else (p - 1) // 2
-    # left shift: entry i of the new sequence is entry i+shift of the old
-    passed = np.array_equal(seq_other, np.roll(seq, -shift))
-    return RotationReport(knot, other, shift, tuple(seq.tolist()), tuple(seq_other.tolist()),
-                          passed)
+    return RotationReport(knot, other, shift, tuple(seq.tolist()), tuple(seq_other.tolist()))
 
 
 def _g4_from_peak(sigma_hat: int) -> int:

@@ -69,8 +69,8 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise InvalidParameter(f"need at least one strand, got {self.strands}")
+        if not _is_int(self.strands) or self.strands < 1:
+            raise InvalidParameter(f"strands must be an integer >= 1, got {self.strands!r}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for g in self.letters:
             if not _is_int(g) or not 1 <= g < self.strands:
@@ -128,7 +128,7 @@ def torus_alexander(knot: TorusKnot) -> tuple[int, ...]:
 # p^2 < 2^52.  A back-substitution row, a mat-vec, a dot product with u and
 # a Berlekamp-Massey discrepancy (its length is at most n, as the sequence
 # obeys charpoly(M)) each add at most n products to one residue: below
-# n(p-1)^2 + p, which `alexander_from_seifert` and `seifert_matrix` keep
+# n(p-1)^2 + p, which `alexander_from_seifert` and `torus_seifert_matrix` keep
 # below 2^63 by rejecting any n above _MAX_RANK (2048).
 
 _PRIMES = (67108859, 67108837, 67108819)
@@ -265,31 +265,24 @@ def _brick_matrix(braid: BraidWord) -> np.ndarray:
     )
 
 
-def seifert_matrix(braid: BraidWord, expected_alexander=None) -> SeifertMatrix:
-    """Seifert matrix of the closure of a positive braid word.
-
-    The closure must be connected (a knot).  When expected_alexander is
-    given, the construction is validated against it: det(A - t*A^T) must
-    match up to sign and a power of t, and a rank too large to validate is
-    refused before any brick is built.
-    """
-    if expected_alexander is not None:
-        _require_rank(len(braid.letters) - braid.strands + 1)
+def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
+    """Seifert matrix of the closure of a positive braid word; the closure must be a knot."""
     components = braid.closure_components()
     if components != 1:
         raise InvalidParameter(f"closure has {components} components, need a knot")
     entries = _brick_matrix(braid)
     assert len(entries) == len(braid.letters) - braid.strands + 1
     entries.flags.writeable = False
-    matrix = SeifertMatrix(entries)
-    if expected_alexander is not None:
-        alexander_from_seifert(matrix, expected_alexander)
-    return matrix
+    return SeifertMatrix(entries)
 
 
 def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
-    """Validated Seifert matrix of the standard torus braid closure."""
-    return seifert_matrix(torus_braid(knot), expected_alexander=torus_alexander(knot))
+    """Validated Seifert matrix of the standard torus braid closure; a rank
+    too large to validate is refused before any brick is built."""
+    _require_rank(knot.seifert_rank())
+    matrix = seifert_matrix(torus_braid(knot))
+    alexander_from_seifert(matrix, torus_alexander(knot))
+    return matrix
 
 
 # --------------------------------------------------------------------------

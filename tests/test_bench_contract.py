@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import torsig.cli  # noqa: F401  (the tracer wraps torsig.cli.main)
-from torsig import lattice, maxsig, oracle
+from torsig import identities, lattice, maxsig, oracle
 from torsig.core import RationalAngle, TorusKnot
 from torsig.lattice import lt_signature
 
@@ -98,3 +98,16 @@ def test_traced_max_signature_counts_the_sequence(spans):
     finally:
         tracer.uninstall()
     assert tracer.counts["maxsig.sequence_len"] == 4
+
+
+def test_traced_identities_count_reports_and_failures(spans):
+    # spans.py reads r.passed, a property computed from expected and computed
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        identities.check_glm(2, 3)
+        identities.check_closed_forms(4)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["identities.reports"] == 4
+    assert tracer.counts["identities.failed"] == 0

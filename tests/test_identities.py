@@ -1,11 +1,19 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import distance_profile_loop, ordering_holds_sorted, sorted_balanced_sequence
-from torsig.core import InvalidParameter, NotCoprime, TorusKnot
+from reference import (
+    distance_profile_loop,
+    gap_witness_search,
+    ordering_holds_sorted,
+    sorted_balanced_sequence,
+)
+from torsig import identities
+from torsig.core import InvalidParameter, NotCoprime, TorsigError, TorusKnot
 from torsig.identities import (
+    IdentityReport,
     check_closed_forms,
     check_even_periodicity,
     check_glm,
@@ -24,6 +32,39 @@ def coprime_pairs(p_max, q_max):
         for q in range(p + 1, q_max + 1)
         if math.gcd(p, q) == 1
     ]
+
+
+class TestRecursionReports:
+    """The three recursions f(T(p,q+s)) = f(T(p,q)) + c share one report shape."""
+
+    @pytest.mark.parametrize(
+        "check,name,kernel,key,p,q,s,increment",
+        [
+            (check_glm, "glm", classical_signature, "sigma_base", 4, 7, 8, 16),
+            (check_glm, "glm", classical_signature, "sigma_base", 3, 5, 6, 8),
+            (check_even_periodicity, "even-periodicity", classical_signature, "sigma_base",
+             4, 7, 4, 8),
+            (check_main_recursion, "main-recursion", max_signature, "sigma_hat_base",
+             4, 7, 4, 8),
+            (check_main_recursion, "main-recursion", max_signature, "sigma_hat_base",
+             5, 12, 5, 12),
+        ],
+    )
+    def test_report_fields(self, check, name, kernel, key, p, q, s, increment):
+        report = check(p, q)
+        base = kernel(TorusKnot(p, q))
+        assert report.identity_name == name
+        assert report.knot_params == ((p, q), (p, q + s))
+        assert report.details == {key: base, "increment": increment}
+        assert report.expected == base + increment
+        assert report.computed == kernel(TorusKnot(p, q + s))
+
+    def test_verdict_is_derived_from_the_values(self):
+        assert "passed" not in {f.name for f in dataclasses.fields(IdentityReport)}
+        report = check_glm(2, 3)
+        assert report.passed
+        assert not dataclasses.replace(report, computed=report.computed + 1).passed
+        assert IdentityReport("x", (), 1, 1).passed and not IdentityReport("x", (), 1, 2).passed
 
 
 class TestGlm:
@@ -168,6 +209,27 @@ class TestGapWitness:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameter):
             gap_witness(-1)
+
+    @pytest.mark.parametrize("n", [True, 2.5, 4.0])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(InvalidParameter):
+            gap_witness(n)
+
+    def test_closed_form_matches_search(self):
+        for n in range(1000):
+            p = gap_witness_search(n)
+            assert gap_witness(n).knot == TorusKnot(p, 2 * p + 1), n
+
+    def test_large_target_without_search(self):
+        witness = gap_witness(10**6)
+        assert witness.knot == TorusKnot(10**6 + 1, 2 * 10**6 + 3)
+        assert witness.gap == 10**6
+
+    def test_signature_mismatch_raises(self, monkeypatch):
+        # an explicit check, so it still runs under python -O
+        monkeypatch.setattr(identities, "max_signature", lambda knot: 0)
+        with pytest.raises(TorsigError, match="T\\(5,11\\)"):
+            gap_witness(4)
 
 
 class TestHugeKnots:

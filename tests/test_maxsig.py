@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ from torsig.core import InvalidParameter, TorusKnot
 from torsig.lattice import classical_signature, signature_step_function
 from torsig.maxsig import (
     DistanceProfile,
+    RotationReport,
     balanced_sequence,
     distance_profile,
     g4_lower_bound,
@@ -329,6 +331,12 @@ class TestRotationRelation:
         report = rotation_relation(TorusKnot(3, 4))
         assert report.passed and report.shift == 1
         assert report.sequence == (-1, 1) and report.shifted_sequence == (1, -1)
+
+    def test_verdict_is_derived_from_the_sequences(self):
+        assert "passed" not in {f.name for f in dataclasses.fields(RotationReport)}
+        report = rotation_relation(TorusKnot(3, 4))
+        assert not dataclasses.replace(report, shifted_sequence=report.sequence).passed
+        assert not dataclasses.replace(report, shift=0).passed
 
     def test_grid(self):
         for p, q in coprime_pairs(14, 30):
