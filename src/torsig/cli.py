@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -41,6 +42,8 @@ SCHEMA_VERSION = "1"
 MAX_MAX_P = 6_000_000
 SWEEP_MAX_PQ = 2_000_000
 TABLE_MAX_ROWS = 100_000
+# `verify --jobs` starts this many worker processes at most (about 40 MB each).
+MAX_JOBS = 32
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,12 +74,6 @@ def _write_output(path: str | None, render) -> int:
 def _sequence_str(entries: np.ndarray) -> str:
     """The +-1 array as "(+1,-1,...)"; every entry is the same three bytes."""
     return "(" + np.where(entries > 0, b"+1,", b"-1,").tobytes()[:-1].decode("ascii") + ")"
-
-
-def _indexed(name: str, keys: np.ndarray, values: np.ndarray) -> str:
-    """Space-separated name[k]=v over paired arrays, formatted by one % call."""
-    pairs = np.stack((keys, values), axis=1).ravel().tolist()
-    return " ".join([f"{name}[%d]=%d"] * len(values)) % tuple(pairs)
 
 
 # --------------------------------------------------------------------------
@@ -137,8 +134,8 @@ def cmd_max(args) -> int:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
         if D.size:
-            print(_indexed("D", js, D))
-            print(_indexed("d", ks, d))
+            print(_rows("D[%d]=%d ", js.tolist(), D.tolist())[:-1])
+            print(_rows("d[%d]=%d ", ks.tolist(), d.tolist())[:-1])
         print(f"sequence={_sequence_str(sequence)}")
         print(f"M={row['M']}")
         print(f"sigma_hat={row['sigma_hat']}")
@@ -167,7 +164,8 @@ def cmd_sweep(args) -> int:
     if knot.p * knot.q > SWEEP_MAX_PQ:
         raise InvalidParameter(f"sweep needs pq <= {SWEEP_MAX_PQ}, got pq = {knot.p * knot.q}")
     step = signature_step_function(knot)
-    ks, pq, values = step.breakpoints, step.denominator, step.interval_values
+    ks, pq = step.breakpoints, step.denominator
+    values, at_points = step.interval_values.tolist(), step.breakpoint_values.tolist()
 
     def render(stream) -> None:
         if args.format == "plot":  # step data with doubled abscissae at the jumps
@@ -181,8 +179,8 @@ def cmd_sweep(args) -> int:
                 "p": knot.p,
                 "q": knot.q,
                 "breakpoints": points,
-                "interval_values": list(values),
-                "breakpoint_values": list(step.breakpoint_values),
+                "interval_values": values,
+                "breakpoint_values": at_points,
             }
             _emit_json(payload, stream)
             return
@@ -191,7 +189,7 @@ def cmd_sweep(args) -> int:
         stream.write("t_lo,t_hi,sigma\n")
         stream.write(_rows("%s,%s,%d\n", bounds, bounds[1:], values))
         stream.write("\nt,sigma\n")
-        stream.write(_rows("%s,%d\n", points, step.breakpoint_values))
+        stream.write(_rows("%s,%d\n", points, at_points))
 
     return _write_output(args.output, render)
 
@@ -267,17 +265,16 @@ def _check_oracle(p: int, q: int, tol: float) -> tuple[bool, str, str]:
     return True, "", ""
 
 
-def _argmax_in_window(pieces, q: int) -> bool:
-    """Whether some maximising open interval meets the window (1/2 - 1/q, 1/2]."""
-    lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
-    return any(a < hi and b > lo for a, b in pieces)
+def _argmax_in_window(pieces, p: int, q: int) -> bool:
+    """Whether some maximising open interval (lo/pq, hi/pq) meets (1/2 - 1/q, 1/2]."""
+    return any(2 * lo < p * q and 2 * hi > p * q - 2 * p for lo, hi in pieces)
 
 
 def _check_brute_max(p: int, q: int, tol: float) -> tuple[bool, str, str]:
     knot = TorusKnot(p, q)
     swept, pieces = oracle.brute_force_max(knot)
     expected = max_signature(knot)
-    in_window = _argmax_in_window(pieces, q)
+    in_window = _argmax_in_window(pieces, p, q)
     return (
         swept == expected and in_window,
         f"{expected} argmax-in-window",
@@ -336,8 +333,8 @@ def _parse_which(chunks) -> set[str]:
 
 def cmd_verify(args) -> int:
     which = _parse_which(args.which)
-    if args.jobs < 1:
-        raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise InvalidParameter(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InvalidParameter(f"--tol must be finite and > 0, got {args.tol}")
     candidates = _table_candidates(args.p_max, args.q_max)
@@ -347,8 +344,16 @@ def cmd_verify(args) -> int:
 
     tasks = _verify_tasks(which, args.p_max, args.q_max, args.tol)
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_verify_task, tasks, chunksize=8))
+        # Spawned workers default to one BLAS thread each; values the caller set win.
+        unset = [v for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS") if v not in os.environ]
+        os.environ.update(dict.fromkeys(unset, "1"))
+        try:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
+                outcomes = list(pool.map(_verify_task, tasks, chunksize=8))
+        finally:
+            for name in unset:
+                os.environ.pop(name, None)
     else:
         outcomes = [_verify_task(t) for t in tasks]
 
@@ -432,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help=f"comma-separated suites from {', '.join(SUITES)} (default: all)",
     )
-    verify.add_argument("--jobs", type=int, default=1, help="worker processes")
+    verify.add_argument("--jobs", type=int, default=1, help=f"worker processes (1 to {MAX_JOBS})")
     verify.add_argument(
         "--tol",
         type=float,

@@ -18,14 +18,14 @@ count there; no averaging of the one-sided limits is implied.
 Counts are exact Python-int floor sums evaluated in O(log(pqb)) steps, so
 `lt_signature` and `classical_signature` take microseconds even at
 p = 10**40.  The step function histograms the pq norms with numpy int64
-arrays, guarded so that no value can wrap, and keeps its breakpoints as
-int64 numerators over the common denominator pq.
+arrays, guarded so that no value can wrap.  It is held in one format,
+int64 arrays: breakpoints and argmax pieces are numerators over the common
+denominator pq, and values are the integers sigma_t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -106,39 +106,40 @@ class StepFunction:
 
     Every jump lies on the grid k/pq, so breakpoints holds the numerators k
     in increasing order as one read-only int64 array over the common
-    denominator pq.  interval_values holds the constant value on each open
-    interval between consecutive breakpoints (including the leading and
-    trailing intervals), so len(interval_values) == len(breakpoints) + 1.
-    breakpoint_values holds the exact value at each breakpoint: the smaller
-    of its two neighbouring interval values, since a jump either loses or
-    gains points, never both.
+    denominator pq.  interval_values, a read-only int64 array too, holds the
+    constant value on each open interval between consecutive breakpoints
+    (including the leading and trailing intervals), so
+    len(interval_values) == len(breakpoints) + 1.  breakpoint_values is
+    derived: the value at a breakpoint is the smaller of its two neighbouring
+    interval values, since a jump either loses or gains points, never both.
     """
 
     breakpoints: np.ndarray
     denominator: int
-    interval_values: tuple[int, ...]
-    breakpoint_values: tuple[int, ...]
+    interval_values: np.ndarray
 
     def __post_init__(self) -> None:
         self.breakpoints.flags.writeable = False
+        self.interval_values.flags.writeable = False
+
+    @property
+    def breakpoint_values(self) -> np.ndarray:
+        v = self.interval_values
+        return np.minimum(v[:-1], v[1:])
 
     def max_value(self) -> int:
-        return max(self.interval_values)
+        return int(self.interval_values.max())
 
-    def argmax_pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Maximizing pieces as open intervals (lo, hi), lo < hi, in order.
+    def argmax_pieces(self) -> np.ndarray:
+        """Maximizing open intervals (lo, hi), lo < hi, in order, as the rows
+        of an (m, 2) int64 array of numerators over the denominator.
 
         The maximum is reached on intervals only: a breakpoint's value is the
-        smaller of its two neighbouring interval values, which differ, so it
-        stays below the larger one.  The intervals are found on the
-        numerators; only they become Fractions.
+        smaller of its two neighbouring interval values, which differ.
         """
-        m = self.max_value()
         bounds = np.concatenate(([0], self.breakpoints, [self.denominator]))
-        intervals = np.flatnonzero(np.asarray(self.interval_values, dtype=np.int64) == m)
-        den = self.denominator
-        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in
-                     zip(bounds[intervals].tolist(), bounds[intervals + 1].tolist()))
+        intervals = np.flatnonzero(self.interval_values == self.max_value())
+        return np.stack((bounds[intervals], bounds[intervals + 1]), axis=1)
 
 
 def signature_step_function(knot: TorusKnot) -> StepFunction:
@@ -157,7 +158,7 @@ def signature_step_function(knot: TorusKnot) -> StepFunction:
     pq = p * q
     rank = (p - 1) * (q - 1)
     if rank == 0:
-        return StepFunction(np.empty(0, dtype=np.int64), pq, (0,), ())
+        return StepFunction(np.empty(0, dtype=np.int64), pq, np.zeros(1, dtype=np.int64))
     if 2 * pq > INT64_MAX:
         raise InvalidParameter(f"{knot}: norms up to 2pq = {2 * pq} overflow int64")
 
@@ -176,8 +177,6 @@ def signature_step_function(knot: TorusKnot) -> StepFunction:
     assert not np.any((lost > 0) & (gained > 0))
 
     jumps = np.flatnonzero(lost + gained)
-    lost, gained = lost[jumps], gained[jumps]
-    after = inside + np.cumsum(gained - lost)
-    interval_values = (2 * inside - rank,) + tuple((2 * after - rank).tolist())
-    breakpoint_values = tuple((2 * (after - gained) - rank).tolist())
-    return StepFunction(jumps + 1, pq, interval_values, breakpoint_values)
+    inside_after = inside + np.cumsum(gained[jumps] - lost[jumps])
+    interval_values = np.concatenate(([inside], inside_after)) * 2 - rank
+    return StepFunction(jumps + 1, pq, interval_values)

@@ -313,13 +313,13 @@ def hermitian_signature(matrix, t: RationalAngle, tol: float = DEFAULT_TOLERANCE
 # sweeps
 
 
-def brute_force_max(knot: TorusKnot) -> tuple[int, tuple]:
+def brute_force_max(knot: TorusKnot) -> tuple[int, np.ndarray]:
     """Maximum of the full signature function and every maximizing piece.
 
-    Pieces are the open intervals (lo, hi) of StepFunction.argmax_pieces.
-    No single breakpoint is a piece: its value is the smaller of its two
-    neighbouring interval values, which differ, so it stays below the
-    maximum.
+    Pieces are the open intervals (lo, hi) of StepFunction.argmax_pieces:
+    an (m, 2) int64 array of numerators over pq.  No single breakpoint is a
+    piece: its value is the smaller of its two neighbouring interval values,
+    which differ, so it stays below the maximum.
     """
     step: StepFunction = signature_step_function(knot)
     return step.max_value(), step.argmax_pieces()

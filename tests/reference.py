@@ -207,7 +207,8 @@ class FractionStep:
     """A step function with its breakpoints as a tuple of Fractions.
 
     The list-based reference form of `torsig.lattice.StepFunction`, whose
-    breakpoints are int64 numerators over pq; this one compares by value.
+    breakpoints, values and argmax pieces are int64 arrays of integers and of
+    numerators over pq; this one holds tuples and compares by value.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -218,7 +219,8 @@ class FractionStep:
     def of(cls, step: StepFunction) -> "FractionStep":
         pq = step.denominator
         points = tuple(Fraction(k, pq) for k in step.breakpoints.tolist())
-        return cls(points, step.interval_values, step.breakpoint_values)
+        return cls(points, tuple(step.interval_values.tolist()),
+                   tuple(step.breakpoint_values.tolist()))
 
     def value_at(self, t: Fraction) -> int:
         """sigma_t by bisection over the breakpoints, for 0 < t < 1."""
@@ -242,6 +244,18 @@ class FractionStep:
                 pieces.append((t, t))
         pieces.sort()
         return tuple(pieces)
+
+
+def pieces_as_fractions(pieces, denominator: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The (m, 2) numerator array of StepFunction.argmax_pieces as Fraction pairs."""
+    return tuple((Fraction(lo, denominator), Fraction(hi, denominator))
+                 for lo, hi in pieces.tolist())
+
+
+def argmax_in_window_fractions(pieces, q: int) -> bool:
+    """Whether some open interval (a, b) of Fractions meets (1/2 - 1/q, 1/2]."""
+    lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
+    return any(a < hi and b > lo for a, b in pieces)
 
 
 def step_function_walk(knot: TorusKnot) -> FractionStep:

@@ -176,8 +176,8 @@ def test_criterion_8_oracle_equivalence():
             swept, pieces = brute_force_max(knot)
             lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
             in_window = any(
-                (a < b and a < hi and b > lo) or (a == b and lo < a <= hi)
-                for a, b in pieces
+                Fraction(a, p * q) < hi and Fraction(b, p * q) > lo
+                for a, b in pieces.tolist()
             )
             if swept != max_signature(knot) or not in_window:
                 ok, detail = False, f" sweep mismatch at T({p},{q})"

@@ -1,14 +1,19 @@
 import importlib
 import json
+import math
+import os
+import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from reference import argmax_in_window_fractions, pieces_as_fractions
 from torsig import cli, oracle
-from torsig.cli import MAX_MAX_P, SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
+from torsig.cli import MAX_JOBS, MAX_MAX_P, SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
 from torsig.core import RationalAngle, TorusKnot
+from torsig.lattice import signature_step_function
 
 
 def run(capsys, *argv):
@@ -166,6 +171,42 @@ class TestVerify:
     def test_nonpositive_jobs_exit_2(self, capsys, jobs):
         code, out, err = run(capsys, "verify", "--which", "glm", "--jobs", jobs)
         assert code == 2 and out == "" and "--jobs" in err
+
+    @pytest.mark.parametrize("jobs", [MAX_JOBS + 1, 100_000])
+    def test_jobs_above_cap_exit_2_before_any_task(self, capsys, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify started work for an over-cap --jobs")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(cli, "_verify_task", refuse)
+        code, out, err = run(capsys, "verify", "--which", "glm", "--jobs", str(jobs))
+        assert code == 2 and out == ""
+        assert "--jobs" in err and str(MAX_JOBS) in err
+
+    def test_jobs_at_cap_accepted(self, capsys, monkeypatch):
+        built = []
+
+        class SerialPool:
+            """Stands in for the process pool and runs every task in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                built.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        args = ["verify", "--p-max", "4", "--q-max", "7", "--which", "glm"]
+        code1, out1, _ = run(capsys, *args, "--jobs", "1")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code, out, _ = run(capsys, *args, "--jobs", str(MAX_JOBS))
+        assert code == code1 == 0 and out == out1
+        assert built == [(MAX_JOBS, "spawn")]
 
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(
@@ -341,8 +382,8 @@ class TestVerifyFailureRows:
             value, pieces = real(knot)
             lies = {
                 (2, 5): (value + 2, pieces),
-                (3, 4): (value, ((Fraction(1, 10), Fraction(1, 4)),)),  # ends at 1/2 - 1/q
-                (3, 5): (value, ((Fraction(3, 10), Fraction(3, 10)),)),  # the point 1/2 - 1/q
+                (3, 4): (value, np.array([[1, 3]])),  # (1/12, 1/4) ends at 1/2 - 1/q
+                (3, 5): (value, np.array([[8, 10]])),  # (8/15, 2/3) starts above 1/2
             }
             return lies.get((knot.p, knot.q), (value, pieces))
 
@@ -390,3 +431,74 @@ class TestVerifyFailureRows:
             (3, 4, "6 argmax-in-window", "6 no"),
             (3, 5, "8 argmax-in-window", "8 no"),
         ]
+
+
+class TestArgmaxWindow:
+    def test_integer_window_agrees_with_fractions(self):
+        """Every unit grid piece, every interval and the argmax pieces of each
+        step function, tested in integers and in Fractions."""
+        for p in range(1, 16):
+            for q in range(p, 31):
+                if math.gcd(p, q) != 1:
+                    continue
+                step = signature_step_function(TorusKnot(p, q))
+                bounds = [0, *step.breakpoints.tolist(), p * q]
+                pieces = [step.argmax_pieces()]
+                pieces += [np.array([[k, k + 1]]) for k in range(p * q)]
+                pieces += [np.array([[a, b]]) for a, b in zip(bounds, bounds[1:])]
+                for piece in pieces:
+                    expected = argmax_in_window_fractions(pieces_as_fractions(piece, p * q), q)
+                    assert cli._argmax_in_window(piece, p, q) == expected, (p, q, piece)
+
+
+class TestWorkerPool:
+    """`verify --jobs N` workers are spawned with one BLAS thread each."""
+
+    BLAS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    ARGS = ("verify", "--p-max", "4", "--q-max", "7", "--which", "glm", "--jobs", "2")
+
+    @pytest.fixture
+    def worker_env(self, monkeypatch):
+        """The BLAS variables one worker of verify's own pool sees."""
+        seen = []
+
+        class Probe(cli.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                seen.append([self.submit(os.getenv, name).result(timeout=120)
+                             for name in TestWorkerPool.BLAS])
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Probe)
+        for name in self.BLAS:
+            monkeypatch.delenv(name, raising=False)
+        return seen
+
+    def test_workers_default_to_one_blas_thread(self, capsys, worker_env):
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0 and "result=PASS" in out
+        assert worker_env == [["1", "1"]]
+
+    def test_caller_setting_wins(self, capsys, monkeypatch, worker_env):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        code, _, _ = run(capsys, *self.ARGS)
+        assert code == 0 and worker_env == [["3", "1"]]
+
+    def test_environment_left_as_it_was(self, capsys, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        before = dict(os.environ)
+        code, _, _ = run(capsys, *self.ARGS)
+        assert code == 0 and dict(os.environ) == before
+
+    def test_spawned_run_matches_serial_run_in_a_subprocess(self):
+        """`python -m torsig` under spawn: torsig/__main__.py has no __name__
+        guard, so a worker that re-ran it would start a second verify."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "torsig", "verify", "--p-max", "6", "--q-max", "12",
+                "--which", "glm,oracle"]
+        one, two = (subprocess.run(argv + ["--jobs", jobs], capture_output=True, env=env,
+                                   timeout=300) for jobs in ("1", "2"))
+        assert one.returncode == two.returncode == 0, two.stderr
+        assert one.stdout == two.stdout and b"result=PASS" in one.stdout

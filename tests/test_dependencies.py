@@ -37,3 +37,9 @@ def test_src_imports_only_stdlib_numpy_and_torsig():
     stray = [(f.name, root) for f in files for root in imported_roots(f.read_text())
              if root not in ALLOWED]
     assert not stray, stray
+
+
+def test_src_holds_rationals_as_integers_not_fractions():
+    """The step function is int64 numerators over pq from kernel to CLI bytes."""
+    users = [f.name for f in sorted(SRC.glob("*.py")) if "fractions" in imported_roots(f.read_text())]
+    assert not users, users

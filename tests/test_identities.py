@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -176,6 +177,18 @@ class TestClosedForms:
     def test_range(self):
         for p in range(2, 61):
             assert all(r.passed for r in check_closed_forms(p)), p
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_p_below_2_refused(self, p):
+        with pytest.raises(InvalidParameter, match="p >= 2"):
+            check_closed_forms(p)
+
+    def test_ordering_rejects_kinds_in_the_wrong_order(self):
+        D = np.array([5, 3])  # decreasing, as even p requires
+        assert identities._ordering_holds(4, D, np.array([1, 1, -1, -1]))
+        assert identities._ordering_holds(5, D, np.array([-1, -1, 1, 1]))
+        for p, kinds in ((4, [-1, -1, 1, 1]), (4, [1, -1, 1, -1]), (5, [1, 1, -1, -1])):
+            assert not identities._ordering_holds(p, D, np.array(kinds)), (p, kinds)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5000))

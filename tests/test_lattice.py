@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from reference import (
     classical_signature_loop,
     floor_sum_naive,
     lt_signature_columns,
+    pieces_as_fractions,
     step_function_walk,
 )
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
@@ -211,8 +213,8 @@ class TestStepFunction:
             values[Fraction(k, 2 * pq)] = 2 * counts.inside - knot.seifert_rank()
         step = signature_step_function(knot)
         assert step.breakpoints.tolist() == [1, 5] and step.denominator == 6
-        assert step.interval_values == (0, 2, 0)
-        assert step.breakpoint_values == (0, 0)
+        assert step.interval_values.tolist() == [0, 2, 0]
+        assert step.breakpoint_values.tolist() == [0, 0]
         for t, sigma in values.items():
             assert FractionStep.of(step).value_at(t) == sigma
 
@@ -245,8 +247,9 @@ class TestStepFunction:
 
     def test_unknot_step(self):
         step = signature_step_function(TorusKnot(1, 4))
-        assert len(step.breakpoints) == 0 and step.interval_values == (0,)
-        assert step.argmax_pieces() == ((Fraction(0), Fraction(1)),)
+        assert len(step.breakpoints) == 0 and step.interval_values.tolist() == [0]
+        assert step.max_value() == 0 and type(step.max_value()) is int
+        assert step.argmax_pieces().tolist() == [[0, step.denominator]]
 
     def test_breakpoints_are_one_read_only_int64_array(self):
         step = signature_step_function(TorusKnot(4, 7))
@@ -255,18 +258,33 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             step.breakpoints[0] = 0
 
+    def test_step_function_holds_three_fields_and_derives_breakpoint_values(self):
+        step = signature_step_function(TorusKnot(4, 7))
+        assert [f.name for f in dataclasses.fields(step)] == [
+            "breakpoints", "denominator", "interval_values"]
+        values = step.interval_values
+        assert isinstance(values, np.ndarray) and values.dtype == np.int64
+        with pytest.raises(ValueError):
+            values[0] = 0
+        with pytest.raises(AttributeError):
+            step.breakpoint_values = values[1:]
+        assert step.breakpoint_values.tolist() == np.minimum(values[:-1], values[1:]).tolist()
+
     def test_matches_list_walk_on_grid(self):
         for p in range(1, 16):
             for q in range(p, 31):
                 if math.gcd(p, q) == 1:
                     knot = TorusKnot(p, q)
-                    step = FractionStep.of(signature_step_function(knot))
-                    assert step == step_function_walk(knot), (p, q)
+                    step = signature_step_function(knot)
+                    assert step.interval_values.dtype == np.int64, (p, q)
+                    assert FractionStep.of(step) == step_function_walk(knot), (p, q)
 
     @settings(max_examples=25, deadline=None)
     @given(coprime_knots(60))
     def test_matches_list_walk_sampled(self, knot):
-        assert FractionStep.of(signature_step_function(knot)) == step_function_walk(knot)
+        step = signature_step_function(knot)
+        assert FractionStep.of(step) == step_function_walk(knot)
+        assert step.max_value() == max(step_function_walk(knot).interval_values)
 
     def test_argmax_pieces_match_list_reference_on_grid(self):
         for p in range(1, 16):
@@ -274,8 +292,10 @@ class TestStepFunction:
                 if math.gcd(p, q) == 1:
                     knot = TorusKnot(p, q)
                     pieces = signature_step_function(knot).argmax_pieces()
-                    assert pieces == step_function_walk(knot).argmax_pieces(), (p, q)
-                    assert all(type(t) is Fraction for piece in pieces for t in piece)
+                    assert pieces.dtype == np.int64 and pieces.shape[1:] == (2,), (p, q)
+                    assert np.all(pieces[:, 0] < pieces[:, 1]), (p, q)
+                    assert (pieces_as_fractions(pieces, p * q)
+                            == step_function_walk(knot).argmax_pieces()), (p, q)
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(2, 2**53 - 1).flatmap(lambda pq: st.tuples(st.integers(1, pq - 1),

@@ -315,7 +315,8 @@ class TestMaxSignature:
         for p, q in coprime_pairs(10, 24):
             step = signature_step_function(TorusKnot(p, q))
             lo, hi = Fraction(1, 2) - Fraction(1, q), Fraction(1, 2)
-            hit = any(a < hi and b > lo for a, b in step.argmax_pieces())
+            hit = any(Fraction(a, p * q) < hi and Fraction(b, p * q) > lo
+                      for a, b in step.argmax_pieces().tolist())
             assert hit, (p, q)
 
 
