@@ -34,14 +34,12 @@ from .maxsig import (
     rotation_relation,
 )
 from .identities import (
-    GapWitness,
     IdentityReport,
     check_closed_forms,
     check_even_periodicity,
     check_glm,
     check_main_recursion,
     check_odd_shift_identity,
-    gap_witness,
 )
 from .oracle import (
     BraidWord,

@@ -12,19 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidParameter, TorsigError, TorusKnot, _is_int
+from .core import InvalidParameter, TorusKnot
 from .lattice import classical_signature
 from .maxsig import balanced_sequence, distance_profile, max_signature
 
 __all__ = [
     "IdentityReport",
-    "GapWitness",
     "check_glm",
     "check_even_periodicity",
     "check_main_recursion",
     "check_odd_shift_identity",
     "check_closed_forms",
-    "gap_witness",
 ]
 
 
@@ -151,26 +149,3 @@ def check_closed_forms(p: int) -> list[IdentityReport]:
                            sequence=tuple(sequence.tolist())))
     return reports
 
-
-@dataclass(frozen=True)
-class GapWitness:
-    """Smallest-p witness that max_signature - sigma reaches a target."""
-
-    knot: TorusKnot
-    gap: int
-
-
-def gap_witness(n: int) -> GapWitness:
-    """Smallest p such that T(p,2p+1) has max_signature - sigma >= n.
-
-    For this family the gap is p - 2 (even p) or p - 1 (odd p), so p is n + 1
-    (even n > 0) or n + 2 (odd n); TorsigError if the signatures disagree.
-    """
-    if not _is_int(n) or n < 0:
-        raise InvalidParameter(f"need an integer n >= 0, got {n!r}")
-    p = 2 if n == 0 else n + 1 + n % 2
-    knot = TorusKnot(p, 2 * p + 1)
-    gap = p - 2 if p % 2 == 0 else p - 1
-    if max_signature(knot) - classical_signature(knot) != gap:
-        raise TorsigError(f"{knot}: max_signature - sigma is not {gap}")
-    return GapWitness(knot, gap)

@@ -2,14 +2,15 @@
 
 Builds the Seifert matrix of a positive braid closure from its brick
 decomposition, checks it against the exact cyclotomic Alexander polynomial
-modulo three primes, and evaluates the signature numerically as the sign
-count of the Hermitian form (1-w)A + (1-conj(w))A^T.  None of this shares
-code with `torsig.lattice` or `torsig.maxsig`, which is the point.
+modulo one prime (exactly for torus knots, whose monodromy has finite order),
+and evaluates the signature numerically as the sign count of the Hermitian
+form (1-w)A + (1-conj(w))A^T.  None of this shares code with `torsig.lattice`
+or `torsig.maxsig`, which is the point.
 
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
-ones).  So det A = +-1, and the pencil det(A - t*A^T) mod each prime needs
-only one stacked back-substitution and a Krylov sequence per prime.
+ones).  So det A = +-1, the monodromy M = A^{-1}A^T is an integer matrix, and
+det(A - t*A^T) mod the prime needs one back-substitution and a sparse Krylov pass.
 
 The brick matrix is one read-only int64 array built by broadcasting.  Its
 sign convention (a wrong one silently computes the mirror knot) is fixed so
@@ -21,6 +22,7 @@ the lattice engine a wrong global sign.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 
@@ -114,42 +116,59 @@ def torus_alexander(knot: TorusKnot) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# det(A - t*A^T) checked modulo word-size primes
+# det(A - t*A^T) checked modulo one prime, and exactly through M's order
 #
-# A pass proves det(A - t*A^T) = +-Delta coefficientwise modulo each of
-# three primes below 2^26, with one sign for all three, so modulo their
-# product (about 2^78).  It proves exact equality only while every pencil
-# coefficient is below half the product.  Hadamard's bound on
-# |det(A - t*A^T)| over |t| = 1, taken from the row norms of |A| + |A^T|,
-# guarantees this only for small ranks: up to n = 48 on the default
-# `verify` grid, whose largest rank is 198.
+# det(A - t*A^T) = det A * det(I - tM) with M = A^{-1}A^T, and
+# `alexander_from_seifert` proves it = +-expected modulo _PRIME.  For T(p,q),
+# M is the monodromy of the Milnor fibre of x^p + y^q, of order pq (Milnor,
+# Singular Points of Complex Hypersurfaces, 1968), and `torus_seifert_matrix`
+# checks M^{pq} = I.  So charpoly(M) is a product of Phi_d^{m_d} over d | pq,
+# as is Delta with exponents 0 or 1 (reversal changes a Phi_d at most by sign).
+# Within _MAX_RANK, pq <= 2 * 2049 < _PRIME, so t^{pq} - 1 is squarefree mod
+# _PRIME and the Phi_d are pairwise coprime there: the congruence fixes every
+# m_d, and det(A - t*A^T) = +-Delta holds exactly.
 #
-# Every intermediate stays below 2^63: residues are below p, products below
-# p^2 < 2^52.  A back-substitution row, a mat-vec, a dot product with u and
-# a Berlekamp-Massey discrepancy (its length is at most n, as the sequence
-# obeys charpoly(M)) each add at most n products to one residue: below
-# n(p-1)^2 + p, which `alexander_from_seifert` and `torus_seifert_matrix` keep
-# below 2^63 by rejecting any n above _MAX_RANK (2048).
+# Each step is exact.  Entries of A and M below _ENTRY_BOUND = 2^21 keep a
+# back-substitution row below n 2^42 + 2^21 < 2^63.  An order-check factor
+# with n * entry^2 < 2^53 (as M is at n <= 2^11) keeps every partial sum of
+# its product an integer below 2^53.  Mod _PRIME, a mat-vec row, a dot product
+# and a Berlekamp-Massey discrepancy (its length is at most n) add at most n
+# products below _PRIME^2 to a residue, which n <= _MAX_RANK keeps below 2^63.
 
-_PRIMES = (67108859, 67108837, 67108819)
-_MODULI = np.array(_PRIMES, dtype=np.int64)[:, None]
-_MAX_RANK = (2**63 - 1) // (max(_PRIMES) - 1) ** 2
+_PRIME = 67108859
+_MAX_RANK = (2**63 - 1) // (_PRIME - 1) ** 2
+_ENTRY_BOUND = 2**21
 _KRYLOV_TRIES = 3
 
 
 def _require_rank(n: int) -> None:
-    if n > _MAX_RANK:
-        raise InvalidParameter(f"rank {n} is too large for exact int64 arithmetic")
+    if not 0 <= n <= _MAX_RANK:
+        raise InvalidParameter(f"rank {n} is not in [0, {_MAX_RANK}]: not a knot, or too large")
 
 
-def _monodromy_mod(a: np.ndarray) -> np.ndarray:
-    """M = A^{-1} A^T modulo each prime, one (3, n, n) stack, by back-substitution
-    on the upper-triangular A: M[k] = A[k,k] (A^T[k] - A[k,k+1:] M[k+1:])."""
-    m = np.ascontiguousarray(a.T % _MODULI[:, :, None])
+def _monodromy(a: np.ndarray) -> np.ndarray:
+    """M = A^{-1} A^T, exactly, by back-substitution over the nonzeros of each
+    row of the upper-triangular A: M[k] = A[k,k] (A^T[k] - A[k,nz] M[nz])."""
+    m = a.T.copy()
     for k in range(len(a) - 1, -1, -1):
-        row = a[k, k + 1 :] % _MODULI
-        m[:, k] = a[k, k] * (m[:, k] - np.einsum("pj,pjc->pc", row, m[:, k + 1 :])) % _MODULI
+        nz = k + 1 + np.flatnonzero(a[k, k + 1 :])
+        m[k] = a[k, k] * (m[k] - a[k, nz] @ m[nz])
+        if (np.abs(m[k]) >= _ENTRY_BOUND).any():
+            raise ValidationFailure(f"row {k} of A^-1 A^T has an entry of 2^21 or more")
     return m
+
+
+def _require_order(m: np.ndarray, order: int) -> None:
+    """Raise ValidationFailure unless m^order = I: exact float64 binary powering, a squaring
+    ("s") for each bit after the top one, then a product with m ("m") if it is 1."""
+    limit = math.isqrt((2**53 - 1) // max(len(m), 1))
+    base = power = m.astype(float)
+    for step in "".join("s" + "m" * int(bit) for bit in bin(order)[3:]):
+        if not ((np.abs(power) <= limit) & (power == np.round(power))).all():
+            raise ValidationFailure("a power of A^-1 A^T leaves the exact float64 range")
+        power = power @ (power if step == "s" else base)
+    if not np.array_equal(power, np.eye(len(m))):
+        raise ValidationFailure(f"(A^-1 A^T)^{order} is not the identity")
 
 
 def _minpoly_mod(s: np.ndarray, p: int) -> np.ndarray:
@@ -176,52 +195,58 @@ def _minpoly_mod(s: np.ndarray, p: int) -> np.ndarray:
     return c[: length + 1]
 
 
-def alexander_from_seifert(matrix, expected) -> None:
-    """Raise ValidationFailure unless det(A - t*A^T) = +-expected modulo each
-    of the three primes, with one sign for all (see the comment above
-    `_PRIMES`).  expected is read up to a power of t: zeros at both ends are
-    dropped, and what is left must have n + 1 coefficients.
+def alexander_from_seifert(matrix, expected) -> np.ndarray:
+    """Return M = A^{-1}A^T, read-only int64, if det(A - t*A^T) = +-expected
+    modulo _PRIME with one sign for all coefficients; else ValidationFailure.
+    This congruence is all for a general braid; `torus_seifert_matrix` makes
+    it exact by checking M^{pq} = I (see above `_PRIME`).  expected is read up
+    to a power of t: zeros at both ends are dropped, n + 1 ints must remain.
 
-    A must be an upper-triangular integer matrix with diagonal +-1, which
-    is every matrix `seifert_matrix` builds; anything else, or a rank too
-    large for the int64 bound, raises InvalidParameter.  Then the pencil is
-    det(A), the product of the diagonal, times det(I - tM), M = A^{-1}A^T,
-    which Berlekamp-Massey on u^T M^i v (i < 2n) finds once it reaches
-    degree n.  u and v come from random.Random(n), so no result depends on
-    the process; a shortfall is retried with fresh ones, _KRYLOV_TRIES times.
+    A must be an upper-triangular integer matrix with diagonal +-1 and
+    entries below 2^21, as every `seifert_matrix` is; anything else (float,
+    bool or object entries, too large a rank) raises InvalidParameter.  The
+    pencil is det(A), the product of the diagonal, times det(I - tM), which
+    Berlekamp-Massey on u^T M^i v (i < 2n, M held sparse) finds once it
+    reaches degree n.  u and v come from random.Random(n), so no result
+    depends on the process; a shortfall is retried _KRYLOV_TRIES times.
 
-    Degree n needs minpoly(M) = charpoly(M) mod p, so a matrix whose pencil
-    has a repeated factor, such as (1 - t + t^2 - t^3 + t^4)^2, can fail
-    even when the pencil is right.  A torus knot never does: its Alexander
-    polynomial divides t^{pq} - 1, which has no repeated roots mod a prime
-    that does not divide pq.
+    Degree n needs minpoly(M) = charpoly(M) mod _PRIME, so a pencil with a
+    repeated factor, such as (1 - t + t^2 - t^3 + t^4)^2, can fail even when
+    it is right; a torus knot's cannot, as Delta divides t^{pq} - 1.
     """
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=np.int64)
+    a, expected = np.asarray(getattr(matrix, "entries", matrix)), tuple(expected)
+    if not (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)
+            and all(map(_is_int, expected))):
+        raise InvalidParameter(f"need integer entries and int coefficients: {a.dtype}, {expected}")
     n = len(a)
-    if a.shape != (n, n) or np.tril(a, -1).any() or (np.abs(a.diagonal()) != 1).any():
-        raise InvalidParameter("need a square upper-triangular matrix with diagonal +-1")
+    if (a.shape != (n, n) or np.tril(a, -1).any() or (np.abs(a.diagonal()) != 1).any()
+            or a.min(initial=0) <= -_ENTRY_BOUND or a.max(initial=0) >= _ENTRY_BOUND):
+        raise InvalidParameter("need square upper-triangular A, diagonal +-1, entries below 2^21")
     _require_rank(n)
-    m, rng = _monodromy_mod(a), random.Random(n)
+    a = a.astype(np.int64)
+    m, rng = _monodromy(a), random.Random(n)
+    # det M = 1, so every row of M has a nonzero and starts a segment of them
+    rows, cols = np.nonzero(m)
+    values, starts = m[rows, cols] % _PRIME, np.searchsorted(rows, np.arange(n))
     for _ in range(_KRYLOV_TRIES):
-        u, w = (np.array([[rng.randrange(p) for _ in range(n)] for p in _PRIMES],
-                         dtype=np.int64) for _ in range(2))
-        s = np.empty((len(_PRIMES), 2 * n), dtype=np.int64)
+        u, w = (np.array([rng.randrange(_PRIME) for _ in range(n)], np.int64) for _ in range(2))
+        s = np.empty(2 * n, dtype=np.int64)
         for i in range(2 * n):
-            s[:, i] = np.einsum("pj,pj->p", u, w) % _MODULI[:, 0]
-            w = np.einsum("pjk,pk->pj", m, w) % _MODULI
-        polys = [_minpoly_mod(row, p) for row, p in zip(s, _PRIMES)]
-        short = [(p, len(c) - 1) for p, c in zip(_PRIMES, polys) if len(c) <= n]
-        if not short:
+            s[i] = u @ w % _PRIME
+            w = np.add.reduceat(values * w[cols], starts) % _PRIME
+        c = _minpoly_mod(s, _PRIME)
+        if len(c) > n:
             break
     else:
-        raise ValidationFailure("Krylov sequence mod %d reaches degree %d, not %d" % (*short[0], n))
-    pencil = np.prod(a.diagonal()) * np.array(polys) % _MODULI
-    target = np.trim_zeros(list(expected))
-    residues = np.array([[int(x) % p for x in target] for p in _PRIMES], dtype=np.int64)
+        raise ValidationFailure(f"Krylov mod {_PRIME} reaches degree {len(c) - 1}, not {n}")
+    pencil = np.prod(a.diagonal()) * c % _PRIME
+    residues = np.array([x % _PRIME for x in np.trim_zeros(expected)], dtype=np.int64)
     if residues.shape != pencil.shape or not (
-        (pencil == residues).all() or (pencil == -residues % _MODULI).all()
+        (pencil == residues).all() or (pencil == -residues % _PRIME).all()
     ):
-        raise ValidationFailure(f"det(A - tA^T) is not +-{tuple(expected)} modulo {_PRIMES}")
+        raise ValidationFailure(f"det(A - tA^T) is not +-{expected} modulo {_PRIME}")
+    m.flags.writeable = False
+    return m
 
 
 # --------------------------------------------------------------------------
@@ -266,22 +291,23 @@ def _brick_matrix(braid: BraidWord) -> np.ndarray:
 
 
 def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the closure of a positive braid word; the closure must be a knot."""
+    """Seifert matrix of a positive braid closure, which must be a knot of rank <= _MAX_RANK."""
+    rank = len(braid.letters) - braid.strands + 1
+    _require_rank(rank)  # a knot needs strands - 1 letters or more
     components = braid.closure_components()
     if components != 1:
         raise InvalidParameter(f"closure has {components} components, need a knot")
     entries = _brick_matrix(braid)
-    assert len(entries) == len(braid.letters) - braid.strands + 1
+    assert len(entries) == rank
     entries.flags.writeable = False
     return SeifertMatrix(entries)
 
 
 def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
-    """Validated Seifert matrix of the standard torus braid closure; a rank
-    too large to validate is refused before any brick is built."""
+    """Seifert matrix of the torus braid closure, det(A - tA^T) = +-Delta proved exactly."""
     _require_rank(knot.seifert_rank())
     matrix = seifert_matrix(torus_braid(knot))
-    alexander_from_seifert(matrix, torus_alexander(knot))
+    _require_order(alexander_from_seifert(matrix, torus_alexander(knot)), knot.p * knot.q)
     return matrix
 
 

@@ -193,15 +193,6 @@ def ordering_holds_sorted(p: int, profile: DictProfile, kinds: tuple[int, ...]) 
     return True
 
 
-def gap_witness_search(n: int) -> int:
-    """Smallest p >= 2 whose T(p,2p+1) gap, p - 2 (even p) or p - 1 (odd p),
-    is at least n, found by trying p = 2, 3, ... in turn."""
-    p = 2
-    while (p - 2 if p % 2 == 0 else p - 1) < n:
-        p += 1
-    return p
-
-
 @dataclass(frozen=True)
 class FractionStep:
     """A step function with its breakpoints as a tuple of Fractions.

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from reference import (
     distance_profile_loop,
-    gap_witness_search,
     ordering_holds_sorted,
     sorted_balanced_sequence,
 )
 from torsig import identities
-from torsig.core import InvalidParameter, NotCoprime, TorsigError, TorusKnot
+from torsig.core import InvalidParameter, NotCoprime, TorusKnot
 from torsig.identities import (
     IdentityReport,
     check_closed_forms,
@@ -20,7 +19,6 @@ from torsig.identities import (
     check_glm,
     check_main_recursion,
     check_odd_shift_identity,
-    gap_witness,
 )
 from torsig.lattice import classical_signature
 from torsig.maxsig import max_signature
@@ -200,49 +198,6 @@ class TestClosedForms:
         assert report.details["sequence"] == kinds
         assert report.computed == int(ordering_holds_sorted(p, profile, kinds))
         assert report.passed
-
-
-class TestGapWitness:
-    @pytest.mark.parametrize(
-        "n,p,q,gap",
-        [(0, 2, 5, 0), (4, 5, 11, 4), (2, 3, 7, 2)],
-    )
-    def test_examples(self, n, p, q, gap):
-        witness = gap_witness(n)
-        assert witness.knot == TorusKnot(p, q)
-        assert witness.gap == gap
-
-    def test_gap_verified_by_signatures(self):
-        for n in range(0, 12):
-            witness = gap_witness(n)
-            assert witness.gap >= n
-            actual = max_signature(witness.knot) - classical_signature(witness.knot)
-            assert actual == witness.gap
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameter):
-            gap_witness(-1)
-
-    @pytest.mark.parametrize("n", [True, 2.5, 4.0])
-    def test_non_integer_rejected(self, n):
-        with pytest.raises(InvalidParameter):
-            gap_witness(n)
-
-    def test_closed_form_matches_search(self):
-        for n in range(1000):
-            p = gap_witness_search(n)
-            assert gap_witness(n).knot == TorusKnot(p, 2 * p + 1), n
-
-    def test_large_target_without_search(self):
-        witness = gap_witness(10**6)
-        assert witness.knot == TorusKnot(10**6 + 1, 2 * 10**6 + 3)
-        assert witness.gap == 10**6
-
-    def test_signature_mismatch_raises(self, monkeypatch):
-        # an explicit check, so it still runs under python -O
-        monkeypatch.setattr(identities, "max_signature", lambda knot: 0)
-        with pytest.raises(TorsigError, match="T\\(5,11\\)"):
-            gap_witness(4)
 
 
 class TestHugeKnots:

@@ -1,6 +1,11 @@
+import inspect
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from torsig.lattice import classical_signature, lt_signature
 from torsig.maxsig import max_signature
 from torsig import oracle
 from torsig.oracle import (
-    _PRIMES,
+    _PRIME,
     BraidWord,
     NearSingular,
     ValidationFailure,
@@ -122,13 +127,18 @@ def associates(f, g):
     return f == g or f == [-x for x in g]
 
 
-def crt(residues):
-    """The integer in [0, product of _PRIMES) with these residues modulo _PRIMES."""
-    x, modulus = 0, 1
-    for r, p in zip(residues, _PRIMES):
-        x += modulus * ((r - x) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return x
+def flipped_interleave(knot):
+    """The brick matrix of the torus braid with its first +1 off the diagonal,
+    which only the interleave rule makes, turned to -1."""
+    entries = seifert_matrix(torus_braid(knot)).entries.copy()
+    entries[tuple(np.argwhere(np.triu(entries, 1) == 1)[0])] = -1
+    return entries
+
+
+def validate_as_torus(entries, knot):
+    """What `torus_seifert_matrix` checks, on a given matrix: the congruence
+    modulo _PRIME and M^{pq} = I."""
+    oracle._require_order(alexander_from_seifert(entries, torus_alexander(knot)), knot.p * knot.q)
 
 
 def assert_validates_exactly(matrix, pencil):
@@ -241,12 +251,13 @@ class TestSeifertMatrix:
         for braid in random_knot_braids(seed=9604, count=40):
             matrix = seifert_matrix(braid)
             pencil = pencil_det_bruteforce(matrix.entries)
+            assert set(oracle._monodromy(matrix.entries).flat) <= {-1, 0, 1}, braid
             try:
                 assert_validates_exactly(matrix, pencil)
             except ValidationFailure:
                 # the Krylov sequence falls short of degree n only when
                 # minpoly(M) != charpoly(M), which needs a repeated root
-                assert any(has_repeated_root_mod(pencil, p) for p in _PRIMES), braid
+                assert has_repeated_root_mod(pencil, _PRIME), braid
                 refused += 1
         assert refused == 1  # pencil (1 - t + t^2 - t^3 + t^4)^2
 
@@ -264,10 +275,16 @@ class TestSeifertMatrix:
 
 class TestAlexanderContract:
     def test_primes_are_prime_and_fit_the_int64_bound(self):
-        assert len(set(_PRIMES)) == 3
-        for p in _PRIMES:
-            assert p < 2**26
-            assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        # prime, below 2^26, and above pq for every torus knot within
+        # _MAX_RANK, so that it never divides pq
+        assert _PRIME < 2**26
+        assert all(_PRIME % d for d in range(2, math.isqrt(_PRIME) + 1))
+        largest_pq = max(
+            p * q
+            for p in range(2, oracle._MAX_RANK + 2)
+            for q in range(p + 1, oracle._MAX_RANK // (p - 1) + 2)
+        )
+        assert largest_pq == 2 * 2049 < _PRIME
 
     @pytest.mark.parametrize(
         "entries",
@@ -296,36 +313,30 @@ class TestAlexanderContract:
             torus_seifert_matrix(TorusKnot(47, 59))
 
     def test_rank_limit_is_the_int64_bound(self):
-        assert oracle._MAX_RANK == 2048
-        assert oracle._MAX_RANK * (max(_PRIMES) - 1) ** 2 < 2**63
-        assert (oracle._MAX_RANK + 1) * (max(_PRIMES) - 1) ** 2 >= 2**63
+        n, bound = oracle._MAX_RANK, oracle._ENTRY_BOUND
+        assert n == 2048
+        assert n * (_PRIME - 1) ** 2 < 2**63 <= (n + 1) * (_PRIME - 1) ** 2
         # a Berlekamp-Massey discrepancy: at most n products plus one residue
-        for p in _PRIMES:
-            assert oracle._MAX_RANK * (p - 1) ** 2 + p < 2**63
+        assert n * (_PRIME - 1) ** 2 + _PRIME < 2**63
+        # a back-substitution row: n products of entries plus one entry
+        assert n * (bound - 1) ** 2 + bound < 2**63
+        # every M that is built passes the order check's float64 factor test
+        assert n * (bound - 1) ** 2 < 2**53
 
     def test_flipped_interleave_sign_rejected(self):
         knot = TorusKnot(7, 20)
-        entries = seifert_matrix(torus_braid(knot)).entries.copy()
-        # +1 off the diagonal comes only from the interleave rule
-        entries[tuple(np.argwhere(np.triu(entries, 1) == 1)[0])] = -1
         with pytest.raises(ValidationFailure):
-            alexander_from_seifert(entries, torus_alexander(knot))
+            alexander_from_seifert(flipped_interleave(knot), torus_alexander(knot))
 
     def test_one_sign_for_all_primes(self):
+        # one sign for all coefficients: +Delta on the even powers of t and
+        # -Delta on the odd ones fails
         knot = TorusKnot(3, 4)
-        # +Delta modulo the first prime, -Delta modulo the other two
-        mixed = [crt((c, -c, -c)) for c in torus_alexander(knot)]
+        delta = torus_alexander(knot)
+        mixed = [c if k % 2 == 0 else -c for k, c in enumerate(delta)]
+        assert any(c for c in delta[::2]) and any(c for c in delta[1::2])
         with pytest.raises(ValidationFailure):
             alexander_from_seifert(seifert_matrix(torus_braid(knot)), mixed)
-
-    @pytest.mark.parametrize("index", range(3))
-    def test_every_prime_is_checked(self, index):
-        knot = TorusKnot(3, 4)
-        # Delta modulo every prime except the one at index, where t^2 is off by one
-        target = list(torus_alexander(knot))
-        target[2] = crt([target[2] + (i == index) for i in range(3)])
-        with pytest.raises(ValidationFailure):
-            alexander_from_seifert(seifert_matrix(torus_braid(knot)), target)
 
     def test_short_sequence_retried_with_fresh_vectors(self, monkeypatch):
         matrix = seifert_matrix(torus_braid(TorusKnot(3, 4)))
@@ -337,20 +348,73 @@ class TestAlexanderContract:
 
         monkeypatch.setattr(oracle, "_minpoly_mod", short_once)
         alexander_from_seifert(matrix, torus_alexander(TorusKnot(3, 4)))
-        assert len(sequences) == 6 and not np.array_equal(sequences[0], sequences[3])
+        assert len(sequences) == 2 and not np.array_equal(sequences[0], sequences[1])
 
     def test_gives_up_after_three_tries(self, monkeypatch):
         matrix = seifert_matrix(torus_braid(TorusKnot(3, 4)))
         calls, real = [], oracle._minpoly_mod
 
-        def short_mod_second(s, p):
+        def always_short(s, p):
             calls.append(p)
-            return real(s, p)[: 3 if p == _PRIMES[1] else None]
+            return real(s, p)[:3]
 
-        monkeypatch.setattr(oracle, "_minpoly_mod", short_mod_second)
-        with pytest.raises(ValidationFailure, match=f"mod {_PRIMES[1]} reaches degree 2, not 6"):
+        monkeypatch.setattr(oracle, "_minpoly_mod", always_short)
+        with pytest.raises(ValidationFailure, match=f"mod {_PRIME} reaches degree 2, not 6"):
             alexander_from_seifert(matrix, torus_alexander(TorusKnot(3, 4)))
-        assert calls == list(_PRIMES) * 3
+        assert calls == [_PRIME] * 3
+
+    @pytest.mark.parametrize(
+        "entries,expected",
+        [
+            ([[1, -1.0], [0, 1]], (1, -1, 1)),  # float entries of the trefoil's value
+            ([[1, -1.4], [0, 1]], (1, -1, 1)),  # float entries, truncated before
+            (np.eye(2, dtype=bool), (1, -2, 1)),  # bool entries
+            (np.array([[1, -1], [0, 1]], dtype=object), (1, -1, 1)),  # object entries
+            ([[1, -1], [0, 1]], (1, -1.5, 1)),  # a float coefficient
+            ([[1, -1], [0, 1]], (True, -1, True)),  # bool coefficients
+            ([[1, -1], [0, 1]], (1, np.int64(-1), 1)),  # a numpy coefficient
+        ],
+        ids=["float", "fraction", "bool", "object", "float-coeff", "bool-coeff", "numpy-coeff"],
+    )
+    def test_non_integer_input_refused(self, entries, expected):
+        with pytest.raises(InvalidParameter):
+            alexander_from_seifert(entries, expected)
+
+    def test_entry_of_a_over_the_bound_refused(self):
+        with pytest.raises(InvalidParameter, match="below 2\\^21"):
+            alexander_from_seifert([[1, -(2**21)], [0, 1]], (1, 0, 1))
+
+    def test_entry_of_m_over_the_bound_fails(self):
+        # A = [[1, -k], [0, 1]] gives M = [[1 - k^2, k], [-k, 1]]
+        with pytest.raises(ValidationFailure, match="row 0"):
+            alexander_from_seifert([[1, -(2**11)], [0, 1]], (1, -(2**22) + 2, 1))
+
+    def test_returns_the_exact_monodromy(self):
+        a = seifert_matrix(torus_braid(TorusKnot(5, 12))).entries
+        m = alexander_from_seifert(a, torus_alexander(TorusKnot(5, 12)))
+        assert m.dtype == np.int64 and not m.flags.writeable
+        assert np.array_equal(a @ m, a.T)
+        assert set(m.flat) <= {-1, 0, 1}
+
+    def test_braid_too_short_for_a_knot_refused_before_the_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked or built a braid that cannot close to a knot")
+
+        monkeypatch.setattr(oracle, "_brick_matrix", refuse)
+        monkeypatch.setattr(BraidWord, "closure_components", refuse)
+        with pytest.raises(InvalidParameter, match="rank -1"):
+            seifert_matrix(BraidWord(5, (1, 2, 3)))
+        with pytest.raises(InvalidParameter, match="rank -1"):
+            seifert_matrix(BraidWord(2, ()))
+
+    def test_over_rank_braid_refused_before_the_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked or built an over-rank braid")
+
+        monkeypatch.setattr(oracle, "_brick_matrix", refuse)
+        monkeypatch.setattr(BraidWord, "closure_components", refuse)
+        with pytest.raises(InvalidParameter, match="rank 2050"):
+            seifert_matrix(BraidWord(2, (1,) * 2051))
 
     def test_negative_diagonal_accepted(self):
         raw = -torus_seifert_matrix(TorusKnot(3, 4)).entries
@@ -358,8 +422,103 @@ class TestAlexanderContract:
         assert_validates_exactly(raw, pencil_det_bruteforce(raw.tolist()))
 
 
+# Checks that torus_seifert_matrix's refusals hold with asserts stripped; prints
+# one line per case, the exception class name or "passed".
+_REFUSALS = """
+assert False, "asserts are live: run with python -O"
+from torsig.core import TorusKnot
+from torsig import oracle
+from test_oracle import flipped_interleave, validate_as_torus
+knot = TorusKnot(7, 20)
+m = oracle.alexander_from_seifert(oracle.seifert_matrix(oracle.torus_braid(knot)),
+                                  oracle.torus_alexander(knot))
+real = oracle.alexander_from_seifert
+def negated(matrix, expected):
+    return -real(matrix, expected)
+def odd_order_negated():
+    oracle.alexander_from_seifert = negated  # (-M)^{pq} = -I for odd pq
+    try:
+        oracle.torus_seifert_matrix(TorusKnot(3, 5))
+    finally:
+        oracle.alexander_from_seifert = real
+cases = {
+    "flipped-entry": lambda: validate_as_torus(flipped_interleave(knot), knot),
+    "order-pq-minus-1": lambda: oracle._require_order(m, knot.p * knot.q - 1),
+    "torus-order": odd_order_negated,
+}
+for name, case in cases.items():
+    try:
+        case()
+        print(name, "passed")
+    except Exception as error:
+        print(name, type(error).__name__)
+"""
+
+
+class TestExactValidation:
+    LADDER = [(10, 23), (13, 31), (17, 37), (20, 53)]
+
+    def test_rank_ladder_validates(self):
+        for p, q in self.LADDER:
+            knot = TorusKnot(p, q)
+            matrix = torus_seifert_matrix(knot)
+            assert matrix.size == knot.seifert_rank()
+            m = alexander_from_seifert(matrix, torus_alexander(knot))
+            assert set(m.flat) <= {-1, 0, 1}, (p, q)
+
+    @pytest.mark.parametrize("p,q", [(7, 20), (13, 31)])
+    def test_flipped_entry_fails(self, p, q):
+        with pytest.raises(ValidationFailure):
+            validate_as_torus(flipped_interleave(TorusKnot(p, q)), TorusKnot(p, q))
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (7, 20), (10, 23)])
+    def test_order_is_exactly_pq(self, p, q):
+        knot = TorusKnot(p, q)
+        m = alexander_from_seifert(seifert_matrix(torus_braid(knot)), torus_alexander(knot))
+        oracle._require_order(m, p * q)
+        with pytest.raises(ValidationFailure, match="not the identity"):
+            oracle._require_order(m, p * q - 1)
+
+    def test_torus_seifert_matrix_checks_the_order(self, monkeypatch):
+        real = oracle.alexander_from_seifert
+        # -M passes the congruence check's place, but (-M)^15 = -I
+        monkeypatch.setattr(oracle, "alexander_from_seifert", lambda a, e: -real(a, e))
+        with pytest.raises(ValidationFailure, match="\\^15 is not the identity"):
+            torus_seifert_matrix(TorusKnot(3, 5))
+
+    @pytest.mark.parametrize("m", [[[2**27]], [[0.5]], [[float("nan")]]])
+    def test_inexact_factor_refused(self, m):
+        with pytest.raises(ValidationFailure, match="exact float64 range"):
+            oracle._require_order(np.array(m), 2)
+
+    def test_congruent_target_is_only_a_congruence(self):
+        knot = TorusKnot(3, 5)
+        matrix = seifert_matrix(torus_braid(knot))
+        delta = torus_alexander(knot)
+        congruent = [c + _PRIME * (k == 2) for k, c in enumerate(delta)]
+        alexander_from_seifert(matrix, congruent)  # passes: equal modulo _PRIME
+        assert associates(pencil_det_bruteforce(matrix.entries), delta)
+        assert not associates(congruent, delta)
+        # torus_seifert_matrix takes no target, so such a one cannot reach it
+        assert list(inspect.signature(torus_seifert_matrix).parameters) == ["knot"]
+
+    def test_refusals_hold_without_asserts(self):
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        run = subprocess.run([sys.executable, "-O", "-c", _REFUSALS],
+                             capture_output=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
+        assert run.stdout.decode().split("\n") == [
+            "flipped-entry ValidationFailure",
+            "order-pq-minus-1 ValidationFailure",
+            "torus-order ValidationFailure",
+            "",
+        ]
+
+
 def random_square_matrices(seed, count, max_n=30):
-    """Seeded integer matrices: dense ones with entries below the primes, small
+    """Seeded integer matrices: dense ones with entries below the prime, small
     ones, and sparse ones, which are often singular with a repeated root of
     the characteristic polynomial at 0."""
     rng = random.Random(seed)
@@ -368,7 +527,7 @@ def random_square_matrices(seed, count, max_n=30):
         n = rng.randint(0, max_n)
         kind = index % 3
         if kind == 0:
-            rows = [[rng.randrange(max(_PRIMES)) for _ in range(n)] for _ in range(n)]
+            rows = [[rng.randrange(_PRIME) for _ in range(n)] for _ in range(n)]
         elif kind == 1:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         else:
@@ -405,7 +564,7 @@ class TestMinpolyMod:
         [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
     ]
 
-    @pytest.mark.parametrize("p", _PRIMES)
+    @pytest.mark.parametrize("p", [_PRIME])
     def test_krylov_sequences_against_interpolation(self, p):
         rng = random.Random(p)
         short = 0
