@@ -24,14 +24,12 @@ from .lattice import (
 )
 from .maxsig import (
     DistanceProfile,
-    RotationReport,
     balanced_sequence,
     distance_profile,
     g4_lower_bound,
     knot_max_cyclic_sum,
     max_cyclic_sum,
     max_signature,
-    rotation_relation,
 )
 from .identities import (
     IdentityReport,
@@ -49,8 +47,8 @@ from .oracle import (
     alexander_from_seifert,
     brute_force_max,
     hermitian_signature,
+    oracle_step_function,
     seifert_matrix,
-    signature_cross_check,
     torus_alexander,
     torus_braid,
     torus_seifert_matrix,

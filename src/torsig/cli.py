@@ -258,10 +258,16 @@ def _check_closed_forms(p: int, q: int, tol: float) -> tuple[bool, str, str]:
 
 
 def _check_oracle(p: int, q: int, tol: float) -> tuple[bool, str, str]:
-    """Lattice against Hermitian signature; a failure shows the first mismatch."""
-    for t, a, b in oracle.signature_cross_check(TorusKnot(p, q), tol=tol):
-        if a != b:
-            return False, f"sigma_{t}={a}", f"sigma_{t}={b}"
+    """Lattice against oracle step function; a failure shows the first midpoint that differs."""
+    knot, pq = TorusKnot(p, q), p * q
+    lattice, numeric = signature_step_function(knot), oracle.oracle_step_function(knot, tol=tol)
+    a, b = (f.interval_values[np.searchsorted(f.breakpoints, np.arange(pq), "right")]
+            for f in (lattice, numeric))
+    differ = np.flatnonzero(a != b)
+    if differ.size:
+        k = int(differ[0])
+        t = RationalAngle(2 * k + 1, 2 * pq)
+        return False, f"sigma_{t}={a[k]}", f"sigma_{t}={b[k]}"
     return True, "", ""
 
 
@@ -442,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=oracle.DEFAULT_TOLERANCE,
-        help="oracle eigenvalue tolerance, finite and > 0 (default %(default)s)",
+        help="oracle leakage and jump-slope bound, finite and > 0 (default %(default)s)",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)

@@ -34,13 +34,11 @@ from .lattice import INT64_MAX, classical_signature
 
 __all__ = [
     "DistanceProfile",
-    "RotationReport",
     "distance_profile",
     "balanced_sequence",
     "max_cyclic_sum",
     "knot_max_cyclic_sum",
     "max_signature",
-    "rotation_relation",
     "g4_lower_bound",
 ]
 
@@ -132,37 +130,6 @@ def knot_max_cyclic_sum(knot: TorusKnot) -> int:
 def max_signature(knot: TorusKnot) -> int:
     """Peak value of the signature function: sigma + 2M."""
     return classical_signature(knot) + 2 * knot_max_cyclic_sum(knot)
-
-
-@dataclass(frozen=True)
-class RotationReport:
-    """Outcome of comparing the sequences of T(p,q) and T(p,q+p).
-
-    For even p the two balanced sequences coincide; for odd p the second
-    is the first read starting (p-1)/2 entries later (cyclic left shift).
-    """
-
-    knot: TorusKnot
-    shifted_knot: TorusKnot
-    shift: int
-    sequence: tuple[int, ...]
-    shifted_sequence: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.shifted_sequence == self.sequence[self.shift:] + self.sequence[:self.shift]
-
-
-def rotation_relation(knot: TorusKnot) -> RotationReport:
-    """Check how the balanced sequence transforms under q -> q + p."""
-    p, q = knot.p, knot.q
-    if p < 2:
-        raise InvalidParameter("rotation relation needs p >= 2")
-    other = TorusKnot(p, q + p)
-    seq = balanced_sequence(distance_profile(knot))
-    seq_other = balanced_sequence(distance_profile(other))
-    shift = 0 if p % 2 == 0 else (p - 1) // 2
-    return RotationReport(knot, other, shift, tuple(seq.tolist()), tuple(seq_other.tolist()))
 
 
 def _g4_from_peak(sigma_hat: int) -> int:

@@ -3,9 +3,12 @@
 Builds the Seifert matrix of a positive braid closure from its brick
 decomposition, checks it against the exact cyclotomic Alexander polynomial
 modulo one prime (exactly for torus knots, whose monodromy has finite order),
-and evaluates the signature numerically as the sign count of the Hermitian
-form (1-w)A + (1-conj(w))A^T.  None of this shares code with `torsig.lattice`
-or `torsig.maxsig`, which is the point.
+and reads the whole signature function off the monodromy M = A^{-1}A^T: the
+real FFT of one exact Krylov sequence M^j v projects v onto the eigenvectors
+of M, and the jump formula at the roots of Delta (Matumoto 1977,
+Gambaudo-Ghys 2005) gives each jump of sigma as the sign of one quadratic
+form.  None of this shares code with `torsig.lattice` or `torsig.maxsig`,
+which is the point.
 
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
@@ -15,7 +18,7 @@ det(A - t*A^T) mod the prime needs one back-substitution and a sparse Krylov pas
 The brick matrix is one read-only int64 array built by broadcasting.  Its
 sign convention (a wrong one silently computes the mirror knot) is fixed so
 that sigma(T(2,3)) = +2 and pinned by tests: the Alexander-polynomial check
-catches wrong linking patterns, the comparison of Hermitian signatures with
+catches wrong linking patterns, the comparison of signature functions with
 the lattice engine a wrong global sign.
 """
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidParameter, RationalAngle, TorsigError, TorusKnot, _is_int
-from .lattice import StepFunction, lt_signature, signature_step_function
+from .lattice import StepFunction, signature_step_function
 
 __all__ = [
     "ValidationFailure",
@@ -43,12 +46,11 @@ __all__ = [
     "alexander_from_seifert",
     "hermitian_signature",
     "brute_force_max",
-    "signature_cross_check",
+    "oracle_step_function",
     "DEFAULT_TOLERANCE",
 ]
 
 DEFAULT_TOLERANCE = 1e-8
-_MIDPOINT_SAMPLES = 25
 
 
 class ValidationFailure(TorsigError):
@@ -56,7 +58,7 @@ class ValidationFailure(TorsigError):
 
 
 class NearSingular(TorsigError):
-    """An eigenvalue sits too close to zero to count its sign safely."""
+    """A numeric margin (eigenvalue, leakage or jump slope) is too thin to trust a sign."""
 
 
 # --------------------------------------------------------------------------
@@ -303,12 +305,18 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
     return SeifertMatrix(entries)
 
 
-def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
-    """Seifert matrix of the torus braid closure, det(A - tA^T) = +-Delta proved exactly."""
+def _validated_monodromy(knot: TorusKnot) -> tuple[SeifertMatrix, np.ndarray]:
+    """(A, M) of the torus braid closure, det(A - tA^T) = +-Delta and M^{pq} = I proved."""
     _require_rank(knot.seifert_rank())
     matrix = seifert_matrix(torus_braid(knot))
-    _require_order(alexander_from_seifert(matrix, torus_alexander(knot)), knot.p * knot.q)
-    return matrix
+    m = alexander_from_seifert(matrix, torus_alexander(knot))
+    _require_order(m, knot.p * knot.q)
+    return matrix, m
+
+
+def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
+    """Seifert matrix of the torus braid closure, det(A - tA^T) = +-Delta proved exactly."""
+    return _validated_monodromy(knot)[0]
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +329,8 @@ def hermitian_signature(matrix, t: RationalAngle, tol: float = DEFAULT_TOLERANCE
     One complex Hermitian eigen-solve of size n.  Any eigenvalue smaller
     than tol times the largest magnitude raises NearSingular: the caller
     should pick a different t (midpoints between candidate jumps are always
-    safe), never round.
+    safe), never round.  `verify` no longer calls it: tests keep it as the
+    slow reference for `oracle_step_function`.
     """
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
     if a.size == 0:
@@ -351,29 +360,47 @@ def brute_force_max(knot: TorusKnot) -> tuple[int, np.ndarray]:
     return step.max_value(), step.argmax_pieces()
 
 
-def midpoint_sample(knot: TorusKnot) -> list[RationalAngle]:
-    """Deterministic pseudo-random sample of midpoint angles (2k+1)/(2pq).
+def oracle_step_function(knot: TorusKnot, tol: float = DEFAULT_TOLERANCE) -> StepFunction:
+    """The whole signature function of T(p,q) from its validated monodromy M alone.
 
-    Midpoints fall strictly between candidate jump abscissae, so the
-    Hermitian form is nonsingular there.  The seed depends only on (p, q);
-    results are independent of evaluation order and process layout.
+    M^{pq} = I, so row k of the real FFT x of the exact Krylov sequence
+    y_j = M^j v (j < pq, v nonzero from random.Random(n)) has M x_k =
+    e^{2 pi i k/pq} x_k: an eigenvector for a simple root of Delta if p, q do
+    not divide k, else zero up to rounding.  Then A^T x = lambda A x, and as
+    t passes k/pq one eigenvalue of the Hermitian form crosses zero with slope
+    -2 Im(x* A x): sigma jumps by 2 if Im(x* A x) < 0, else by -2.  Rows above
+    pq/2 are conjugates with negated jumps, and sigma = 0 on (0, 1/pq).
+
+    NearSingular unless each non-root |x_k|^2 is below tol times the least
+    root row's, and each root row's |Im(x* A x)| / |x|^2 is above tol times
+    the largest.  ValidationFailure if y_{pq} != v, or if an entry of y reaches
+    2^31: with n <= 2^11 and |M| < 2^21, every row sum before it is below 2^63.
     """
-    pq = knot.p * knot.q
-    rng = random.Random(1_000_003 * knot.p + knot.q)
-    ks = sorted(rng.sample(range(pq), min(_MIDPOINT_SAMPLES, pq)))
-    return [RationalAngle(2 * k + 1, 2 * pq) for k in ks]
-
-
-def signature_cross_check(
-    knot: TorusKnot, tol: float = DEFAULT_TOLERANCE
-) -> list[tuple[RationalAngle, int, int]]:
-    """Compare the lattice engine and the Hermitian oracle at sampled angles.
-
-    Returns (t, lattice value, oracle value) triples; the Seifert matrix is
-    validated against the cyclotomic Alexander polynomial on the way.
-    """
-    matrix = torus_seifert_matrix(knot)
-    return [
-        (t, lt_signature(knot, t), hermitian_signature(matrix, t, tol))
-        for t in midpoint_sample(knot)
-    ]
+    matrix, m = _validated_monodromy(knot)
+    a, n, pq = matrix.entries, matrix.size, knot.p * knot.q
+    rows, cols = np.nonzero(m)
+    values, starts = m[rows, cols], np.searchsorted(rows, np.arange(n))
+    y = np.empty((pq + 1, n), dtype=np.int64)
+    y[0] = random.Random(n).choices(range(1, 64), k=n)
+    for j in range(pq):
+        y[j + 1] = np.add.reduceat(values * y[j, cols], starts)
+    if np.abs(y).max(initial=0) >= 2**31:  # the first such entry is exact, so it is caught
+        raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
+    if not np.array_equal(y[pq], y[0]):
+        raise ValidationFailure(f"(A^-1 A^T)^{pq} v is not v")
+    x = np.fft.rfft(y[:pq], axis=0)
+    k = np.arange(len(x))
+    root = (k % knot.p != 0) & (k % knot.q != 0)
+    norms = (x.real**2 + x.imag**2).sum(axis=1)
+    if not norms[~root].max(initial=0.0) < tol * norms[root].min(initial=np.inf):
+        raise NearSingular(f"a non-root row of rfft(M^j v) is not below {tol} times every root row")
+    x, k, norms = x[root], k[root], norms[root]
+    a_rows, a_cols = np.nonzero(a)
+    form = ((x[:, a_rows].conj() * x[:, a_cols]) @ a[a_rows, a_cols]).imag  # Im(x* A x)
+    margin = np.abs(form) / norms
+    if not margin.min(initial=np.inf) > tol * margin.max(initial=0.0):
+        t = RationalAngle(int(k[margin.argmin()]), pq)
+        raise NearSingular(f"jump slope at t = {t} is not above {tol} times the largest")
+    jumps = np.where(form < 0, 2, -2)
+    steps = np.concatenate(([0], jumps, -jumps[::-1]))
+    return StepFunction(np.concatenate((k, pq - k[::-1])), pq, np.cumsum(steps))

@@ -3,7 +3,9 @@
 Each function here computes the same quantity as a production kernel by a
 deliberately different and simpler route (point-by-point or column-by-column
 loops, sorting, a list-based walk).  The tests compare the kernels against
-these; nothing in `src/` imports this module.
+these; nothing in `src/` imports this module.  It also keeps
+`rotation_relation`, the q -> q + p rotation of the balanced sequence, which
+no `verify` suite runs.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from torsig.core import RationalAngle, TorusKnot
+from torsig.core import InvalidParameter, RationalAngle, TorusKnot
 from torsig.lattice import StepFunction
-from torsig.maxsig import DistanceProfile
+from torsig.maxsig import DistanceProfile, balanced_sequence, distance_profile
 from torsig.oracle import BraidWord
 
 
@@ -191,6 +193,37 @@ def ordering_holds_sorted(p: int, profile: DictProfile, kinds: tuple[int, ...]) 
         by_index = [profile.D[j] for j in sorted(profile.D, reverse=True)]
         return by_index == sorted(by_index)
     return True
+
+
+@dataclass(frozen=True)
+class RotationReport:
+    """Outcome of comparing the sequences of T(p,q) and T(p,q+p).
+
+    For even p the two balanced sequences coincide; for odd p the second
+    is the first read starting (p-1)/2 entries later (cyclic left shift).
+    """
+
+    knot: TorusKnot
+    shifted_knot: TorusKnot
+    shift: int
+    sequence: tuple[int, ...]
+    shifted_sequence: tuple[int, ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.shifted_sequence == self.sequence[self.shift:] + self.sequence[:self.shift]
+
+
+def rotation_relation(knot: TorusKnot) -> RotationReport:
+    """Check how the balanced sequence transforms under q -> q + p."""
+    p, q = knot.p, knot.q
+    if p < 2:
+        raise InvalidParameter("rotation relation needs p >= 2")
+    other = TorusKnot(p, q + p)
+    seq = balanced_sequence(distance_profile(knot))
+    seq_other = balanced_sequence(distance_profile(other))
+    shift = 0 if p % 2 == 0 else (p - 1) // 2
+    return RotationReport(knot, other, shift, tuple(seq.tolist()), tuple(seq_other.tolist()))
 
 
 @dataclass(frozen=True)

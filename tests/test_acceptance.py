@@ -5,6 +5,8 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from reference import annulus_count
 from torsig.cli import main as cli_main
 from torsig.core import RationalAngle, TorusKnot
@@ -14,14 +16,13 @@ from torsig.identities import (
     check_glm,
     check_main_recursion,
 )
-from torsig.lattice import classical_signature, lt_signature
+from torsig.lattice import classical_signature, lt_signature, signature_step_function
 from torsig.maxsig import balanced_sequence, distance_profile, max_signature
 from torsig.oracle import (
+    NearSingular,
     ValidationFailure,
     brute_force_max,
-    hermitian_signature,
-    midpoint_sample,
-    torus_seifert_matrix,
+    oracle_step_function,
 )
 
 
@@ -158,16 +159,15 @@ def test_criterion_8_oracle_equivalence():
     ]
     for p, q in knots:
         knot = TorusKnot(p, q)
-        try:
-            matrix = torus_seifert_matrix(knot)  # checks det(A - tA^T) = +-Delta
-        except ValidationFailure:
-            ok, detail = False, f" pencil mismatch at T({p},{q})"
+        try:  # validates det(A - tA^T) = +-Delta and M^{pq} = I on the way
+            numeric = oracle_step_function(knot, tol)
+        except (ValidationFailure, NearSingular) as error:
+            ok, detail = False, f" oracle refused T({p},{q}): {error}"
             break
-        for t in midpoint_sample(knot):
-            if hermitian_signature(matrix, t, tol) != lt_signature(knot, t):
-                ok, detail = False, f" signature mismatch at T({p},{q}), t={t}"
-                break
-        if not ok:
+        lattice = signature_step_function(knot)
+        if not (np.array_equal(numeric.breakpoints, lattice.breakpoints)
+                and np.array_equal(numeric.interval_values, lattice.interval_values)):
+            ok, detail = False, f" signature function mismatch at T({p},{q})"
             break
 
     if ok:
@@ -185,7 +185,7 @@ def test_criterion_8_oracle_equivalence():
 
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
-    finish(8, "Hermitian oracle, Alexander validation, sweep maximum, "
+    finish(8, "oracle signature function, Alexander validation, sweep maximum, "
               "maximizer window", ok, detail + f" ({elapsed:.1f}s)")
 
 

@@ -13,7 +13,7 @@ from reference import argmax_in_window_fractions, pieces_as_fractions
 from torsig import cli, oracle
 from torsig.cli import MAX_JOBS, MAX_MAX_P, SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
 from torsig.core import RationalAngle, TorusKnot
-from torsig.lattice import signature_step_function
+from torsig.lattice import StepFunction, signature_step_function
 
 
 def run(capsys, *argv):
@@ -258,7 +258,7 @@ class TestVerify:
         code1, out1, _ = run(capsys, *args, "--jobs", "1")
         code2, out2, _ = run(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 1
-        assert out1 == out2 and "error: eigenvalue within 10.0" in out1
+        assert out1 == out2 and "times the largest" in out1 and "jump slope at t = 1/6" in out1
 
     def test_registry_orders_rows_and_counts(self, capsys):
         code, out, _ = run(capsys, "verify", "--p-max", "5", "--q-max", "9",
@@ -363,16 +363,18 @@ class TestVerifyFailureRows:
     GRID = ("--p-max", "3", "--q-max", "5", "--jobs", "1")
 
     @pytest.fixture
-    def lying_cross_check(self, monkeypatch):
+    def lying_oracle(self, monkeypatch):
         def fake(knot, tol=oracle.DEFAULT_TOLERANCE):
-            pq2 = 2 * knot.p * knot.q
+            step = signature_step_function(knot)
             if knot == TorusKnot(2, 3):
-                return [(RationalAngle(1, pq2), 0, 0)]
+                return step
+            # interval 1 is wrong from its first midpoint on, and so is interval 3:
             # the first mismatch is reported, the later one is not
-            return [(RationalAngle(1, pq2), 0, 0), (RationalAngle(3, pq2), knot.p, knot.q),
-                    (RationalAngle(5, pq2), 7, 8)]
+            values = step.interval_values.copy()
+            values[1], values[3] = knot.q, 7
+            return StepFunction(step.breakpoints, step.denominator, values)
 
-        monkeypatch.setattr(oracle, "signature_cross_check", fake)
+        monkeypatch.setattr(oracle, "oracle_step_function", fake)
 
     @pytest.fixture
     def lying_brute_max(self, monkeypatch):
@@ -389,18 +391,19 @@ class TestVerifyFailureRows:
 
         monkeypatch.setattr(oracle, "brute_force_max", fake)
 
-    def test_oracle_mismatch_text(self, capsys, lying_cross_check):
+    def test_oracle_mismatch_text(self, capsys, lying_oracle):
         code, out, _ = run(capsys, "verify", "--which", "oracle", *self.GRID)
         assert code == 1
+        # interval 1 starts at the first root of Delta: 1/10, 1/12 and 1/15
         assert out == (
             "suite=oracle checked=4 failed=3\n"
             "FAIL suite=oracle p=2 q=5 expected=sigma_3/20=2 computed=sigma_3/20=5\n"
-            "FAIL suite=oracle p=3 q=4 expected=sigma_1/8=3 computed=sigma_1/8=4\n"
-            "FAIL suite=oracle p=3 q=5 expected=sigma_1/10=3 computed=sigma_1/10=5\n"
+            "FAIL suite=oracle p=3 q=4 expected=sigma_1/8=2 computed=sigma_1/8=4\n"
+            "FAIL suite=oracle p=3 q=5 expected=sigma_1/10=2 computed=sigma_1/10=5\n"
             "result=FAIL\n"
         )
 
-    def test_oracle_mismatch_json(self, capsys, lying_cross_check):
+    def test_oracle_mismatch_json(self, capsys, lying_oracle):
         code, out, _ = run(capsys, "verify", "--which", "oracle", "--format", "json", *self.GRID)
         payload = json.loads(out)
         assert code == 1

@@ -12,24 +12,24 @@ from hypothesis import given, settings, strategies as st
 
 from reference import (
     DictProfile,
+    RotationReport,
     distance_profile_loop,
     geometric_distance_profile,
     max_cyclic_sum_loop,
     max_signature_sorted,
+    rotation_relation,
     sorted_balanced_sequence,
 )
 from torsig.core import InvalidParameter, TorusKnot
 from torsig.lattice import classical_signature, signature_step_function
 from torsig.maxsig import (
     DistanceProfile,
-    RotationReport,
     balanced_sequence,
     distance_profile,
     g4_lower_bound,
     knot_max_cyclic_sum,
     max_cyclic_sum,
     max_signature,
-    rotation_relation,
 )
 
 

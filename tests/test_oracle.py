@@ -4,14 +4,17 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torsig.cli import main
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
-from torsig.lattice import classical_signature, lt_signature
+from torsig.lattice import classical_signature, lt_signature, signature_step_function
 from torsig.maxsig import max_signature
 from torsig import oracle
 from torsig.oracle import (
@@ -22,8 +25,8 @@ from torsig.oracle import (
     alexander_from_seifert,
     brute_force_max,
     hermitian_signature,
+    oracle_step_function,
     seifert_matrix,
-    signature_cross_check,
     torus_alexander,
     torus_braid,
     torus_seifert_matrix,
@@ -666,13 +669,166 @@ class TestBruteForceMax:
             assert brute_force_max(knot)[0] == max_signature(knot), (p, q)
 
 
+def same_function(a, b):
+    return (a.denominator == b.denominator
+            and np.array_equal(a.breakpoints, b.breakpoints)
+            and np.array_equal(a.interval_values, b.interval_values))
+
+
+def midpoint_values(step):
+    """sigma at each midpoint (2k+1)/(2pq), k < pq, read off a step function."""
+    ks = np.arange(step.denominator)
+    return step.interval_values[np.searchsorted(step.breakpoints, ks, "right")]
+
+
+class Zeros(random.Random):
+    """A random.Random whose choices are all 0."""
+
+    def choices(self, population, weights=None, *, cum_weights=None, k=1):
+        return [0] * k
+
+
+def with_zero_start(validated):
+    """_validated_monodromy, after which the oracle's start vector is zero."""
+
+    def patched(knot):
+        result = validated(knot)
+        oracle.random = types.SimpleNamespace(Random=Zeros)
+        return result
+
+    return patched
+
+
+def with_negated_monodromy(validated):
+    """_validated_monodromy returning -M: (-M)^{pq} v = -v for odd pq."""
+    return lambda knot: (lambda a, m: (a, -m))(*validated(knot))
+
+
 class TestCrossCheck:
+    """The `verify` oracle route: the oracle step function against the lattice."""
+
     def test_small_grid(self):
         for p, q in coprime_pairs(5, 9):
-            for t, lattice_value, oracle_value in signature_cross_check(TorusKnot(p, q)):
-                assert lattice_value == oracle_value, (p, q, str(t))
+            knot = TorusKnot(p, q)
+            assert same_function(oracle_step_function(knot), signature_step_function(knot)), (p, q)
 
     def test_deterministic_sampling(self):
-        a = signature_cross_check(TorusKnot(3, 8))
-        b = signature_cross_check(TorusKnot(3, 8))
-        assert a == b
+        a = oracle_step_function(TorusKnot(3, 8))
+        b = oracle_step_function(TorusKnot(3, 8))
+        assert same_function(a, b)
+
+
+class TestOracleStepFunction:
+    def test_trefoil_sign_is_pinned(self):
+        step = oracle_step_function(TorusKnot(2, 3))
+        assert step.denominator == 6 and step.breakpoints.tolist() == [1, 5]
+        assert step.interval_values.tolist() == [0, 2, 0]  # +2 at 1/6, 0 on (0, 1/6)
+
+    def test_integer_arrays(self):
+        step = oracle_step_function(TorusKnot(4, 7))
+        assert step.breakpoints.dtype == step.interval_values.dtype == np.int64
+        assert not step.breakpoints.flags.writeable
+
+    def test_matches_lattice_on_verify_grid(self, capsys):
+        """All 491 knots of coprime_pairs(20, 53), through the `verify` checker,
+        which compares the whole functions; two workers halve its 45 s."""
+        argv = ["verify", "--which", "oracle", "--p-max", "20", "--q-max", "53", "--jobs", "2"]
+        code = main(argv)
+        assert capsys.readouterr().out == "suite=oracle checked=491 failed=0\nresult=PASS\n"
+        assert code == 0
+
+    @pytest.mark.parametrize("p,q", TestExactValidation.LADDER)
+    def test_matches_lattice_on_rank_ladder(self, p, q):
+        knot = TorusKnot(p, q)
+        step = oracle_step_function(knot)
+        assert len(step.breakpoints) == knot.seifert_rank()  # one jump per root of Delta
+        assert same_function(step, signature_step_function(knot))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 17)  # (p-1)(q-1) <= 300 leaves some q > p up to p = 17
+           .flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 300 // (p - 1) + 1)))
+           .filter(lambda pq: math.gcd(*pq) == 1))
+    def test_matches_lattice_sampled(self, pq):
+        knot = TorusKnot(*pq)
+        assert knot.seifert_rank() <= 300
+        assert same_function(oracle_step_function(knot), signature_step_function(knot))
+
+    def test_matches_hermitian_signature_at_every_midpoint(self):
+        for p, q in coprime_pairs(5, 8):
+            knot = TorusKnot(p, q)
+            matrix = torus_seifert_matrix(knot)
+            values = midpoint_values(oracle_step_function(knot)).tolist()
+            for k, value in enumerate(values):
+                t = RationalAngle(2 * k + 1, 2 * p * q)
+                assert hermitian_signature(matrix, t) == value, (p, q, k)
+
+    @pytest.mark.parametrize("q", [1, 2, 7])
+    def test_unknot_has_no_breakpoints(self, q):
+        step = oracle_step_function(TorusKnot(1, q))
+        assert step.breakpoints.tolist() == [] and step.interval_values.tolist() == [0]
+        assert step.denominator == q
+
+    def test_zero_start_vector_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "random", oracle.random)  # restored afterwards
+        monkeypatch.setattr(oracle, "_validated_monodromy",
+                            with_zero_start(oracle._validated_monodromy))
+        with pytest.raises(NearSingular, match="non-root row"):
+            oracle_step_function(TorusKnot(3, 5))
+
+    def test_absurd_tolerance_raises(self):
+        with pytest.raises(NearSingular, match="jump slope at t = 1/6 is not above 10.0 times"):
+            oracle_step_function(TorusKnot(2, 3), tol=10.0)
+
+    def test_krylov_must_close_up(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_validated_monodromy",
+                            with_negated_monodromy(oracle._validated_monodromy))
+        with pytest.raises(ValidationFailure, match="v is not v"):
+            oracle_step_function(TorusKnot(3, 5))
+
+    def test_krylov_entry_bound(self, monkeypatch):
+        validated = oracle._validated_monodromy
+        monkeypatch.setattr(oracle, "_validated_monodromy",
+                            lambda knot: (lambda a, m: (a, m * 2**20))(*validated(knot)))
+        with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
+            oracle_step_function(TorusKnot(3, 5))
+
+    def test_refusals_hold_without_asserts(self):
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        run = subprocess.run([sys.executable, "-O", "-c", _STEP_REFUSALS],
+                             capture_output=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
+        assert run.stdout.decode().split("\n") == [
+            "zero-start NearSingular",
+            "tol-10 NearSingular",
+            "krylov-not-closed ValidationFailure",
+            "",
+        ]
+
+
+# Each refusal of `oracle_step_function`, in an interpreter without asserts.
+_STEP_REFUSALS = """
+assert False, "asserts are live: run with python -O"
+from torsig import oracle
+from torsig.core import TorusKnot
+from test_oracle import with_negated_monodromy, with_zero_start
+real_validated, real_random = oracle._validated_monodromy, oracle.random
+def patched(wrapper, knot):
+    oracle._validated_monodromy = wrapper(real_validated)
+    try:
+        oracle.oracle_step_function(knot)
+    finally:
+        oracle._validated_monodromy, oracle.random = real_validated, real_random
+cases = {
+    "zero-start": lambda: patched(with_zero_start, TorusKnot(3, 5)),
+    "tol-10": lambda: oracle.oracle_step_function(TorusKnot(2, 3), tol=10.0),
+    "krylov-not-closed": lambda: patched(with_negated_monodromy, TorusKnot(3, 5)),
+}
+for name, case in cases.items():
+    try:
+        case()
+        print(name, "passed")
+    except Exception as error:
+        print(name, type(error).__name__)
+"""
