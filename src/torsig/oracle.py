@@ -1,19 +1,19 @@
 """Independent verification path for the lattice and profile engines.
 
 Builds the Seifert matrix of a positive braid closure from its brick
-decomposition, checks it against the exact cyclotomic Alexander polynomial
-modulo one prime (exactly for torus knots, whose monodromy has finite order),
-and reads the whole signature function off the monodromy M = A^{-1}A^T: the
-real FFT of one exact Krylov sequence M^j v projects v onto the eigenvectors
-of M, and the jump formula at the roots of Delta (Matumoto 1977,
-Gambaudo-Ghys 2005) gives each jump of sigma as the sign of one quadratic
-form.  None of this shares code with `torsig.lattice` or `torsig.maxsig`,
-which is the point.
+decomposition, proves det(A - t*A^T) = +-Delta exactly for a torus knot
+from one exact Krylov sequence M^j v of the monodromy M = A^{-1}A^T, and
+reads the whole signature function off that same sequence: its real FFT
+projects v onto the eigenvectors of M, and the jump formula at the roots of
+Delta (Matumoto 1977, Gambaudo-Ghys 2005) gives each jump of sigma as the
+sign of one quadratic form.  A general braid gets a check modulo one prime.
+None of this shares code with `torsig.lattice` or `torsig.maxsig`, which is
+the point.
 
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
-ones).  So det A = +-1, the monodromy M = A^{-1}A^T is an integer matrix, and
-det(A - t*A^T) mod the prime needs one back-substitution and a sparse Krylov pass.
+ones).  So det A = +-1, and the monodromy M = A^{-1}A^T is an integer
+matrix that one back-substitution builds.
 
 The brick matrix is one read-only int64 array built by broadcasting.  Its
 sign convention (a wrong one silently computes the mirror knot) is fixed so
@@ -25,7 +25,6 @@ the lattice engine a wrong global sign.
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from dataclasses import dataclass
 
@@ -118,24 +117,18 @@ def torus_alexander(knot: TorusKnot) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# det(A - t*A^T) checked modulo one prime, and exactly through M's order
+# det(A - t*A^T) modulo one prime, for a general braid
 #
 # det(A - t*A^T) = det A * det(I - tM) with M = A^{-1}A^T, and
-# `alexander_from_seifert` proves it = +-expected modulo _PRIME.  For T(p,q),
-# M is the monodromy of the Milnor fibre of x^p + y^q, of order pq (Milnor,
-# Singular Points of Complex Hypersurfaces, 1968), and `torus_seifert_matrix`
-# checks M^{pq} = I.  So charpoly(M) is a product of Phi_d^{m_d} over d | pq,
-# as is Delta with exponents 0 or 1 (reversal changes a Phi_d at most by sign).
-# Within _MAX_RANK, pq <= 2 * 2049 < _PRIME, so t^{pq} - 1 is squarefree mod
-# _PRIME and the Phi_d are pairwise coprime there: the congruence fixes every
-# m_d, and det(A - t*A^T) = +-Delta holds exactly.
+# `alexander_from_seifert` proves it = +-expected modulo _PRIME.  That
+# congruence is all it proves.  A torus knot is proved exactly by
+# `_exact_krylov` instead, with no prime.
 #
 # Each step is exact.  Entries of A and M below _ENTRY_BOUND = 2^21 keep a
-# back-substitution row below n 2^42 + 2^21 < 2^63.  An order-check factor
-# with n * entry^2 < 2^53 (as M is at n <= 2^11) keeps every partial sum of
-# its product an integer below 2^53.  Mod _PRIME, a mat-vec row, a dot product
-# and a Berlekamp-Massey discrepancy (its length is at most n) add at most n
-# products below _PRIME^2 to a residue, which n <= _MAX_RANK keeps below 2^63.
+# back-substitution row below n 2^42 + 2^21 < 2^63.  Mod _PRIME, a mat-vec
+# row, a dot product and a Berlekamp-Massey discrepancy (its length is at
+# most n) add at most n products below _PRIME^2 to a residue, which
+# n <= _MAX_RANK keeps below 2^63.
 
 _PRIME = 67108859
 _MAX_RANK = (2**63 - 1) // (_PRIME - 1) ** 2
@@ -158,19 +151,6 @@ def _monodromy(a: np.ndarray) -> np.ndarray:
         if (np.abs(m[k]) >= _ENTRY_BOUND).any():
             raise ValidationFailure(f"row {k} of A^-1 A^T has an entry of 2^21 or more")
     return m
-
-
-def _require_order(m: np.ndarray, order: int) -> None:
-    """Raise ValidationFailure unless m^order = I: exact float64 binary powering, a squaring
-    ("s") for each bit after the top one, then a product with m ("m") if it is 1."""
-    limit = math.isqrt((2**53 - 1) // max(len(m), 1))
-    base = power = m.astype(float)
-    for step in "".join("s" + "m" * int(bit) for bit in bin(order)[3:]):
-        if not ((np.abs(power) <= limit) & (power == np.round(power))).all():
-            raise ValidationFailure("a power of A^-1 A^T leaves the exact float64 range")
-        power = power @ (power if step == "s" else base)
-    if not np.array_equal(power, np.eye(len(m))):
-        raise ValidationFailure(f"(A^-1 A^T)^{order} is not the identity")
 
 
 def _minpoly_mod(s: np.ndarray, p: int) -> np.ndarray:
@@ -200,8 +180,8 @@ def _minpoly_mod(s: np.ndarray, p: int) -> np.ndarray:
 def alexander_from_seifert(matrix, expected) -> np.ndarray:
     """Return M = A^{-1}A^T, read-only int64, if det(A - t*A^T) = +-expected
     modulo _PRIME with one sign for all coefficients; else ValidationFailure.
-    This congruence is all for a general braid; `torus_seifert_matrix` makes
-    it exact by checking M^{pq} = I (see above `_PRIME`).  expected is read up
+    That congruence is all it proves, for any braid; `torus_seifert_matrix`
+    proves a torus knot's pencil exactly without it.  expected is read up
     to a power of t: zeros at both ends are dropped, n + 1 ints must remain.
 
     A must be an upper-triangular integer matrix with diagonal +-1 and
@@ -305,17 +285,74 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
     return SeifertMatrix(entries)
 
 
+# --------------------------------------------------------------------------
+# det(A - t*A^T) = +-Delta exactly for T(p,q), from one exact Krylov sequence
+#
+# Let N = pq and y_j = M^j v, exactly.  If y_N = v, then M^N = I on the
+# Krylov space K of v, so M is diagonalizable on K, and t^N - 1 splits K into
+# the kernels of the Phi_d(M), d | N, with rational projectors E_d.  On K,
+# the sum of M^j over j < N with e | j is (N/e) times the sum of E_d over
+# d | e; Moebius inversion of S_e = sum_{j<N, e|j} y_j gives the integer
+# vector w_d = sum_{e|d} mu(d/e) e S_e = N E_d v.  Phi_d is irreducible over
+# Q, so minpoly(v) is the product of the Phi_d with w_d != 0.  If those are
+# exactly the d | N dividing neither p nor q, then:
+#   * dim K = deg minpoly(v) = sum of phi(d) over them = (p-1)(q-1) = n, so
+#     v is cyclic and K = Q^n;
+#   * M^N = I on all of Q^n, and charpoly(M) = minpoly(v) = prod Phi_d =
+#     (t^N - 1)(t - 1)/((t^p - 1)(t^q - 1)) = Delta;
+#   * A is upper triangular of size n with diagonal +-1 (checked), so
+#     det(A - t*A^T) = det A * t^n charpoly(M)(1/t) = +-Delta exactly (Delta
+#     is palindromic).
+# Milnor (Singular Points of Complex Hypersurfaces, 1968) is why this passes:
+# M is the monodromy of x^p + y^q, of order pq; the proof does not use it.
+#
+# int64: with n <= 2^11 and |M| < 2^21, a mat-vec row of entries below 2^31
+# stays below 2^63, and the first entry of y to reach 2^31 is exact, so it is
+# caught.  Then e |S_e| <= N 2^31 and |w_d| <= tau(d) N 2^31 < 2^63, as
+# tau(d) <= N <= 2 * 2049 within _MAX_RANK.
+
+
+def _exact_krylov(a: np.ndarray, v, p: int, q: int) -> np.ndarray:
+    """y_j = M^j v (j <= pq) for M = A^{-1}A^T, exactly in int64, once it
+    proves det(A - tA^T) = +-Delta(T(p,q)) as above; else ValidationFailure."""
+    n, pq = len(a), p * q
+    if n != (p - 1) * (q - 1) or np.tril(a, -1).any() or (np.abs(a.diagonal()) != 1).any():
+        raise ValidationFailure(f"A is not upper triangular of size {(p - 1) * (q - 1)}, diagonal +-1")
+    m = _monodromy(a)
+    # det M = 1, so every row of M has a nonzero and starts a segment of them
+    rows, cols = np.nonzero(m)
+    values, starts = m[rows, cols], np.searchsorted(rows, np.arange(n))
+    y = np.empty((pq + 1, n), dtype=np.int64)
+    y[0] = v
+    for j in range(pq):
+        y[j + 1] = np.add.reduceat(values * y[j, cols], starts)
+    if np.abs(y).max(initial=0) >= 2**31:
+        raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
+    if not np.array_equal(y[pq], y[0]):
+        raise ValidationFailure(f"(A^-1 A^T)^{pq} v is not v")
+    divisors, mu = [d for d in range(1, pq + 1) if pq % d == 0], {}
+    for d in divisors:  # the sum of mu(e) over e | d is [d = 1]
+        mu[d] = int(d == 1) - sum(mu[e] for e in mu if d % e == 0)
+    scaled = {e: e * y[:pq:e].sum(axis=0) for e in divisors}  # e S_e
+    for d in divisors:
+        w = sum(mu[d // e] * scaled[e] for e in divisors if d % e == 0 and mu[d // e])
+        if (nonzero := bool(np.any(w))) != bool(p % d and q % d):
+            raise ValidationFailure(f"the Phi_{d} component of v is {'non' * nonzero}zero")
+    return y
+
+
 def _validated_monodromy(knot: TorusKnot) -> tuple[SeifertMatrix, np.ndarray]:
-    """(A, M) of the torus braid closure, det(A - tA^T) = +-Delta and M^{pq} = I proved."""
+    """(A, y) of the torus braid closure: y_j = M^j v for j <= pq and v
+    nonzero from random.Random(n), det(A - tA^T) = +-Delta proved on the way."""
     _require_rank(knot.seifert_rank())
     matrix = seifert_matrix(torus_braid(knot))
-    m = alexander_from_seifert(matrix, torus_alexander(knot))
-    _require_order(m, knot.p * knot.q)
-    return matrix, m
+    v = random.Random(matrix.size).choices(range(1, 64), k=matrix.size)
+    return matrix, _exact_krylov(matrix.entries, v, knot.p, knot.q)
 
 
 def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
-    """Seifert matrix of the torus braid closure, det(A - tA^T) = +-Delta proved exactly."""
+    """Seifert matrix of the torus braid closure, det(A - tA^T) = +-Delta proved
+    exactly from one Krylov sequence of its monodromy, with no prime."""
     return _validated_monodromy(knot)[0]
 
 
@@ -361,33 +398,22 @@ def brute_force_max(knot: TorusKnot) -> tuple[int, np.ndarray]:
 
 
 def oracle_step_function(knot: TorusKnot, tol: float = DEFAULT_TOLERANCE) -> StepFunction:
-    """The whole signature function of T(p,q) from its validated monodromy M alone.
+    """The whole signature function of T(p,q) from its validated Krylov sequence alone.
 
-    M^{pq} = I, so row k of the real FFT x of the exact Krylov sequence
-    y_j = M^j v (j < pq, v nonzero from random.Random(n)) has M x_k =
-    e^{2 pi i k/pq} x_k: an eigenvector for a simple root of Delta if p, q do
-    not divide k, else zero up to rounding.  Then A^T x = lambda A x, and as
-    t passes k/pq one eigenvalue of the Hermitian form crosses zero with slope
-    -2 Im(x* A x): sigma jumps by 2 if Im(x* A x) < 0, else by -2.  Rows above
-    pq/2 are conjugates with negated jumps, and sigma = 0 on (0, 1/pq).
+    M^{pq} = I, so row k of the real FFT x of the exact sequence y_j = M^j v
+    (j < pq) of `_validated_monodromy` has M x_k = e^{2 pi i k/pq} x_k: an
+    eigenvector for a simple root of Delta if p, q do not divide k, else zero
+    up to rounding.  Then A^T x = lambda A x, and as t passes k/pq one
+    eigenvalue of the Hermitian form crosses zero with slope -2 Im(x* A x):
+    sigma jumps by 2 if Im(x* A x) < 0, else by -2.  Rows above pq/2 are
+    conjugates with negated jumps, and sigma = 0 on (0, 1/pq).
 
     NearSingular unless each non-root |x_k|^2 is below tol times the least
     root row's, and each root row's |Im(x* A x)| / |x|^2 is above tol times
-    the largest.  ValidationFailure if y_{pq} != v, or if an entry of y reaches
-    2^31: with n <= 2^11 and |M| < 2^21, every row sum before it is below 2^63.
+    the largest.
     """
-    matrix, m = _validated_monodromy(knot)
-    a, n, pq = matrix.entries, matrix.size, knot.p * knot.q
-    rows, cols = np.nonzero(m)
-    values, starts = m[rows, cols], np.searchsorted(rows, np.arange(n))
-    y = np.empty((pq + 1, n), dtype=np.int64)
-    y[0] = random.Random(n).choices(range(1, 64), k=n)
-    for j in range(pq):
-        y[j + 1] = np.add.reduceat(values * y[j, cols], starts)
-    if np.abs(y).max(initial=0) >= 2**31:  # the first such entry is exact, so it is caught
-        raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
-    if not np.array_equal(y[pq], y[0]):
-        raise ValidationFailure(f"(A^-1 A^T)^{pq} v is not v")
+    matrix, y = _validated_monodromy(knot)
+    a, pq = matrix.entries, knot.p * knot.q
     x = np.fft.rfft(y[:pq], axis=0)
     k = np.arange(len(x))
     root = (k % knot.p != 0) & (k % knot.q != 0)
@@ -396,7 +422,8 @@ def oracle_step_function(knot: TorusKnot, tol: float = DEFAULT_TOLERANCE) -> Ste
         raise NearSingular(f"a non-root row of rfft(M^j v) is not below {tol} times every root row")
     x, k, norms = x[root], k[root], norms[root]
     a_rows, a_cols = np.nonzero(a)
-    form = ((x[:, a_rows].conj() * x[:, a_cols]) @ a[a_rows, a_cols]).imag  # Im(x* A x)
+    # Im(x* A x) over A's nonzeros, with no complex product that BLAS would thread
+    form = ((x[:, a_rows].conj() * x[:, a_cols]).imag * a[a_rows, a_cols]).sum(axis=1)
     margin = np.abs(form) / norms
     if not margin.min(initial=np.inf) > tol * margin.max(initial=0.0):
         t = RationalAngle(int(k[margin.argmin()]), pq)

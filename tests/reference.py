@@ -349,6 +349,68 @@ def torus_alexander_by_division(knot: TorusKnot) -> tuple[int, ...]:
     return tuple(quot)
 
 
+def _mobius(k: int) -> int:
+    """(-1)^r if k is the product of r distinct primes, else 0, by trial division."""
+    sign, f = 1, 2
+    while k > 1:
+        if f * f > k:
+            f = k
+        if k % f == 0:
+            k //= f
+            if k % f == 0:
+                return 0
+            sign = -sign
+        f += 1
+    return sign
+
+
+def _times_binomial(f: list[int], e: int) -> list[int]:
+    """f * (t^e - 1)."""
+    out = [0] * e + f
+    for k, c in enumerate(f):
+        out[k] -= c
+    return out
+
+
+def _over_binomial(f: list[int], e: int) -> list[int]:
+    """f / (t^e - 1), exactly: f = g t^e - g gives g_k = g_{k-e} - f_k."""
+    g = []
+    for k, c in enumerate(f):
+        g.append((g[k - e] if k >= e else 0) - c)
+    if any(g[len(f) - e :]):
+        raise ValueError("division is not exact")
+    return g[: len(f) - e]
+
+
+def _times_cyclotomic(f: list[int], d: int) -> list[int]:
+    """f * Phi_d, Phi_d being the product of (t^e - 1)^mu(d/e) over e | d:
+    every factor with mu = 1 multiplied in, then every one with mu = -1
+    divided out exactly."""
+    divisors = [e for e in range(1, d + 1) if d % e == 0]
+    for e in divisors:
+        if _mobius(d // e) == 1:
+            f = _times_binomial(f, e)
+    for e in divisors:
+        if _mobius(d // e) == -1:
+            f = _over_binomial(f, e)
+    return f
+
+
+def cyclotomic(d: int) -> list[int]:
+    """Phi_d, ascending coefficients."""
+    return _times_cyclotomic([1], d)
+
+
+def cyclotomic_torus_alexander(p: int, q: int) -> tuple[int, ...]:
+    """The product of Phi_d over d | pq dividing neither p nor q: the factor
+    set the oracle proves, each Phi_d built by exact integer division."""
+    f = [1]
+    for d in range(1, p * q + 1):
+        if p * q % d == 0 and p % d and q % d:
+            f = _times_cyclotomic(f, d)
+    return tuple(f)
+
+
 def seifert_bricks_loop(braid: BraidWord) -> list[list[int]]:
     """Brick matrix of a positive braid closure, one pair of bricks at a time.
 

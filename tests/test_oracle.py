@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torsig.cli import main
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
@@ -34,6 +34,8 @@ from torsig.oracle import (
 
 from reference import (
     charpoly_mod_interp,
+    cyclotomic,
+    cyclotomic_torus_alexander,
     has_repeated_root_mod,
     pieces_as_fractions,
     seifert_bricks_loop,
@@ -138,10 +140,38 @@ def flipped_interleave(knot):
     return entries
 
 
+def start_vector(n):
+    """The start vector `_validated_monodromy` draws at rank n."""
+    return random.Random(n).choices(range(1, 64), k=n)
+
+
 def validate_as_torus(entries, knot):
-    """What `torus_seifert_matrix` checks, on a given matrix: the congruence
-    modulo _PRIME and M^{pq} = I."""
-    oracle._require_order(alexander_from_seifert(entries, torus_alexander(knot)), knot.p * knot.q)
+    """What `torus_seifert_matrix` checks, on a given matrix, with its start vector."""
+    entries = np.asarray(entries)
+    return oracle._exact_krylov(entries, start_vector(len(entries)), knot.p, knot.q)
+
+
+def phi_start(knot, d):
+    """`_exact_krylov` from Phi_d(M) v instead of v: its Phi_d component is zero."""
+    entries = seifert_matrix(torus_braid(knot)).entries
+    y = validate_as_torus(entries, knot)
+    c = np.array(cyclotomic(d), dtype=np.int64)
+    return oracle._exact_krylov(entries, c @ y[: len(c)], knot.p, knot.q)
+
+
+def with_oracle(name, wrap, call):
+    """call() with oracle.<name> replaced by wrap(the real one), restored afterwards."""
+    real = getattr(oracle, name)
+    setattr(oracle, name, wrap(real))
+    try:
+        return call()
+    finally:
+        setattr(oracle, name, real)
+
+
+def negated(monodromy):
+    """_monodromy returning -M."""
+    return lambda a: -monodromy(a)
 
 
 def assert_validates_exactly(matrix, pencil):
@@ -278,8 +308,8 @@ class TestSeifertMatrix:
 
 class TestAlexanderContract:
     def test_primes_are_prime_and_fit_the_int64_bound(self):
-        # prime, below 2^26, and above pq for every torus knot within
-        # _MAX_RANK, so that it never divides pq
+        # prime and below 2^26; the largest pq within _MAX_RANK, 2 * 2049,
+        # also bounds the integer sums of `_exact_krylov`
         assert _PRIME < 2**26
         assert all(_PRIME % d for d in range(2, math.isqrt(_PRIME) + 1))
         largest_pq = max(
@@ -323,8 +353,10 @@ class TestAlexanderContract:
         assert n * (_PRIME - 1) ** 2 + _PRIME < 2**63
         # a back-substitution row: n products of entries plus one entry
         assert n * (bound - 1) ** 2 + bound < 2**63
-        # every M that is built passes the order check's float64 factor test
-        assert n * (bound - 1) ** 2 < 2**53
+        # a Krylov mat-vec row: n products of an entry of M and one of y below 2^31
+        assert n * (bound - 1) * (2**31 - 1) < 2**63
+        # w_d: tau(d) <= pq <= 2 * 2049 terms, each at most pq 2^31
+        assert (2 * 2049) ** 2 * 2**31 < 2**63
 
     def test_flipped_interleave_sign_rejected(self):
         knot = TorusKnot(7, 20)
@@ -429,25 +461,17 @@ class TestAlexanderContract:
 # one line per case, the exception class name or "passed".
 _REFUSALS = """
 assert False, "asserts are live: run with python -O"
+import numpy as np
 from torsig.core import TorusKnot
 from torsig import oracle
-from test_oracle import flipped_interleave, validate_as_torus
+from test_oracle import flipped_interleave, negated, phi_start, validate_as_torus, with_oracle
 knot = TorusKnot(7, 20)
-m = oracle.alexander_from_seifert(oracle.seifert_matrix(oracle.torus_braid(knot)),
-                                  oracle.torus_alexander(knot))
-real = oracle.alexander_from_seifert
-def negated(matrix, expected):
-    return -real(matrix, expected)
-def odd_order_negated():
-    oracle.alexander_from_seifert = negated  # (-M)^{pq} = -I for odd pq
-    try:
-        oracle.torus_seifert_matrix(TorusKnot(3, 5))
-    finally:
-        oracle.alexander_from_seifert = real
 cases = {
     "flipped-entry": lambda: validate_as_torus(flipped_interleave(knot), knot),
-    "order-pq-minus-1": lambda: oracle._require_order(m, knot.p * knot.q - 1),
-    "torus-order": odd_order_negated,
+    "lower-entry": lambda: validate_as_torus(np.tril(np.ones((6, 6), np.int64)), TorusKnot(3, 4)),
+    "torus-order": lambda: with_oracle("_monodromy", negated,
+                                       lambda: oracle.torus_seifert_matrix(TorusKnot(3, 4))),
+    "phi-35-start": lambda: phi_start(knot, 35),
 }
 for name, case in cases.items():
     try:
@@ -476,23 +500,53 @@ class TestExactValidation:
 
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (7, 20), (10, 23)])
     def test_order_is_exactly_pq(self, p, q):
-        knot = TorusKnot(p, q)
-        m = alexander_from_seifert(seifert_matrix(torus_braid(knot)), torus_alexander(knot))
-        oracle._require_order(m, p * q)
-        with pytest.raises(ValidationFailure, match="not the identity"):
-            oracle._require_order(m, p * q - 1)
+        # the validated sequence returns to v at j = pq and not before
+        y = oracle._validated_monodromy(TorusKnot(p, q))[1]
+        assert len(y) == p * q + 1 and np.array_equal(y[-1], y[0])
+        assert not (y[1:-1] == y[0]).all(axis=1).any()
 
     def test_torus_seifert_matrix_checks_the_order(self, monkeypatch):
-        real = oracle.alexander_from_seifert
-        # -M passes the congruence check's place, but (-M)^15 = -I
-        monkeypatch.setattr(oracle, "alexander_from_seifert", lambda a, e: -real(a, e))
-        with pytest.raises(ValidationFailure, match="\\^15 is not the identity"):
-            torus_seifert_matrix(TorusKnot(3, 5))
+        # (-M)^12 = I, so y_12 = v; but -M has eigenvalues of order 3, which divides p
+        monkeypatch.setattr(oracle, "_monodromy", negated(oracle._monodromy))
+        with pytest.raises(ValidationFailure, match="Phi_3 component of v is nonzero"):
+            torus_seifert_matrix(TorusKnot(3, 4))
 
-    @pytest.mark.parametrize("m", [[[2**27]], [[0.5]], [[float("nan")]]])
-    def test_inexact_factor_refused(self, m):
-        with pytest.raises(ValidationFailure, match="exact float64 range"):
-            oracle._require_order(np.array(m), 2)
+    @pytest.mark.parametrize("p,q,d", [(2, 3, 6), (3, 4, 6), (3, 4, 12), (5, 12, 10),
+                                       (5, 12, 60), (7, 20, 35), (7, 20, 140)])
+    def test_missing_root_component_raises(self, p, q, d):
+        # Phi_d(M) v lies in a Krylov space of dimension n - phi(d) < n
+        with pytest.raises(ValidationFailure, match=f"Phi_{d} component of v is zero"):
+            phi_start(TorusKnot(p, q), d)
+
+    def test_matrix_outside_the_proof_refused(self):
+        entries = seifert_matrix(torus_braid(TorusKnot(3, 4))).entries
+        lower = entries.copy()
+        lower[2, 0] = 1
+        # two copies of A: every component check passes, but the pencil is Delta^2
+        doubled = np.kron(np.eye(2, dtype=np.int64), entries)
+        for wrong in (lower, doubled):
+            with pytest.raises(ValidationFailure, match="upper triangular of size 6"):
+                validate_as_torus(wrong, TorusKnot(3, 4))
+
+    def test_accepts_every_torus_knot_up_to_rank_120(self):
+        pairs = [(p, q) for p, q in coprime_pairs(12, 122) if (p - 1) * (q - 1) <= 120]
+        assert len(pairs) == 172
+        for p, q in pairs:
+            assert torus_seifert_matrix(TorusKnot(p, q)).size == (p - 1) * (q - 1)
+
+    def test_torus_path_is_prime_free(self, capsys, monkeypatch):
+        argv = ["verify", "--which", "oracle", "--p-max", "6", "--q-max", "11"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert expected == "suite=oracle checked=22 failed=0\nresult=PASS\n"
+
+        def refuse(*args):
+            raise AssertionError("the torus path reached the congruence check")
+
+        for name in ("alexander_from_seifert", "_minpoly_mod", "torus_alexander"):
+            monkeypatch.setattr(oracle, name, refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_congruent_target_is_only_a_congruence(self):
         knot = TorusKnot(3, 5)
@@ -514,8 +568,9 @@ class TestExactValidation:
         assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
         assert run.stdout.decode().split("\n") == [
             "flipped-entry ValidationFailure",
-            "order-pq-minus-1 ValidationFailure",
+            "lower-entry ValidationFailure",
             "torus-order ValidationFailure",
+            "phi-35-start ValidationFailure",
             "",
         ]
 
@@ -605,6 +660,17 @@ class TestTorusAlexander:
             knot = TorusKnot(p, q)
             assert torus_alexander(knot) == torus_alexander_by_division(knot), (p, q)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 45)  # (p-1)(q-1) <= 2048 leaves some q > p up to p = 45
+           .flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 2048 // (p - 1) + 1)))
+           .filter(lambda pq: math.gcd(*pq) == 1))
+    @example((2, 2049)).via("the largest pq within the rank limit")
+    @example((45, 46)).via("the largest p")
+    def test_cyclotomic_factor_set_is_delta(self, pq):
+        knot = TorusKnot(*pq)
+        assert knot.seifert_rank() <= 2048
+        assert cyclotomic_torus_alexander(*pq) == torus_alexander(knot)
+
     def test_properties_on_grid(self):
         for p, q in coprime_pairs(8, 13):
             knot = TorusKnot(p, q)
@@ -688,20 +754,14 @@ class Zeros(random.Random):
         return [0] * k
 
 
-def with_zero_start(validated):
-    """_validated_monodromy, after which the oracle's start vector is zero."""
-
-    def patched(knot):
-        result = validated(knot)
-        oracle.random = types.SimpleNamespace(Random=Zeros)
-        return result
-
-    return patched
+def zero_start(real_random):
+    """A stand-in for the oracle's `random` module that draws the zero start vector."""
+    return types.SimpleNamespace(Random=Zeros)
 
 
-def with_negated_monodromy(validated):
-    """_validated_monodromy returning -M: (-M)^{pq} v = -v for odd pq."""
-    return lambda knot: (lambda a, m: (a, -m))(*validated(knot))
+def scaled(monodromy):
+    """_monodromy returning M * 2^20."""
+    return lambda a: monodromy(a) * 2**20
 
 
 class TestCrossCheck:
@@ -769,10 +829,9 @@ class TestOracleStepFunction:
         assert step.denominator == q
 
     def test_zero_start_vector_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "random", oracle.random)  # restored afterwards
-        monkeypatch.setattr(oracle, "_validated_monodromy",
-                            with_zero_start(oracle._validated_monodromy))
-        with pytest.raises(NearSingular, match="non-root row"):
+        # every component of 0 is zero, the first root one being Phi_15's
+        monkeypatch.setattr(oracle, "random", zero_start(oracle.random))
+        with pytest.raises(ValidationFailure, match="Phi_15 component of v is zero"):
             oracle_step_function(TorusKnot(3, 5))
 
     def test_absurd_tolerance_raises(self):
@@ -780,15 +839,13 @@ class TestOracleStepFunction:
             oracle_step_function(TorusKnot(2, 3), tol=10.0)
 
     def test_krylov_must_close_up(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_validated_monodromy",
-                            with_negated_monodromy(oracle._validated_monodromy))
-        with pytest.raises(ValidationFailure, match="v is not v"):
+        # (-M)^15 v = -v
+        monkeypatch.setattr(oracle, "_monodromy", negated(oracle._monodromy))
+        with pytest.raises(ValidationFailure, match="\\^15 v is not v"):
             oracle_step_function(TorusKnot(3, 5))
 
     def test_krylov_entry_bound(self, monkeypatch):
-        validated = oracle._validated_monodromy
-        monkeypatch.setattr(oracle, "_validated_monodromy",
-                            lambda knot: (lambda a, m: (a, m * 2**20))(*validated(knot)))
+        monkeypatch.setattr(oracle, "_monodromy", scaled(oracle._monodromy))
         with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
             oracle_step_function(TorusKnot(3, 5))
 
@@ -800,9 +857,10 @@ class TestOracleStepFunction:
                              capture_output=True, env=env, timeout=300)
         assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
         assert run.stdout.decode().split("\n") == [
-            "zero-start NearSingular",
+            "zero-start ValidationFailure",
             "tol-10 NearSingular",
             "krylov-not-closed ValidationFailure",
+            "entry-bound ValidationFailure",
             "",
         ]
 
@@ -812,18 +870,13 @@ _STEP_REFUSALS = """
 assert False, "asserts are live: run with python -O"
 from torsig import oracle
 from torsig.core import TorusKnot
-from test_oracle import with_negated_monodromy, with_zero_start
-real_validated, real_random = oracle._validated_monodromy, oracle.random
-def patched(wrapper, knot):
-    oracle._validated_monodromy = wrapper(real_validated)
-    try:
-        oracle.oracle_step_function(knot)
-    finally:
-        oracle._validated_monodromy, oracle.random = real_validated, real_random
+from test_oracle import negated, scaled, with_oracle, zero_start
+step = lambda: oracle.oracle_step_function(TorusKnot(3, 5))
 cases = {
-    "zero-start": lambda: patched(with_zero_start, TorusKnot(3, 5)),
+    "zero-start": lambda: with_oracle("random", zero_start, step),
     "tol-10": lambda: oracle.oracle_step_function(TorusKnot(2, 3), tol=10.0),
-    "krylov-not-closed": lambda: patched(with_negated_monodromy, TorusKnot(3, 5)),
+    "krylov-not-closed": lambda: with_oracle("_monodromy", negated, step),
+    "entry-bound": lambda: with_oracle("_monodromy", scaled, step),
 }
 for name, case in cases.items():
     try:
