@@ -134,8 +134,8 @@ def cmd_max(args) -> int:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
         if D.size:
-            print(_rows("D[%d]=%d ", js.tolist(), D.tolist())[:-1])
-            print(_rows("d[%d]=%d ", ks.tolist(), d.tolist())[:-1])
+            print(_rows("D[%d]=%d ", js, D)[:-1])
+            print(_rows("d[%d]=%d ", ks, d)[:-1])
         print(f"sequence={_sequence_str(sequence)}")
         print(f"M={row['M']}")
         print(f"sigma_hat={row['sigma_hat']}")
@@ -147,16 +147,50 @@ def cmd_max(args) -> int:
 # sweep
 
 
-def _rows(row: str, *columns) -> str:
-    """`row` filled from each index of the columns in turn, by one % call."""
-    count = min(map(len, columns))
-    return (row * count) % tuple(chain.from_iterable(zip(*columns)))
+def _rows(row: str, *columns: np.ndarray) -> str:
+    """`row` once per index of the int64 columns, cut to the shortest, with
+    its i-th %d read from the i-th column: (row * n) % (the entries in turn),
+    with no Python int made per entry.
+
+    Each output byte position is one contiguous row of n bytes in a zeroed
+    uint8 matrix.  Literals are broadcast, each field's digits are cut from
+    the right, and the zeros left before shorter numbers are deleted last.
+    """
+    literals = row.encode("ascii").split(b"%d")
+    if len(literals) != len(columns) + 1 or any(b"%" in x or b"\0" in x for x in literals):
+        raise ValueError(f"{row!r} is not {len(columns)} %d fields among literals without % or NUL")
+    n = min(map(len, columns))
+    fields = []
+    for column in columns:
+        if (dtype := getattr(column, "dtype", type(column))) != np.int64:
+            raise TypeError(f"columns must be int64 arrays, got {dtype}")
+        column = column[:n]
+        lo, hi = (int(column.min()), int(column.max())) if n else (0, 0)
+        if lo == -(2**63):
+            raise ValueError("-2^63 has no int64 absolute value")
+        fields.append((column, lo < 0, len(str(max(hi, -lo)))))
+    width = sum(map(len, literals)) + sum(signed + digits for _, signed, digits in fields)
+    out = np.zeros((width, n), dtype=np.uint8)
+    end = 0
+    for literal, (column, signed, digits) in zip(literals, fields):
+        out[end : end + len(literal)] = np.frombuffer(literal, np.uint8)[:, None]
+        end += len(literal) + signed + digits
+        q = np.abs(column).astype(np.uint32 if digits < 10 else np.int64)
+        out[end - 1] = q % 10 + 48
+        for r in range(end - 2, end - 1 - digits, -1):
+            q //= 10
+            np.add(q % 10, 48, out=out[r], where=q != 0, casting="unsafe")
+        if signed:  # '-' just before the first digit
+            minus = np.flatnonzero(column < 0)
+            tens = np.searchsorted(10 ** np.arange(1, digits, dtype=np.int64), -column[minus], "right")
+            out[end - 2 - tens, minus] = ord("-")
+    out[end:] = np.frombuffer(literals[-1], np.uint8)[:, None]
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _fractions(numerators: np.ndarray, denominator: int) -> list[str]:
-    """Each numerator/denominator in lowest terms as "n/d", as str(Fraction) has it."""
-    g = np.gcd(numerators, denominator)
-    return _rows("%d/%d\n", (numerators // g).tolist(), (denominator // g).tolist()).split()
+def _json_list(body: str) -> str:
+    """A list whose `_rows` body has rows ending ",\n", as json.dumps(indent=2) nests it."""
+    return f"[\n{body[:-2]}\n  ]" if body else "[]"
 
 
 def cmd_sweep(args) -> int:
@@ -164,32 +198,36 @@ def cmd_sweep(args) -> int:
     if knot.p * knot.q > SWEEP_MAX_PQ:
         raise InvalidParameter(f"sweep needs pq <= {SWEEP_MAX_PQ}, got pq = {knot.p * knot.q}")
     step = signature_step_function(knot)
-    ks, pq = step.breakpoints, step.denominator
-    values, at_points = step.interval_values.tolist(), step.breakpoint_values.tolist()
+    ks, pq, values = step.breakpoints, step.denominator, step.interval_values
 
     def render(stream) -> None:
         if args.format == "plot":  # step data with doubled abscissae at the jumps
             # k < pq <= SWEEP_MAX_PQ < 2**53, so k / pq is float(Fraction(k, pq)) exactly
-            bounds = [0.0, *(ks / pq).tolist(), 1.0]
-            stream.write(_rows("%s %d\n%s %d\n", bounds, values, bounds[1:], values))
+            bounds, ints = [0.0, *(ks / pq).tolist(), 1.0], values.tolist()
+            points = chain.from_iterable(zip(bounds, ints, bounds[1:], ints))
+            stream.write(("%s %d\n%s %d\n" * len(ints)) % tuple(points))
             return
-        points = _fractions(ks, pq)
-        if args.format == "json":
-            payload = {
-                "p": knot.p,
-                "q": knot.q,
-                "breakpoints": points,
-                "interval_values": values,
-                "breakpoint_values": at_points,
-            }
-            _emit_json(payload, stream)
+        g = np.gcd(ks, pq)  # each breakpoint k/pq in lowest terms, as str(Fraction) has it
+        num, den, at_points = ks // g, pq // g, step.breakpoint_values
+        if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
+            stream.write(
+                '{\n  "breakpoint_values": %s,\n  "breakpoints": %s,\n  "interval_values": %s,\n'
+                '  "p": %d,\n  "q": %d,\n  "schema_version": %s\n}\n' % (
+                    _json_list(_rows("    %d,\n", at_points)),
+                    _json_list(_rows('    "%d/%d",\n', num, den)),
+                    _json_list(_rows("    %d,\n", values)),
+                    knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
             return
-        # bounds[i], bounds[i+1] enclose interval i; bounds[1:-1] are the jumps
-        bounds = ["0", *points, "1"]
+        # interval i runs from breakpoint i - 1 to breakpoint i, or from 0 / to 1
         stream.write("t_lo,t_hi,sigma\n")
-        stream.write(_rows("%s,%s,%d\n", bounds, bounds[1:], values))
+        if ks.size:
+            stream.write(f"0,{num[0]}/{den[0]},{values[0]}\n")
+            stream.write(_rows("%d/%d,%d/%d,%d\n", num[:-1], den[:-1], num[1:], den[1:], values[1:-1]))
+            stream.write(f"{num[-1]}/{den[-1]},1,{values[-1]}\n")
+        else:
+            stream.write(f"0,1,{values[0]}\n")
         stream.write("\nt,sigma\n")
-        stream.write(_rows("%s,%d\n", points, at_points))
+        stream.write(_rows("%d/%d,%d\n", num, den, at_points))
 
     return _write_output(args.output, render)
 
@@ -207,7 +245,13 @@ def _table_candidates(p_max: int, q_max: int) -> int:
     return (top - 1) * q_max - (top * (top + 1) // 2 - 1)
 
 
+def _require_grid(args) -> None:
+    if args.p_max < 1 or args.q_max < 1:
+        raise InvalidParameter(f"--p-max and --q-max must be >= 1, got {args.p_max} and {args.q_max}")
+
+
 def cmd_table(args) -> int:
+    _require_grid(args)
     candidates = _table_candidates(args.p_max, args.q_max)
     if candidates > TABLE_MAX_ROWS:
         raise InvalidParameter(f"table allows at most {TABLE_MAX_ROWS} (p, q) pairs, "
@@ -338,6 +382,7 @@ def _parse_which(chunks) -> set[str]:
 
 
 def cmd_verify(args) -> int:
+    _require_grid(args)
     which = _parse_which(args.which)
     if not 1 <= args.jobs <= MAX_JOBS:
         raise InvalidParameter(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")

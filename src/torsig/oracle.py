@@ -145,11 +145,17 @@ def _monodromy(a: np.ndarray) -> np.ndarray:
     """M = A^{-1} A^T, exactly, by back-substitution over the nonzeros of each
     row of the upper-triangular A: M[k] = A[k,k] (A^T[k] - A[k,nz] M[nz])."""
     m = a.T.copy()
+    rows, cols = np.nonzero(np.triu(a, 1))
+    starts = np.searchsorted(rows, np.arange(len(a) + 1))
     for k in range(len(a) - 1, -1, -1):
-        nz = k + 1 + np.flatnonzero(a[k, k + 1 :])
+        nz = cols[starts[k] : starts[k + 1]]
         m[k] = a[k, k] * (m[k] - a[k, nz] @ m[nz])
-        if (np.abs(m[k]) >= _ENTRY_BOUND).any():
-            raise ValidationFailure(f"row {k} of A^-1 A^T has an entry of 2^21 or more")
+    # M[k] reads only the rows after k.  So the last row with an entry of 2^21
+    # or more read rows below the bound and is exact, even if the rows before
+    # it then wrapped; and if no row reaches the bound, every row is exact.
+    big = np.flatnonzero((np.abs(m) >= _ENTRY_BOUND).any(axis=1))
+    if big.size:
+        raise ValidationFailure(f"row {big[-1]} of A^-1 A^T has an entry of 2^21 or more")
     return m
 
 

@@ -5,16 +5,20 @@ deliberately different and simpler route (point-by-point or column-by-column
 loops, sorting, a list-based walk).  The tests compare the kernels against
 these; nothing in `src/` imports this module.  It also keeps
 `rotation_relation`, the q -> q + p rotation of the balanced sequence, which
-no `verify` suite runs.
+no `verify` suite runs, and the %-formatting and `json.dumps` renderers that
+`torsig.cli` replaced with its digit-matrix `_rows`.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
+from torsig.cli import SCHEMA_VERSION
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
 from torsig.lattice import StepFunction
 from torsig.maxsig import DistanceProfile, balanced_sequence, distance_profile
@@ -504,3 +508,33 @@ def has_repeated_root_mod(coeffs: list[int], p: int) -> bool:
             f = trimmed([c - factor * g[i - shift] if i >= shift else c for i, c in enumerate(f)])
         f, g = g, f
     return len(f) > 1
+
+
+def rows_by_percent(row: str, *columns) -> str:
+    """`row` filled from each index of the lists in turn, cut to the
+    shortest, by one % call: the route `torsig.cli._rows` replaced."""
+    count = min(map(len, columns))
+    return (row * count) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def sweep_csv_by_percent(step: StepFunction) -> str:
+    """`torsig sweep` csv from str(Fraction) bounds and %-formatted rows."""
+    f = FractionStep.of(step)
+    points = [str(t) for t in f.breakpoints]
+    bounds = ["0", *points, "1"]
+    return ("t_lo,t_hi,sigma\n" + rows_by_percent("%s,%s,%d\n", bounds, bounds[1:], f.interval_values)
+            + "\nt,sigma\n" + rows_by_percent("%s,%d\n", points, f.breakpoint_values))
+
+
+def sweep_json_by_dumps(knot: TorusKnot, step: StepFunction) -> str:
+    """`torsig sweep --format json` as json.dumps(sort_keys=True, indent=2) writes it."""
+    f = FractionStep.of(step)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "p": knot.p,
+        "q": knot.q,
+        "breakpoints": [str(t) for t in f.breakpoints],
+        "interval_values": list(f.interval_values),
+        "breakpoint_values": list(f.breakpoint_values),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

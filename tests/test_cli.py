@@ -8,12 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference import argmax_in_window_fractions, pieces_as_fractions
+from reference import (
+    argmax_in_window_fractions,
+    pieces_as_fractions,
+    rows_by_percent,
+    sweep_csv_by_percent,
+    sweep_json_by_dumps,
+)
 from torsig import cli, oracle
 from torsig.cli import MAX_JOBS, MAX_MAX_P, SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
 from torsig.core import RationalAngle, TorusKnot
 from torsig.lattice import StepFunction, signature_step_function
+from torsig.maxsig import distance_profile
 
 
 def run(capsys, *argv):
@@ -124,6 +132,13 @@ class TestSweep:
         assert code == 0 and out == ""
         assert target.read_text().startswith("t_lo,t_hi,sigma\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        argv = ["sweep", "-p", "7", "-q", "10", "--format", fmt]
+        _, out, _ = run(capsys, *argv)
+        code, _, _ = run(capsys, *argv, "-o", str(tmp_path / "sweep.out"))
+        assert code == 0 and (tmp_path / "sweep.out").read_bytes() == out.encode("ascii")
+
     def test_unwritable_path_exits_3(self, capsys):
         code, _, err = run(capsys, "sweep", "-p", "2", "-q", "3", "-o", "/nonexistent-dir/x.csv")
         assert code == 3 and "cannot write" in err
@@ -143,6 +158,70 @@ class TestTable:
         payload = json.loads(out)
         keys = [(r["p"], r["q"]) for r in payload["rows"]]
         assert keys == sorted(keys)
+
+
+class TestRenderer:
+    """`cli._rows` and the commands it renders, against the %-formatting and
+    `json.dumps` routes it replaced."""
+
+    # 0, 10^k - 1, 10^k and 10^k + 1, 2^32 and its neighbours, and the int64 ends
+    EDGES = [0, *(10**k + d for k in range(19) for d in (-1, 0, 1)), *(2**32 + d for d in (-1, 0, 1)),
+             2**63 - 1]
+    ENTRIES = st.one_of(st.integers(-(2**63) + 1, 2**63 - 1), st.sampled_from(EDGES),
+                        st.sampled_from(EDGES).map(lambda x: -x))
+    LITERALS = st.text(st.characters(min_codepoint=1, max_codepoint=127, blacklist_characters="%"),
+                       max_size=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_percent_formatting(self, data):
+        width = data.draw(st.integers(1, 4))
+        literals = data.draw(st.lists(self.LITERALS, min_size=width + 1, max_size=width + 1))
+        columns = [np.array(data.draw(st.lists(self.ENTRIES, max_size=12)), dtype=np.int64)
+                   for _ in range(width)]
+        row = "%d".join(literals)
+        assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+
+    def test_large_columns_match_percent_formatting(self):
+        rng = np.random.default_rng(7)
+        columns = [rng.integers(-(10**6), 10**6, 5000), rng.integers(0, 2**40, 5000),
+                   rng.integers(-(2**63) + 1, 2**63 - 1, 5000, dtype=np.int64)]
+        row = "x%d,%d;%d\n"
+        assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+
+    @pytest.mark.parametrize("column", [
+        np.array([5, -(2**63)], dtype=np.int64),  # its absolute value overflows
+        np.array([1.0, 2.0]),
+        np.array([1, 2], dtype=np.int32),
+        np.array([1, 2], dtype=np.uint64),
+        [1, 2],
+    ], ids=["min-int64", "float", "int32", "uint64", "list"])
+    def test_refuses_what_it_cannot_print(self, column):
+        with pytest.raises((TypeError, ValueError)):
+            cli._rows("%d,%d\n", np.arange(2), column)
+
+    @pytest.mark.parametrize("row", ["%d", "%d%d%d", "%s %d,%d", "%d,%d%%", "%d\0%d"])
+    def test_refuses_templates_it_cannot_fill(self, row):
+        with pytest.raises(ValueError):
+            cli._rows(row, np.arange(3), np.arange(3))
+
+    @pytest.mark.parametrize("p,q", [(102, 295), (184, 543)])
+    def test_sweep_matches_the_percent_and_json_routes(self, capsys, p, q):
+        knot = TorusKnot(p, q)
+        step = signature_step_function(knot)
+        _, csv, _ = run(capsys, "sweep", "-p", str(p), "-q", str(q))
+        _, doc, _ = run(capsys, "sweep", "-p", str(p), "-q", str(q), "--format", "json")
+        assert csv == sweep_csv_by_percent(step)
+        assert doc == sweep_json_by_dumps(knot, step)
+
+    def test_max_profile_lines_match_percent_formatting(self, capsys):
+        knot = TorusKnot(100166, 100167)
+        profile = distance_profile(knot)
+        js, ks = profile.j.tolist(), (-profile.j[::-1]).tolist()
+        _, out, _ = run(capsys, "max", "-p", "100166", "-q", "100167")
+        lines = out.split("\n")
+        assert lines[2] == rows_by_percent("D[%d]=%d ", js, profile.D.tolist())[:-1]
+        assert lines[3] == rows_by_percent("d[%d]=%d ", ks, profile.d.tolist())[:-1]
 
 
 class TestVerify:
@@ -328,6 +407,18 @@ class TestSizeCaps:
         assert code == 2 and out == ""
         code, out, _ = run(capsys, "verify", "--which", "closed-forms", "--p-max", "7", "--q-max", "1")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    @pytest.mark.parametrize("p_max,q_max", [("-5", "20"), ("-3", "-1"), ("0", "5"), ("4", "0")])
+    def test_grid_bounds_below_1_exit_2_before_enumerating(self, capsys, monkeypatch,
+                                                            command, p_max, q_max):
+        def refuse(*args):
+            raise AssertionError("enumerated a grid with a bound below 1")
+
+        monkeypatch.setattr(cli, "_coprime_pairs", refuse)
+        code, out, err = run(capsys, command, "--p-max", p_max, "--q-max", q_max)
+        assert code == 2 and out == ""
+        assert "--p-max and --q-max must be >= 1" in err
 
     def test_table_candidates_counted_exactly(self):
         for p_max in range(0, 12):

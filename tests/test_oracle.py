@@ -424,6 +424,15 @@ class TestAlexanderContract:
         with pytest.raises(ValidationFailure, match="row 0"):
             alexander_from_seifert([[1, -(2**11)], [0, 1]], (1, -(2**22) + 2, 1))
 
+    @pytest.mark.parametrize("k", [2**11, 2**20])
+    def test_last_row_over_the_bound_is_named(self, k):
+        # A = I + k (superdiagonal): M[4] = (0, 0, 0, k, 1) and
+        # M[3] = (0, 0, k, 1 - k^2, -k), the last row over 2^21; rows 2, 1
+        # and 0 grow like k^3, k^4 and k^5, which wrap int64 at k = 2^20
+        a = np.eye(5, dtype=np.int64) + np.diag(np.full(4, k), 1)
+        with pytest.raises(ValidationFailure, match="row 3 "):
+            oracle._monodromy(a)
+
     def test_returns_the_exact_monodromy(self):
         a = seifert_matrix(torus_braid(TorusKnot(5, 12))).entries
         m = alexander_from_seifert(a, torus_alexander(TorusKnot(5, 12)))
