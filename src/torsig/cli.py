@@ -176,10 +176,9 @@ def _rows(row: str, *columns: np.ndarray) -> str:
         out[end : end + len(literal)] = np.frombuffer(literal, np.uint8)[:, None]
         end += len(literal) + signed + digits
         q = np.abs(column).astype(np.uint32 if digits < 10 else np.int64)
-        out[end - 1] = q % 10 + 48
-        for r in range(end - 2, end - 1 - digits, -1):
+        for r in range(end - 1, end - 1 - digits, -1):  # the last digit even of 0
+            np.add(q % 10, 48, out=out[r], where=r == end - 1 or q != 0, casting="unsafe")
             q //= 10
-            np.add(q % 10, 48, out=out[r], where=q != 0, casting="unsafe")
         if signed:  # '-' just before the first digit
             minus = np.flatnonzero(column < 0)
             tens = np.searchsorted(10 ** np.arange(1, digits, dtype=np.int64), -column[minus], "right")
