@@ -446,9 +446,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def integer(text):  # ASCII digits after an optional '-', as `RationalAngle.parse` reads -t
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise argparse.ArgumentTypeError(f"need an integer in ASCII digits, got {text!r}")
+        return int(text)
+
     def add_knot_args(p):
-        p.add_argument("-p", type=int, required=True, help="strand count")
-        p.add_argument("-q", type=int, required=True, help="braid power")
+        p.add_argument("-p", type=integer, required=True, help="strand count")
+        p.add_argument("-q", type=integer, required=True, help="braid power")
 
     sig = sub.add_parser("sig", help="signature at one angle")
     add_knot_args(sig)
@@ -471,8 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help=f"grid of sigma, M, sigma_hat, g4 bound "
                                          f"(at most {TABLE_MAX_ROWS} pairs)")
-    table.add_argument("--p-max", type=int, default=10)
-    table.add_argument("--q-max", type=int, default=20)
+    table.add_argument("--p-max", type=integer, default=10)
+    table.add_argument("--q-max", type=integer, default=20)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("-o", "--output", help="output path (default stdout)")
     table.set_defaults(func=cmd_table)
@@ -480,19 +485,19 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help=f"run identity and oracle suites "
                                            f"(p <= {TABLE_MAX_ROWS}, at most "
                                            f"{TABLE_MAX_ROWS} pairs)")
-    verify.add_argument("--p-max", type=int, default=10)
-    verify.add_argument("--q-max", type=int, default=25)
+    verify.add_argument("--p-max", type=integer, default=10)
+    verify.add_argument("--q-max", type=integer, default=25)
     verify.add_argument(
         "--which",
         action="append",
         help=f"comma-separated suites from {', '.join(SUITES)} (default: all)",
     )
-    verify.add_argument("--jobs", type=int, default=1, help=f"worker processes (1 to {MAX_JOBS})")
+    verify.add_argument("--jobs", type=integer, default=1, help=f"worker processes (1 to {MAX_JOBS})")
     verify.add_argument(
         "--tol",
         type=float,
         default=oracle.DEFAULT_TOLERANCE,
-        help="oracle leakage and jump-slope bound, finite and > 0 (default %(default)s)",
+        help="oracle jump-slope bound, finite and > 0 (default %(default)s)",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)

@@ -6,9 +6,9 @@ from one exact Krylov sequence M^j v of the monodromy M = A^{-1}A^T, and
 reads the whole signature function off that same sequence: its real FFT
 projects v onto the eigenvectors of M, and the jump formula at the roots of
 Delta (Matumoto 1977, Gambaudo-Ghys 2005) gives each jump of sigma as the
-sign of one quadratic form.  A general braid gets a check modulo one prime.
-None of this shares code with `torsig.lattice` or `torsig.maxsig`, which is
-the point.
+sign of one term of the real FFT of the scalar sequence v^T A M^j v.  A
+general braid gets a check modulo one prime.  None of this shares code with
+`torsig.lattice` or `torsig.maxsig`, which is the point.
 
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
@@ -57,7 +57,7 @@ class ValidationFailure(TorsigError):
 
 
 class NearSingular(TorsigError):
-    """A numeric margin (eigenvalue, leakage or jump slope) is too thin to trust a sign."""
+    """A numeric margin (eigenvalue or jump slope) is too thin to trust a sign."""
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +315,9 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 # int64: with n <= 2^11 and |M| < 2^21, a mat-vec row of entries below 2^31
 # stays below 2^63, and the first entry of y to reach 2^31 is exact, so it is
 # caught.  Then e |S_e| <= N 2^31 and |w_d| <= tau(d) N 2^31 < 2^63, as
-# tau(d) <= N <= 2 * 2049 within _MAX_RANK.
+# tau(d) <= N <= 2 * 2049 within _MAX_RANK.  Brick entries lie in {-1, 0, 1}
+# (the three boolean terms of `_brick_matrix` are mutually exclusive) and
+# v < 2^6, so |A^T v| < 2^17 and g_m = (A^T v) . y_m has |g| < 2^59 < 2^63.
 
 
 def _exact_krylov(a: np.ndarray, v, p: int, q: int) -> np.ndarray:
@@ -406,31 +408,22 @@ def brute_force_max(knot: TorusKnot) -> tuple[int, np.ndarray]:
 def oracle_step_function(knot: TorusKnot, tol: float = DEFAULT_TOLERANCE) -> StepFunction:
     """The whole signature function of T(p,q) from its validated Krylov sequence alone.
 
-    M^{pq} = I, so row k of the real FFT x of the exact sequence y_j = M^j v
-    (j < pq) of `_validated_monodromy` has M x_k = e^{2 pi i k/pq} x_k: an
-    eigenvector for a simple root of Delta if p, q do not divide k, else zero
-    up to rounding.  Then A^T x = lambda A x, and as t passes k/pq one
-    eigenvalue of the Hermitian form crosses zero with slope -2 Im(x* A x):
-    sigma jumps by 2 if Im(x* A x) < 0, else by -2.  Rows above pq/2 are
+    Row k of the real FFT x of y_j = M^j v (j < pq) is an eigenvector of M
+    for e^{2 pi i k/pq}, a simple root of Delta, if p, q do not divide k, and
+    exactly zero otherwise (`_exact_krylov`).  Then A^T x = lambda A x, and as
+    t passes k/pq one eigenvalue of the Hermitian form crosses zero with slope
+    -2 Im(x_k* A x_k) = -2 pq Im G_k for G the real FFT of g_m = v^T A y_m:
+    A M = A^T = M^-T A, so M^T A M = A and y_j^T A y_l = g_{(l-j) mod pq}.
+    So sigma jumps by 2 if Im G_k < 0, else by -2.  Rows above pq/2 are
     conjugates with negated jumps, and sigma = 0 on (0, 1/pq).
-
-    NearSingular unless each non-root |x_k|^2 is below tol times the least
-    root row's, and each root row's |Im(x* A x)| / |x|^2 is above tol times
-    the largest.
+    NearSingular unless each |Im G_k| is above tol times the largest.
     """
-    matrix, y = _validated_monodromy(knot)
-    a, pq = matrix.entries, knot.p * knot.q
-    x = np.fft.rfft(y[:pq], axis=0)
-    k = np.arange(len(x))
-    root = (k % knot.p != 0) & (k % knot.q != 0)
-    norms = (x.real**2 + x.imag**2).sum(axis=1)
-    if not norms[~root].max(initial=0.0) < tol * norms[root].min(initial=np.inf):
-        raise NearSingular(f"a non-root row of rfft(M^j v) is not below {tol} times every root row")
-    x, k, norms = x[root], k[root], norms[root]
-    a_rows, a_cols = np.nonzero(a)
-    # Im(x* A x) over A's nonzeros, with no complex product that BLAS would thread
-    form = ((x[:, a_rows].conj() * x[:, a_cols]).imag * a[a_rows, a_cols]).sum(axis=1)
-    margin = np.abs(form) / norms
+    (matrix, y), pq = _validated_monodromy(knot), knot.p * knot.q
+    g = y[:pq] @ (matrix.entries.T @ y[0])  # exact in int64, as bounded above _exact_krylov
+    k = np.arange(pq // 2 + 1)
+    k = k[(k % knot.p != 0) & (k % knot.q != 0)]
+    form = np.fft.rfft(g)[k].imag
+    margin = np.abs(form)
     if not margin.min(initial=np.inf) > tol * margin.max(initial=0.0):
         t = RationalAngle(int(k[margin.argmin()]), pq)
         raise NearSingular(f"jump slope at t = {t} is not above {tol} times the largest")

@@ -52,6 +52,35 @@ class TestSig:
         code, out, err = run(capsys, "sig", "-p", "3", "-q", "4", "-t", "1_0/30")
         assert code == 2 and out == "" and "n/d" in err
 
+
+INTEGER_FLAGS = [("sig", "-p"), ("sig", "-q"), ("table", "--p-max"), ("table", "--q-max"),
+                 ("verify", "--p-max"), ("verify", "--q-max"), ("verify", "--jobs")]
+
+
+def with_flag(command, flag, value):
+    """argv for `command` with every other flag valid and `flag` set to value."""
+    base = {"sig": {"-p": "3", "-q": "4", "-t": "1/2"},
+            "table": {"--p-max": "3", "--q-max": "5"},
+            "verify": {"--which": "glm", "--p-max": "3", "--q-max": "5"}}
+    options = dict(base[command], **{flag: value})
+    return [command, *(x for item in options.items() for x in item)]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("command,flag", INTEGER_FLAGS)
+    @pytest.mark.parametrize("value", ["1_0", "٣", " 5", "+5", "5.0"])
+    def test_only_ascii_digits_accepted(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(with_flag(command, flag, value))
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert f"argument {flag}: need an integer in ASCII digits, got {value!r}" in captured.err
+
+    @pytest.mark.parametrize("command,flag", INTEGER_FLAGS)
+    def test_negative_values_reach_the_domain_checks(self, capsys, command, flag):
+        code, out, err = run(capsys, *with_flag(command, flag, "-5"))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "sig", "-p", "4", "-q", "7", "-t", "2/8", "--format", "json")
         payload = json.loads(out)

@@ -279,6 +279,13 @@ class TestSeifertMatrix:
         for braid in random_knot_braids(seed=2212, count=300, max_strands=8, max_rank=40):
             assert seifert_matrix(braid).entries.tolist() == seifert_bricks_loop(braid)
 
+    def test_entries_are_signs(self):
+        # the int64 bound on the jump sequence g of `oracle_step_function` rests on this
+        braids = [torus_braid(TorusKnot(p, q)) for p, q in TestExactValidation.LADDER]
+        braids += random_knot_braids(seed=2212, count=300, max_strands=8, max_rank=40)
+        for braid in braids:
+            assert set(seifert_matrix(braid).entries.flat) <= {-1, 0, 1}, braid
+
     def test_pencil_matches_bruteforce_on_random_braids(self):
         refused = 0
         for braid in random_knot_braids(seed=9604, count=40):
@@ -744,6 +751,14 @@ class TestBruteForceMax:
             assert brute_force_max(knot)[0] == max_signature(knot), (p, q)
 
 
+# coprime (p, q), q > p, of rank (p-1)(q-1) <= 300, which leaves some q up to p = 17
+pairs_of_rank_300 = (
+    st.integers(2, 17)
+    .flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 300 // (p - 1) + 1)))
+    .filter(lambda pq: math.gcd(*pq) == 1)
+)
+
+
 def same_function(a, b):
     return (a.denominator == b.denominator
             and np.array_equal(a.breakpoints, b.breakpoints)
@@ -800,7 +815,7 @@ class TestOracleStepFunction:
 
     def test_matches_lattice_on_verify_grid(self, capsys):
         """All 491 knots of coprime_pairs(20, 53), through the `verify` checker,
-        which compares the whole functions; two workers halve its 45 s."""
+        which compares the whole functions, on two workers."""
         argv = ["verify", "--which", "oracle", "--p-max", "20", "--q-max", "53", "--jobs", "2"]
         code = main(argv)
         assert capsys.readouterr().out == "suite=oracle checked=491 failed=0\nresult=PASS\n"
@@ -814,13 +829,30 @@ class TestOracleStepFunction:
         assert same_function(step, signature_step_function(knot))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 17)  # (p-1)(q-1) <= 300 leaves some q > p up to p = 17
-           .flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 300 // (p - 1) + 1)))
-           .filter(lambda pq: math.gcd(*pq) == 1))
+    @given(pairs_of_rank_300)
     def test_matches_lattice_sampled(self, pq):
         knot = TorusKnot(*pq)
         assert knot.seifert_rank() <= 300
         assert same_function(oracle_step_function(knot), signature_step_function(knot))
+
+    @settings(max_examples=30, deadline=None)
+    @given(pairs_of_rank_300, st.randoms(use_true_random=False))
+    def test_jumps_rest_on_one_scalar_sequence(self, pq, rng):
+        """M^T A M = A, so y_j^T A y_l = g_{(l-j) mod pq} and x_k* A x_k = pq G_k."""
+        knot = TorusKnot(*pq)
+        p, q, n = *pq, knot.seifert_rank()
+        matrix, y = oracle._validated_monodromy(knot)
+        a, y = matrix.entries, y[: p * q]
+        m = oracle._monodromy(a)
+        assert np.array_equal(m.T @ a @ m, a)  # exact in int64
+        g = y @ (a.T @ y[0])
+        for j, l in ((rng.randrange(p * q), rng.randrange(p * q)) for _ in range(20)):
+            assert y[j] @ a @ y[l] == g[(l - j) % (p * q)]
+        x, big_g = np.fft.rfft(y, axis=0), np.fft.rfft(g)
+        k = [k for k in range(len(big_g)) if k % p and k % q]
+        assert len(k) == n // 2
+        form = np.einsum("ki,ij,kj->k", x[k].conj(), a, x[k]).imag
+        assert np.allclose(p * q * big_g[k].imag, form, rtol=1e-9, atol=0), pq
 
     def test_matches_hermitian_signature_at_every_midpoint(self):
         for p, q in coprime_pairs(5, 8):
