@@ -52,6 +52,18 @@ class TestSig:
         code, out, err = run(capsys, "sig", "-p", "3", "-q", "4", "-t", "1_0/30")
         assert code == 2 and out == "" and "n/d" in err
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "sig", "-p", "4", "-q", "7", "-t", "2/8", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload == {
+            "schema_version": "1",
+            "p": 4,
+            "q": 7,
+            "t": "1/4",
+            "sigma": 10,
+        }
+
 
 INTEGER_FLAGS = [("sig", "-p"), ("sig", "-q"), ("table", "--p-max"), ("table", "--q-max"),
                  ("verify", "--p-max"), ("verify", "--q-max"), ("verify", "--jobs")]
@@ -80,18 +92,6 @@ class TestIntegerFlags:
     def test_negative_values_reach_the_domain_checks(self, capsys, command, flag):
         code, out, err = run(capsys, *with_flag(command, flag, "-5"))
         assert code == 2 and out == "" and err.startswith("error: ")
-
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "sig", "-p", "4", "-q", "7", "-t", "2/8", "--format", "json")
-        payload = json.loads(out)
-        assert code == 0
-        assert payload == {
-            "schema_version": "1",
-            "p": 4,
-            "q": 7,
-            "t": "1/4",
-            "sigma": 10,
-        }
 
 
 class TestMax:
