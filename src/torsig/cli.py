@@ -451,6 +451,11 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"need an integer in ASCII digits, got {text!r}")
         return int(text)
 
+    def number(text):  # float() alone takes '_', non-ASCII digits and surrounding space
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise argparse.ArgumentTypeError(f"need a number in ASCII digits, got {text!r}")
+        return float(text)
+
     def add_knot_args(p):
         p.add_argument("-p", type=integer, required=True, help="strand count")
         p.add_argument("-q", type=integer, required=True, help="braid power")
@@ -495,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--jobs", type=integer, default=1, help=f"worker processes (1 to {MAX_JOBS})")
     verify.add_argument(
         "--tol",
-        type=float,
+        type=number,
         default=oracle.DEFAULT_TOLERANCE,
         help="oracle jump-slope bound, finite and > 0 (default %(default)s)",
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import InvalidParameter, TorusKnot
 from .lattice import classical_signature
-from .maxsig import balanced_sequence, distance_profile, max_signature
+from .maxsig import balanced_sequence, distance_profile, max_cyclic_sum, max_signature
 
 __all__ = [
     "IdentityReport",
@@ -51,13 +51,14 @@ def _report(name, knots, expected, computed, **details) -> IdentityReport:
     )
 
 
-def _step(name, kernel, p, q, s, c, base_key) -> IdentityReport:
-    """kernel(T(p,q+s)) = kernel(T(p,q)) + c; details hold base_key and increment."""
+def _step(name, kernel, p, q, s, c, base_key, **details) -> IdentityReport:
+    """kernel(T(p,q+s)) = kernel(T(p,q)) + c; details hold base_key, increment
+    and any further details given."""
     base = TorusKnot(p, q)
     stepped = TorusKnot(p, q + s)
     value = kernel(base)
     return _report(name, (base, stepped), value + c, kernel(stepped),
-                   **{base_key: value}, increment=c)
+                   **{base_key: value}, increment=c, **details)
 
 
 def check_glm(p: int, q: int) -> IdentityReport:
@@ -86,24 +87,17 @@ def check_main_recursion(p: int, q: int) -> IdentityReport:
 def check_odd_shift_identity(p: int, q: int) -> IdentityReport:
     """For odd p: sigma(T(p,p+q)) = sigma(T(p,q)) - 4*#{D > p} + (p-1)(p+3)/2.
 
-    The D values come from the distance profile of T(p,q); the left side is
-    evaluated by the floor sum.  The companion counting identity
-    #{D < p} + #{D > p} = (p-1)/2 is checked as well.
+    The D values come from the distance profile of T(p,q); both sides of the
+    step are evaluated by the floor sum.  The profile holds the (p-1)/2 values
+    s*q mod 2p for odd 0 < s < p, and none equals p, since p divides neither
+    s nor q; so #{D < p} = (p-1)/2 - #{D > p} needs no separate check.
     """
     if p % 2 == 0 or p < 3:
         raise InvalidParameter(f"odd-shift identity requires odd p >= 3, got {p}")
-    base = TorusKnot(p, q)
-    stepped = TorusKnot(p, q + p)
-    D = distance_profile(base).D
+    D = distance_profile(TorusKnot(p, q)).D
     above = int(np.count_nonzero(D > p))
-    below = int(np.count_nonzero(D < p))
-    if below + above != (p - 1) // 2:
-        return _report("odd-shift", (base, stepped), (p - 1) // 2, below + above,
-                       D=D.tolist())
-    expected = classical_signature(base) - 4 * above + (p - 1) * (p + 3) // 2
-    computed = classical_signature(stepped)
-    return _report("odd-shift", (base, stepped), expected, computed,
-                   D=D.tolist(), above=above, below=below)
+    return _step("odd-shift", classical_signature, p, q, p,
+                 (p - 1) * (p + 3) // 2 - 4 * above, "sigma_base", D=D.tolist(), above=above)
 
 
 def _ordering_holds(p: int, D: np.ndarray, kinds: np.ndarray) -> bool:
@@ -130,22 +124,16 @@ def check_closed_forms(p: int) -> list[IdentityReport]:
     """
     if p < 2:
         raise InvalidParameter(f"closed forms need p >= 2, got {p}")
-    reports = []
-
     near = TorusKnot(p, p + 1)
-    gap_expected = p - 2 if p % 2 == 0 else 0
-    sigma_near = classical_signature(near)
-    reports.append(_report("closed-form-p-plus-1", (near,), gap_expected,
-                           max_signature(near) - sigma_near, sigma=sigma_near))
-
-    far = TorusKnot(p, 2 * p + 1)
-    reports.append(_report("closed-form-2p-plus-1", (far,), p * p + p - 2,
-                           max_signature(far), sigma=classical_signature(far)))
-
     profile = distance_profile(near)
     sequence = balanced_sequence(profile)
-    reports.append(_report("closed-form-ordering", (near,), 1,
-                           int(_ordering_holds(p, profile.D, sequence)),
-                           sequence=tuple(sequence.tolist())))
-    return reports
-
+    far = TorusKnot(p, 2 * p + 1)
+    return [
+        _report("closed-form-p-plus-1", (near,), p - 2 if p % 2 == 0 else 0,
+                2 * max_cyclic_sum(sequence), sigma=classical_signature(near)),
+        _report("closed-form-2p-plus-1", (far,), p * p + p - 2,
+                max_signature(far), sigma=classical_signature(far)),
+        _report("closed-form-ordering", (near,), 1,
+                int(_ordering_holds(p, profile.D, sequence)),
+                sequence=tuple(sequence.tolist())),
+    ]

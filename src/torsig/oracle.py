@@ -24,7 +24,6 @@ the lattice engine a wrong global sign.
 
 from __future__ import annotations
 
-import cmath
 import random
 from dataclasses import dataclass
 
@@ -124,14 +123,15 @@ def torus_alexander(knot: TorusKnot) -> tuple[int, ...]:
 # congruence is all it proves.  A torus knot is proved exactly by
 # `_exact_krylov` instead, with no prime.
 #
-# Each step is exact.  Entries of A and M below _ENTRY_BOUND = 2^21 keep a
-# back-substitution row below n 2^42 + 2^21 < 2^63.  Mod _PRIME, a mat-vec
-# row, a dot product and a Berlekamp-Massey discrepancy (its length is at
-# most n) add at most n products below _PRIME^2 to a residue, which
-# n <= _MAX_RANK keeps below 2^63.
+# Each step is exact.  _MAX_RANK = 2^11 is the rank that `_exact_krylov`'s
+# int64 bounds allow (below).  Entries of A and M below _ENTRY_BOUND = 2^21
+# keep a back-substitution row below n 2^42 + 2^21 < 2^63.  Mod _PRIME < 2^26,
+# a mat-vec row, a dot product and a Berlekamp-Massey discrepancy (its length
+# is at most n) add at most n products below _PRIME^2 to a residue, which
+# n <= 2^11 keeps below 2^63.
 
 _PRIME = 67108859
-_MAX_RANK = (2**63 - 1) // (_PRIME - 1) ** 2
+_MAX_RANK = 2**11
 _ENTRY_BOUND = 2**21
 _KRYLOV_TRIES = 3
 
@@ -380,8 +380,8 @@ def hermitian_signature(matrix, t: RationalAngle, tol: float = DEFAULT_TOLERANCE
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
     if a.size == 0:
         return 0
-    w = cmath.exp(2j * cmath.pi * t.numerator / t.denominator)
-    eigenvalues = np.linalg.eigvalsh((1 - w) * a + (1 - w.conjugate()) * a.T)
+    w = np.exp(2j * np.pi * t.numerator / t.denominator)
+    eigenvalues = np.linalg.eigvalsh((1 - w) * a + (1 - np.conj(w)) * a.T)
     magnitudes = np.abs(eigenvalues)
     largest = magnitudes.max()
     if largest == 0.0 or magnitudes.min() < tol * largest:

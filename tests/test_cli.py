@@ -340,7 +340,15 @@ class TestVerify:
     def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
         code, out, err = run(capsys, "verify", "--p-max", "3", "--q-max", "5",
                              "--which", "oracle", f"--tol={tol}")
-        assert code == 2 and out == "" and "--tol" in err
+        assert code == 2 and out == "" and "--tol must be finite and > 0" in err
+
+    @pytest.mark.parametrize("tol", ["1_0.0", "١", " 1e-8", "1e-8 "])
+    def test_tolerance_only_in_ascii(self, capsys, tol):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--p-max", "3", "--q-max", "5", "--which", "oracle", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert f"argument --tol: need a number in ASCII digits, got {tol!r}" in captured.err
 
     def test_json_format(self, capsys):
         code, out, _ = run(

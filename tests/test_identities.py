@@ -1,16 +1,17 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reference import (
     distance_profile_loop,
     ordering_holds_sorted,
     sorted_balanced_sequence,
 )
-from torsig import identities
+from torsig import identities, maxsig
 from torsig.core import InvalidParameter, NotCoprime, TorusKnot
 from torsig.identities import (
     IdentityReport,
@@ -21,7 +22,7 @@ from torsig.identities import (
     check_odd_shift_identity,
 )
 from torsig.lattice import classical_signature
-from torsig.maxsig import max_signature
+from torsig.maxsig import distance_profile, max_signature
 
 
 def coprime_pairs(p_max, q_max):
@@ -33,28 +34,39 @@ def coprime_pairs(p_max, q_max):
     ]
 
 
+def odd_shift_case(p, q):
+    """A test_report_fields row for the odd-shift identity, its increment
+    (p-1)(p+3)/2 - 4*#{D > p} and its D read off the loop profile."""
+    D = list(distance_profile_loop(TorusKnot(p, q)).D.values())
+    above = sum(value > p for value in D)
+    return (check_odd_shift_identity, "odd-shift", classical_signature, "sigma_base",
+            p, q, p, (p - 1) * (p + 3) // 2 - 4 * above, {"D": D, "above": above})
+
+
 class TestRecursionReports:
-    """The three recursions f(T(p,q+s)) = f(T(p,q)) + c share one report shape."""
+    """The four recursions f(T(p,q+s)) = f(T(p,q)) + c share one report shape."""
 
     @pytest.mark.parametrize(
-        "check,name,kernel,key,p,q,s,increment",
+        "check,name,kernel,key,p,q,s,increment,extra",
         [
-            (check_glm, "glm", classical_signature, "sigma_base", 4, 7, 8, 16),
-            (check_glm, "glm", classical_signature, "sigma_base", 3, 5, 6, 8),
+            (check_glm, "glm", classical_signature, "sigma_base", 4, 7, 8, 16, {}),
+            (check_glm, "glm", classical_signature, "sigma_base", 3, 5, 6, 8, {}),
             (check_even_periodicity, "even-periodicity", classical_signature, "sigma_base",
-             4, 7, 4, 8),
+             4, 7, 4, 8, {}),
             (check_main_recursion, "main-recursion", max_signature, "sigma_hat_base",
-             4, 7, 4, 8),
+             4, 7, 4, 8, {}),
             (check_main_recursion, "main-recursion", max_signature, "sigma_hat_base",
-             5, 12, 5, 12),
+             5, 12, 5, 12, {}),
+            odd_shift_case(5, 12),
+            odd_shift_case(9, 20),
         ],
     )
-    def test_report_fields(self, check, name, kernel, key, p, q, s, increment):
+    def test_report_fields(self, check, name, kernel, key, p, q, s, increment, extra):
         report = check(p, q)
         base = kernel(TorusKnot(p, q))
         assert report.identity_name == name
         assert report.knot_params == ((p, q), (p, q + s))
-        assert report.details == {key: base, "increment": increment}
+        assert report.details == {key: base, "increment": increment, **extra}
         assert report.expected == base + increment
         assert report.computed == kernel(TorusKnot(p, q + s))
 
@@ -155,6 +167,16 @@ class TestOddShift:
         with pytest.raises(InvalidParameter):
             check_odd_shift_identity(4, 7)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4999), st.integers(1, 10**9))
+    def test_no_distance_equals_p(self, half, offset):
+        # why #{D < p} + #{D > p} = (p-1)/2 needs no check of its own
+        p = 2 * half + 1
+        assume(math.gcd(p, offset) == 1)
+        D = distance_profile(TorusKnot(p, p + offset)).D
+        assert D.size == (p - 1) // 2
+        assert not np.any(D == p)
+
     def test_grid(self):
         for p, q in coprime_pairs(59, 60):
             if p % 2 == 1:
@@ -175,6 +197,25 @@ class TestClosedForms:
     def test_range(self):
         for p in range(2, 61):
             assert all(r.passed for r in check_closed_forms(p)), p
+
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_each_profile_built_once(self, monkeypatch, p):
+        # one for T(p,p+1), shared by the gap and the ordering, one inside
+        # max_signature(T(p,2p+1))
+        calls = Counter()
+
+        def counted(f):
+            def wrapper(*args):
+                calls[f.__name__] += 1
+                return f(*args)
+            return wrapper
+
+        for name in ("distance_profile", "balanced_sequence"):
+            wrapper = counted(getattr(maxsig, name))
+            monkeypatch.setattr(maxsig, name, wrapper)
+            monkeypatch.setattr(identities, name, wrapper)
+        check_closed_forms(p)
+        assert calls == {"distance_profile": 2, "balanced_sequence": 2}
 
     @pytest.mark.parametrize("p", [1, 0, -3])
     def test_p_below_2_refused(self, p):
