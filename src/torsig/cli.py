@@ -390,7 +390,8 @@ def cmd_verify(args) -> int:
     candidates = _table_candidates(args.p_max, args.q_max)
     if max(candidates, args.p_max) > TABLE_MAX_ROWS:
         raise InvalidParameter(f"verify allows at most {TABLE_MAX_ROWS} pairs and p values, "
-                               f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates}")
+                               f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates} "
+                               f"pairs and {args.p_max} p values")
 
     tasks = _verify_tasks(which, args.p_max, args.q_max, args.tol)
     if args.jobs > 1 and len(tasks) > 1:
@@ -521,7 +522,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `torsig sweep ... | head` does.
+        # Pointing stdout at devnull keeps the flush at interpreter exit from
+        # failing again and printing "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

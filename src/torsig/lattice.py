@@ -17,9 +17,9 @@ count there; no averaging of the one-sided limits is implied.
 
 Counts are exact Python-int floor sums evaluated in O(log(pqb)) steps, so
 `lt_signature` and `classical_signature` take microseconds even at
-p = 10**40.  The step function histograms the pq norms with numpy int64
-arrays, guarded so that no value can wrap.  It is held in one format,
-int64 arrays: breakpoints and argmax pieces are numerators over the common
+p = 10**40.  The step function is one +-2 jump per root k/pq of the
+Alexander polynomial, in numpy int64 arrays guarded so that no value can
+wrap: breakpoints and argmax pieces are numerators over the common
 denominator pq, and values are the integers sigma_t.
 """
 
@@ -111,7 +111,7 @@ class StepFunction:
     (including the leading and trailing intervals), so
     len(interval_values) == len(breakpoints) + 1.  breakpoint_values is
     derived: the value at a breakpoint is the smaller of its two neighbouring
-    interval values, since a jump either loses or gains points, never both.
+    interval values, since a jump loses or gains exactly one point.
     """
 
     breakpoints: np.ndarray
@@ -145,38 +145,26 @@ class StepFunction:
 def signature_step_function(knot: TorusKnot) -> StepFunction:
     """Compute the whole signature function of T(p,q) exactly.
 
-    Candidate breakpoints are k/(pq) for 0 < k < pq: every Manhattan norm
-    (iq+jp)/(pq), and every norm minus one, lands on this grid.  One
-    bincount histograms the norm multiset.  At candidate k the inside count
-    loses the points of norm k/pq and gains those of norm k/pq + 1, so a
-    cumulative sum over the candidates where either happens yields the
-    value on every interval and at every breakpoint; the result is
-    identical to evaluating lt_signature at every candidate and midpoint.
-    Candidates where the value does not jump are merged away.
+    sigma jumps at the roots k/pq of the Alexander polynomial, p and q not
+    dividing k.  By the Chinese remainder theorem each such k is congruent
+    mod pq to the norm numerator iq + jp of exactly one lattice point, the
+    one with i = k * q^-1 mod p, and no other k is.  If iq < k its norm is
+    k/pq: it leaves the annulus and sigma drops by 2.  Otherwise its norm
+    is k/pq + 1: it enters and sigma rises by 2 (Litherland, "Signatures of
+    iterated torus knots", LNM 722, 1979).  sigma is 0 on (0, 1/pq), so the
+    values are a cumulative sum.  Every int64 intermediate is below pq.
     """
     p, q = knot.p, knot.q
     pq = p * q
-    rank = (p - 1) * (q - 1)
-    if rank == 0:
-        return StepFunction(np.empty(0, dtype=np.int64), pq, np.zeros(1, dtype=np.int64))
     if 2 * pq > INT64_MAX:
         raise InvalidParameter(f"{knot}: norms up to 2pq = {2 * pq} overflow int64")
-
-    columns = np.arange(q, pq, q, dtype=np.int64)  # i*q for 0 < i < p
-    rows = np.arange(p, pq, p, dtype=np.int64)  # j*p for 0 < j < q
-    counts = np.bincount((columns[:, None] + rows).ravel(), minlength=2 * pq)
-    assert counts[pq] == 0, "no lattice point has Manhattan norm 1"
-
-    # lost[k-1] and gained[k-1] are the norms at k/pq and k/pq + 1.
-    lost, gained = counts[1:pq], counts[pq + 1:]
-    # inside on the leading interval (0, 1/pq): norms in [1, pq-1].
-    inside = int(lost.sum())
-    assert 2 * inside == rank, "half of the points lie below norm 1"
-    # Coprimality forbids norms at both k/pq and k/pq + 1, so every
-    # surviving candidate is a genuine jump between distinct levels.
-    assert not np.any((lost > 0) & (gained > 0))
-
-    jumps = np.flatnonzero(lost + gained)
-    inside_after = inside + np.cumsum(gained[jumps] - lost[jumps])
-    interval_values = np.concatenate(([inside], inside_after)) * 2 - rank
-    return StepFunction(jumps + 1, pq, interval_values)
+    roots = np.ones(pq, dtype=bool)
+    roots[::p] = roots[::q] = False  # k = 0 and the multiples of p or q
+    k = np.flatnonzero(roots)
+    iq = k % p
+    iq *= pow(q, -1, p)
+    iq %= p
+    iq *= q
+    interval_values = np.zeros(len(k) + 1, dtype=np.int64)
+    np.cumsum(np.where(iq < k, -2, 2), out=interval_values[1:])
+    return StepFunction(k, pq, interval_values)

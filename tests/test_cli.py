@@ -30,6 +30,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env() -> dict:
+    """The environment for a `python -m torsig` subprocess that imports this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 class TestSig:
     def test_figure_example(self, capsys):
         code, out, _ = run(capsys, "sig", "-p", "4", "-q", "7", "-t", "1/4")
@@ -171,6 +178,15 @@ class TestSweep:
     def test_unwritable_path_exits_3(self, capsys):
         code, _, err = run(capsys, "sweep", "-p", "2", "-q", "3", "-o", "/nonexistent-dir/x.csv")
         assert code == 3 and "cannot write" in err
+
+    def test_closed_stdout_exits_3_without_traceback(self):
+        """`torsig sweep ... | head -1`: the reader leaves after one line."""
+        proc = subprocess.Popen([sys.executable, "-m", "torsig", "sweep", "-p", "317", "-q", "947"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
+        assert proc.stdout.readline() == b"t_lo,t_hi,sigma\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3 and err == b"", err
 
 
 class TestTable:
@@ -434,6 +450,9 @@ class TestSizeCaps:
                              "--p-max", p_max, "--q-max", q_max)
         assert code == 2 and out == ""
         assert f"at most {TABLE_MAX_ROWS}" in err
+        # 2 <= p < q <= q_max: 9998 * 9999 / 2 pairs, and none for q_max = 2
+        pairs = {"10000": 49_985_001, "2": 0}[q_max]
+        assert f"spans {pairs} pairs and {p_max} p values" in err
 
     def test_verify_at_cap_boundary(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TABLE_MAX_ROWS", 6)
@@ -624,12 +643,9 @@ class TestWorkerPool:
     def test_spawned_run_matches_serial_run_in_a_subprocess(self):
         """`python -m torsig` under spawn: torsig/__main__.py has no __name__
         guard, so a worker that re-ran it would start a second verify."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         argv = [sys.executable, "-m", "torsig", "verify", "--p-max", "6", "--q-max", "12",
                 "--which", "glm,oracle"]
-        one, two = (subprocess.run(argv + ["--jobs", jobs], capture_output=True, env=env,
+        one, two = (subprocess.run(argv + ["--jobs", jobs], capture_output=True, env=src_env(),
                                    timeout=300) for jobs in ("1", "2"))
         assert one.returncode == two.returncode == 0, two.stderr
         assert one.stdout == two.stdout and b"result=PASS" in one.stdout

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from reference import (
     pieces_as_fractions,
     step_function_walk,
 )
+from torsig.cli import SWEEP_MAX_PQ
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
 from torsig.lattice import (
     _floor_sum,
@@ -246,10 +248,30 @@ class TestStepFunction:
             assert step.breakpoint_values[mirrored] == sigma
 
     def test_unknot_step(self):
-        step = signature_step_function(TorusKnot(1, 4))
-        assert len(step.breakpoints) == 0 and step.interval_values.tolist() == [0]
-        assert step.max_value() == 0 and type(step.max_value()) is int
-        assert step.argmax_pieces().tolist() == [[0, step.denominator]]
+        for q in (4, 1):
+            step = signature_step_function(TorusKnot(1, q))
+            assert len(step.breakpoints) == 0 and step.interval_values.tolist() == [0]
+            assert step.max_value() == 0 and type(step.max_value()) is int
+            assert step.argmax_pieces().tolist() == [[0, step.denominator]]
+
+    @pytest.mark.parametrize("p", [2, 7, 316, 1409])
+    def test_one_jump_per_root_on_large_knots(self, p):
+        # pq from 10**5 to the sweep cap, beyond the reach of the list walk:
+        # sampled jumps against the floor-sum route on both sides and at k.
+        rng = random.Random(p)
+        q = rng.randint(max(p + 1, 10**5 // p), SWEEP_MAX_PQ // p)
+        while math.gcd(p, q) != 1:
+            q += 1
+        knot = TorusKnot(p, q)
+        pq = p * q
+        step = signature_step_function(knot)
+        assert 10**5 <= pq <= SWEEP_MAX_PQ and len(step.breakpoints) == knot.seifert_rank()
+        values, at = step.interval_values, step.breakpoint_values
+        for n in [0, len(at) - 1, *rng.sample(range(len(at)), 198)]:
+            k = int(step.breakpoints[n])
+            assert lt_signature(knot, RationalAngle(2 * k - 1, 2 * pq)) == values[n], (p, q, k)
+            assert lt_signature(knot, RationalAngle(k, pq)) == at[n], (p, q, k)
+            assert lt_signature(knot, RationalAngle(2 * k + 1, 2 * pq)) == values[n + 1], (p, q, k)
 
     def test_breakpoints_are_one_read_only_int64_array(self):
         step = signature_step_function(TorusKnot(4, 7))
