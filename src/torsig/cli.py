@@ -10,6 +10,7 @@ grids are sorted by (p, q), and `verify` output is byte-identical across
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -122,14 +123,16 @@ def cmd_max(args) -> int:
     row = _peak_row(knot, max_cyclic_sum(sequence))
     D, d, js = profile.D, profile.d, profile.j
     ks = -js[::-1]  # the indices of d
-    if args.format == "json":
-        payload = {
-            **row,
-            "D": dict(zip(map(str, js.tolist()), D.tolist())),
-            "d": dict(zip(map(str, ks.tolist()), d.tolist())),
-            "sequence": sequence.tolist(),
-        }
-        _emit_json(payload, sys.stdout)
+    if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
+        D_order, d_order = _decimal_order(js), _decimal_order(ks)
+        sys.stdout.write(
+            '{\n  "D": %s,\n  "M": %d,\n  "d": %s,\n  "g4_lb": %d,\n  "p": %d,\n  "q": %d,\n'
+            '  "schema_version": %s,\n  "sequence": %s,\n  "sigma": %d,\n  "sigma_hat": %d\n}\n' % (
+                _json_nest(_rows('    "%d": %d,\n', js[D_order], D[D_order]), "{}"), row["M"],
+                _json_nest(_rows('    "%d": %d,\n', ks[d_order], d[d_order]), "{}"), row["g4_lb"],
+                knot.p, knot.q, json.dumps(SCHEMA_VERSION),
+                _json_nest(_rows("    %d,\n", sequence.astype(np.int64)), "[]"),
+                row["sigma"], row["sigma_hat"]))
     else:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
@@ -147,49 +150,132 @@ def cmd_max(args) -> int:
 # sweep
 
 
+def _literals(row: str, fields: int) -> list[bytes]:
+    """The ASCII literals around the `fields` %d of `row`, which may hold no
+    other % and no NUL."""
+    literals = row.encode("ascii").split(b"%d")
+    if len(literals) != fields + 1 or any(b"%" in x or b"\0" in x for x in literals):
+        raise ValueError(f"{row!r} is not {fields} %d fields among literals without % or NUL")
+    return literals
+
+
+def _digits(column: np.ndarray) -> np.ndarray:
+    """The decimal text of an int64 column as a uint8 block with one row per
+    byte position: entry i reads down column i, right-aligned, with NUL
+    before it.  How and why is told at `_rows`."""
+    if (dtype := getattr(column, "dtype", type(column))) != np.int64:
+        raise TypeError(f"columns must be int64 arrays, got {dtype}")
+    n = len(column)
+    lo, hi = (int(column.min()), int(column.max())) if n else (0, 0)
+    if lo == -(2**63):
+        raise ValueError("-2^63 has no int64 absolute value")
+    digits, signed = len(str(max(hi, -lo))), lo < 0
+    block = np.empty((signed + digits, n), np.uint8)
+    q = np.empty(n, np.uint32 if digits < 10 else np.int64)  # 10^9 - 1 < 2^32 < 10^10 - 1
+    np.abs(column, out=q, casting="unsafe")
+    t, scratch = np.empty_like(q), np.empty(n, np.uint8)
+    shown, above = np.empty(n, bool), np.ones(n, bool)  # digit k shown; digit k - 1 shown
+    minus = np.uint8(ord("-")) * (column < 0)
+    np.copyto(block[-1], q, casting="unsafe")
+    for k in range(digits):  # row -1 - k holds q mod 256, q = |entry| // 10^k
+        row = block[-1 - k]
+        if k < digits - 1:  # else q < 10 already
+            np.floor_divide(q, 10, out=t)
+            np.copyto(block[-2 - k], t, casting="unsafe")
+            np.multiply(block[-2 - k], 10, out=scratch)
+            row -= scratch
+        row += ord("0")
+        if k:
+            np.not_equal(q, 0, out=shown)
+            row *= shown
+            if signed:
+                np.bitwise_xor(above, shown, out=above)  # shown implies above
+                np.multiply(above, minus, out=scratch)
+                row += scratch
+                above, shown = shown, above
+        q, t = t, q
+    if signed:
+        np.multiply(above, minus, out=block[0])
+    return block
+
+
+# Entries per piece when rows are finished: a piece's bytes stay in cache.
+_PIECE = 1 << 13
+
+
+def _text(literals: list[bytes], blocks: list[np.ndarray]) -> str:
+    """One row per column index, cut to the narrowest block: the literals in
+    turn with the `_digits` blocks between them, NULs dropped.
+
+    The rows are finished a piece at a time, each through one reused matrix
+    of byte positions: transposed to row order, stripped of NULs and
+    decoded, so no full-size temporary is made besides the pieces.
+    """
+    n = min(block.shape[1] for block in blocks)
+    width = sum(map(len, literals)) + sum(map(len, blocks))
+    piece = np.empty((width, min(n, _PIECE)), np.uint8)
+    fields, end = [], 0
+    for literal, block in zip(literals, blocks):
+        piece[end : end + len(literal)] = np.frombuffer(literal, np.uint8)[:, None]
+        end += len(literal)
+        fields.append((piece[end : end + len(block)], block))
+        end += len(block)
+    piece[end:] = np.frombuffer(literals[-1], np.uint8)[:, None]
+    pieces = []
+    for start in range(0, n, _PIECE):
+        size = min(_PIECE, n - start)
+        for rows, block in fields:
+            rows[:, :size] = block[:, start : start + size]
+        pieces.append(piece[:, :size].T.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(pieces)
+
+
 def _rows(row: str, *columns: np.ndarray) -> str:
     """`row` once per index of the int64 columns, cut to the shortest, with
     its i-th %d read from the i-th column: (row * n) % (the entries in turn),
     with no Python int made per entry.
 
-    Each output byte position is one contiguous row of n bytes in a zeroed
-    uint8 matrix.  Literals are broadcast, each field's digits are cut from
-    the right, and the zeros left before shorter numbers are deleted last.
+    Each field becomes a `_digits` block, one row of n bytes per byte
+    position, cut from the right a digit at a time.  A digit costs one floor
+    division t = q // 10 of the whole array: numpy divides an integer array
+    by a scalar with a multiply and shift, while q % 10 and divmod divide in
+    hardware once per entry.  The digit is then q - 10t taken in uint8,
+    whose arithmetic wraps mod 256; that is exact because the digit lies in
+    0..9, and the uint8 cast of t is already the next row's q.  Rows above
+    an entry's first digit are blanked by multiplying with q != 0, and no
+    ufunc writes through where=, which runs several times slower than a
+    plain one.  A '-' goes where the entry is negative, the digit below is
+    shown and this one is not; entries that use every digit row get theirs
+    on the field's sign row.  `_text` lays the blocks between the literals
+    and deletes the NULs left before shorter numbers.
     """
-    literals = row.encode("ascii").split(b"%d")
-    if len(literals) != len(columns) + 1 or any(b"%" in x or b"\0" in x for x in literals):
-        raise ValueError(f"{row!r} is not {len(columns)} %d fields among literals without % or NUL")
+    literals = _literals(row, len(columns))
     n = min(map(len, columns))
-    fields = []
-    for column in columns:
-        if (dtype := getattr(column, "dtype", type(column))) != np.int64:
-            raise TypeError(f"columns must be int64 arrays, got {dtype}")
-        column = column[:n]
-        lo, hi = (int(column.min()), int(column.max())) if n else (0, 0)
-        if lo == -(2**63):
-            raise ValueError("-2^63 has no int64 absolute value")
-        fields.append((column, lo < 0, len(str(max(hi, -lo)))))
-    width = sum(map(len, literals)) + sum(signed + digits for _, signed, digits in fields)
-    out = np.zeros((width, n), dtype=np.uint8)
-    end = 0
-    for literal, (column, signed, digits) in zip(literals, fields):
-        out[end : end + len(literal)] = np.frombuffer(literal, np.uint8)[:, None]
-        end += len(literal) + signed + digits
-        q = np.abs(column).astype(np.uint32 if digits < 10 else np.int64)
-        for r in range(end - 1, end - 1 - digits, -1):  # the last digit even of 0
-            np.add(q % 10, 48, out=out[r], where=r == end - 1 or q != 0, casting="unsafe")
-            q //= 10
-        if signed:  # '-' just before the first digit
-            minus = np.flatnonzero(column < 0)
-            tens = np.searchsorted(10 ** np.arange(1, digits, dtype=np.int64), -column[minus], "right")
-            out[end - 2 - tens, minus] = ord("-")
-    out[end:] = np.frombuffer(literals[-1], np.uint8)[:, None]
-    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+    return _text(literals, [_digits(column[:n]) for column in columns])
 
 
-def _json_list(body: str) -> str:
-    """A list whose `_rows` body has rows ending ",\n", as json.dumps(indent=2) nests it."""
-    return f"[\n{body[:-2]}\n  ]" if body else "[]"
+def _json_nest(body: str, brackets: str) -> str:
+    """A list ("[]") or object ("{}") whose `_rows` body has rows ending ",\n",
+    as json.dumps(indent=2) nests it one level down."""
+    return f"{brackets[0]}\n{body[:-2]}\n  {brackets[1]}" if body else brackets
+
+
+def _decimal_order(keys: np.ndarray) -> np.ndarray:
+    """The order in which json.dumps(sort_keys=True) puts int64 keys: that of
+    their decimal strings, with no string made per key.
+
+    '-' sorts before every digit, so negative keys come first.  Among keys
+    of one sign, digit strings compare as their digits left-aligned to a
+    common length L would, with the shorter string first on a tie, which
+    is where it is a prefix of the longer one: the order of (sign,
+    |key| * 10^(L - digits), digits).  The middle value is below 10^L <=
+    10^19 < 2^64.
+    """
+    magnitude = np.abs(keys).astype(np.uint64)  # |-2^63| wraps to 2^63 itself
+    tens = 10 ** np.arange(20, dtype=np.uint64)
+    top = len(str(int(magnitude.max()))) if keys.size else 1
+    more = np.searchsorted(tens[1:top], magnitude, "right")  # digits - 1
+    return np.lexsort((more, magnitude * tens[top - 1 - more], keys >= 0))
 
 
 def cmd_sweep(args) -> int:
@@ -206,27 +292,33 @@ def cmd_sweep(args) -> int:
             points = chain.from_iterable(zip(bounds, ints, bounds[1:], ints))
             stream.write(("%s %d\n%s %d\n" * len(ints)) % tuple(points))
             return
-        g = np.gcd(ks, pq)  # each breakpoint k/pq in lowest terms, as str(Fraction) has it
+        # each breakpoint k/pq in lowest terms, as str(Fraction) has it; p and q are
+        # coprime, so gcd(k, pq) = gcd(k, p) gcd(k, q), read off tables of period p and q
+        p, q = knot.p, knot.q
+        g = np.gcd(np.arange(p), p)[ks % p] * np.gcd(np.arange(q), q)[ks % q]
         num, den, at_points = ks // g, pq // g, step.breakpoint_values
         if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
             stream.write(
                 '{\n  "breakpoint_values": %s,\n  "breakpoints": %s,\n  "interval_values": %s,\n'
                 '  "p": %d,\n  "q": %d,\n  "schema_version": %s\n}\n' % (
-                    _json_list(_rows("    %d,\n", at_points)),
-                    _json_list(_rows('    "%d/%d",\n', num, den)),
-                    _json_list(_rows("    %d,\n", values)),
+                    _json_nest(_rows("    %d,\n", at_points), "[]"),
+                    _json_nest(_rows('    "%d/%d",\n', num, den), "[]"),
+                    _json_nest(_rows("    %d,\n", values), "[]"),
                     knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
             return
-        # interval i runs from breakpoint i - 1 to breakpoint i, or from 0 / to 1
+        # interval i runs from breakpoint i - 1 to breakpoint i, or from 0 / to 1;
+        # both sections read the digits of num and den from one block each
+        nums, dens = _digits(num), _digits(den)
         stream.write("t_lo,t_hi,sigma\n")
         if ks.size:
             stream.write(f"0,{num[0]}/{den[0]},{values[0]}\n")
-            stream.write(_rows("%d/%d,%d/%d,%d\n", num[:-1], den[:-1], num[1:], den[1:], values[1:-1]))
+            stream.write(_text(_literals("%d/%d,%d/%d,%d\n", 5), [
+                nums[:, :-1], dens[:, :-1], nums[:, 1:], dens[:, 1:], _digits(values[1:-1])]))
             stream.write(f"{num[-1]}/{den[-1]},1,{values[-1]}\n")
         else:
             stream.write(f"0,1,{values[0]}\n")
         stream.write("\nt,sigma\n")
-        stream.write(_rows("%d/%d,%d\n", num, den, at_points))
+        stream.write(_text(_literals("%d/%d,%d\n", 3), [nums, dens, _digits(at_points)]))
 
     return _write_output(args.output, render)
 
@@ -440,6 +532,7 @@ def cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache  # built once per process: it costs more than a small command
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsig",

@@ -20,8 +20,8 @@ from itertools import chain
 
 from torsig.cli import SCHEMA_VERSION
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
-from torsig.lattice import StepFunction
-from torsig.maxsig import DistanceProfile, balanced_sequence, distance_profile
+from torsig.lattice import StepFunction, classical_signature
+from torsig.maxsig import DistanceProfile, balanced_sequence, distance_profile, max_cyclic_sum
 from torsig.oracle import BraidWord
 
 
@@ -536,5 +536,27 @@ def sweep_json_by_dumps(knot: TorusKnot, step: StepFunction) -> str:
         "breakpoints": [str(t) for t in f.breakpoints],
         "interval_values": list(f.interval_values),
         "breakpoint_values": list(f.breakpoint_values),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def max_json_by_dumps(knot: TorusKnot) -> str:
+    """`torsig max --format json` as json.dumps(sort_keys=True, indent=2)
+    writes it, with string keys for D and d; the numbers come from the
+    production kernels, so only the rendering is independent."""
+    profile = distance_profile(knot)
+    sequence = balanced_sequence(profile)
+    sigma, m = classical_signature(knot), max_cyclic_sum(sequence)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "p": knot.p,
+        "q": knot.q,
+        "sigma": sigma,
+        "M": m,
+        "sigma_hat": sigma + 2 * m,
+        "g4_lb": (sigma + 2 * m + 1) // 2,
+        "D": dict(zip(map(str, profile.j.tolist()), profile.D.tolist())),
+        "d": dict(zip(map(str, (-profile.j[::-1]).tolist()), profile.d.tolist())),
+        "sequence": sequence.tolist(),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

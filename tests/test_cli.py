@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import (
     argmax_in_window_fractions,
+    max_json_by_dumps,
     pieces_as_fractions,
     rows_by_percent,
     sweep_csv_by_percent,
@@ -234,6 +235,40 @@ class TestRenderer:
         row = "x%d,%d;%d\n"
         assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
 
+    @pytest.mark.parametrize("digits", [1, 2, 9, 10, 18])
+    def test_minus_on_every_row_of_a_field(self, digits):
+        # -9, -99, ..., -(10^digits - 1) beside 10^digits - 1: each entry's '-'
+        # sits one row higher, the widest one's on the sign row
+        column = np.array([-(10**k - 1) for k in range(1, digits + 1)] + [10**digits - 1],
+                          dtype=np.int64)
+        rows_with_minus = (cli._digits(column) == ord("-")).any(axis=1)
+        assert rows_with_minus.tolist() == [True] * digits + [False]
+        for row, columns in (("%d\n", [column]), ("<%d|%d>", [column, column[::-1].copy()])):
+            assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+
+    @pytest.mark.parametrize("entries", [
+        [-1, -10, -7, -999, -1000, -123456789, -(2**63) + 1],
+        [], [0], [-5], [10**18],
+        [10**9 - 1, -(10**9 - 1), 0, 7, -10],  # 9 digits: uint32 digit loop
+        [10**9, -(10**9), 2**32 - 1, 2**32, -(2**32), 10**10 - 1, 3],  # 10 digits: int64
+    ], ids=["all-negative", "length-0", "zero", "one-negative", "one-wide", "9-digits", "10-digits"])
+    def test_edge_columns_match_percent_formatting(self, entries):
+        column = np.array(entries, dtype=np.int64)
+        for row, columns in (("%d", [column]), ("a%d,%d;\n", [column, column[::-1].copy()])):
+            assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ENTRIES, max_size=30))
+    def test_decimal_order_is_the_order_of_strings(self, keys):
+        column = np.array(keys, dtype=np.int64)
+        order = cli._decimal_order(column).tolist()
+        assert order == sorted(range(len(keys)), key=lambda i: str(keys[i]))
+
+    def test_decimal_order_takes_the_lowest_int64(self):
+        keys = [-(2**63), 2**63 - 1, -9, 0, -(2**63) + 1, 10]
+        order = cli._decimal_order(np.array(keys, dtype=np.int64)).tolist()
+        assert order == sorted(range(len(keys)), key=lambda i: str(keys[i]))
+
     @pytest.mark.parametrize("column", [
         np.array([5, -(2**63)], dtype=np.int64),  # its absolute value overflows
         np.array([1.0, 2.0]),
@@ -258,6 +293,17 @@ class TestRenderer:
         _, doc, _ = run(capsys, "sweep", "-p", str(p), "-q", str(q), "--format", "json")
         assert csv == sweep_csv_by_percent(step)
         assert doc == sweep_json_by_dumps(knot, step)
+
+    def test_sweep_csv_at_benchmark_size_matches_the_percent_route(self, capsys):
+        # the interval and point rows share one digit block per column
+        step = signature_step_function(TorusKnot(318, 943))
+        _, csv, _ = run(capsys, "sweep", "-p", "318", "-q", "943")
+        assert csv == sweep_csv_by_percent(step)
+
+    @pytest.mark.parametrize("p,q", [(100166, 200333), (5, 12), (2, 9), (1, 4)])
+    def test_max_json_matches_dumps(self, capsys, p, q):
+        _, doc, _ = run(capsys, "max", "-p", str(p), "-q", str(q), "--format", "json")
+        assert doc == max_json_by_dumps(TorusKnot(p, q))
 
     def test_max_profile_lines_match_percent_formatting(self, capsys):
         knot = TorusKnot(100166, 100167)
@@ -481,6 +527,9 @@ class TestSizeCaps:
             for q_max in range(0, 15):
                 grid = sum(1 for p in range(2, p_max + 1) for q in range(p + 1, q_max + 1))
                 assert cli._table_candidates(p_max, q_max) == grid, (p_max, q_max)
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
 
     def test_benchmark_commands_stay_five_times_below_caps(self):
         bench = Path(__file__).resolve().parent.parent / "perfbench"
