@@ -17,6 +17,7 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 
@@ -136,9 +137,12 @@ def cmd_max(args) -> int:
     else:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
-        if D.size:
-            print(_rows("D[%d]=%d ", js, D)[:-1])
-            print(_rows("d[%d]=%d ", ks, d)[:-1])
+        if D.size:  # each line: its first entry, then " D[j]=D_j" for the others
+            for name, index, value in (("D", js, D), ("d", ks, d)):
+                sys.stdout.write(f"{name}[{index[0]}]={value[0]}")
+                sys.stdout.writelines(_pieces(_literals(f" {name}[%d]=%d", 2),
+                                              [_digits(index[1:]), _digits(value[1:])]))
+                sys.stdout.write("\n")
         print(f"sequence={_sequence_str(sequence)}")
         print(f"M={row['M']}")
         print(f"sigma_hat={row['sigma_hat']}")
@@ -203,13 +207,13 @@ def _digits(column: np.ndarray) -> np.ndarray:
 _PIECE = 1 << 13
 
 
-def _text(literals: list[bytes], blocks: list[np.ndarray]) -> str:
+def _pieces(literals: list[bytes], blocks: list[np.ndarray]) -> Iterator[str]:
     """One row per column index, cut to the narrowest block: the literals in
     turn with the `_digits` blocks between them, NULs dropped.
 
-    The rows are finished a piece at a time, each through one reused matrix
-    of byte positions: transposed to row order, stripped of NULs and
-    decoded, so no full-size temporary is made besides the pieces.
+    The rows come a piece at a time, each through one reused matrix of byte
+    positions: transposed to row order, stripped of NULs and decoded.  A
+    caller that writes the pieces straight out never holds the whole text.
     """
     n = min(block.shape[1] for block in blocks)
     width = sum(map(len, literals)) + sum(map(len, blocks))
@@ -221,13 +225,11 @@ def _text(literals: list[bytes], blocks: list[np.ndarray]) -> str:
         fields.append((piece[end : end + len(block)], block))
         end += len(block)
     piece[end:] = np.frombuffer(literals[-1], np.uint8)[:, None]
-    pieces = []
     for start in range(0, n, _PIECE):
         size = min(_PIECE, n - start)
         for rows, block in fields:
             rows[:, :size] = block[:, start : start + size]
-        pieces.append(piece[:, :size].T.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+        yield piece[:, :size].T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _rows(row: str, *columns: np.ndarray) -> str:
@@ -246,12 +248,12 @@ def _rows(row: str, *columns: np.ndarray) -> str:
     ufunc writes through where=, which runs several times slower than a
     plain one.  A '-' goes where the entry is negative, the digit below is
     shown and this one is not; entries that use every digit row get theirs
-    on the field's sign row.  `_text` lays the blocks between the literals
+    on the field's sign row.  `_pieces` lays the blocks between the literals
     and deletes the NULs left before shorter numbers.
     """
     literals = _literals(row, len(columns))
     n = min(map(len, columns))
-    return _text(literals, [_digits(column[:n]) for column in columns])
+    return "".join(_pieces(literals, [_digits(column[:n]) for column in columns]))
 
 
 def _json_nest(body: str, brackets: str) -> str:
@@ -312,13 +314,13 @@ def cmd_sweep(args) -> int:
         stream.write("t_lo,t_hi,sigma\n")
         if ks.size:
             stream.write(f"0,{num[0]}/{den[0]},{values[0]}\n")
-            stream.write(_text(_literals("%d/%d,%d/%d,%d\n", 5), [
+            stream.writelines(_pieces(_literals("%d/%d,%d/%d,%d\n", 5), [
                 nums[:, :-1], dens[:, :-1], nums[:, 1:], dens[:, 1:], _digits(values[1:-1])]))
             stream.write(f"{num[-1]}/{den[-1]},1,{values[-1]}\n")
         else:
             stream.write(f"0,1,{values[0]}\n")
         stream.write("\nt,sigma\n")
-        stream.write(_text(_literals("%d/%d,%d\n", 3), [nums, dens, _digits(at_points)]))
+        stream.writelines(_pieces(_literals("%d/%d,%d\n", 3), [nums, dens, _digits(at_points)]))
 
     return _write_output(args.output, render)
 
