@@ -125,23 +125,22 @@ def cmd_max(args) -> int:
     D, d, js = profile.D, profile.d, profile.j
     ks = -js[::-1]  # the indices of d
     if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
-        D_order, d_order = _decimal_order(js), _decimal_order(ks)
-        sys.stdout.write(
-            '{\n  "D": %s,\n  "M": %d,\n  "d": %s,\n  "g4_lb": %d,\n  "p": %d,\n  "q": %d,\n'
-            '  "schema_version": %s,\n  "sequence": %s,\n  "sigma": %d,\n  "sigma_hat": %d\n}\n' % (
-                _json_nest(_rows('    "%d": %d,\n', js[D_order], D[D_order]), "{}"), row["M"],
-                _json_nest(_rows('    "%d": %d,\n', ks[d_order], d[d_order]), "{}"), row["g4_lb"],
-                knot.p, knot.q, json.dumps(SCHEMA_VERSION),
-                _json_nest(_rows("    %d,\n", sequence.astype(np.int64)), "[]"),
-                row["sigma"], row["sigma_hat"]))
+        out, D_order, d_order = sys.stdout, _decimal_order(js), _decimal_order(ks)
+        out.write('{\n  "D": ')
+        out.writelines(_json_nest("{}", _rows('    "%d": %d,\n', js[D_order], D[D_order])))
+        out.write(',\n  "M": %d,\n  "d": ' % row["M"])
+        out.writelines(_json_nest("{}", _rows('    "%d": %d,\n', ks[d_order], d[d_order])))
+        out.write(',\n  "g4_lb": %d,\n  "p": %d,\n  "q": %d,\n  "schema_version": %s,\n'
+                  '  "sequence": ' % (row["g4_lb"], knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
+        out.writelines(_json_nest("[]", _rows("    %d,\n", sequence.astype(np.int64))))
+        out.write(',\n  "sigma": %d,\n  "sigma_hat": %d\n}\n' % (row["sigma"], row["sigma_hat"]))
     else:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
         if D.size:  # each line: its first entry, then " D[j]=D_j" for the others
             for name, index, value in (("D", js, D), ("d", ks, d)):
                 sys.stdout.write(f"{name}[{index[0]}]={value[0]}")
-                sys.stdout.writelines(_pieces(_literals(f" {name}[%d]=%d", 2),
-                                              [_digits(index[1:]), _digits(value[1:])]))
+                sys.stdout.writelines(_rows(f" {name}[%d]=%d", index[1:], value[1:]))
                 sys.stdout.write("\n")
         print(f"sequence={_sequence_str(sequence)}")
         print(f"M={row['M']}")
@@ -214,6 +213,7 @@ def _pieces(literals: list[bytes], blocks: list[np.ndarray]) -> Iterator[str]:
     The rows come a piece at a time, each through one reused matrix of byte
     positions: transposed to row order, stripped of NULs and decoded.  A
     caller that writes the pieces straight out never holds the whole text.
+    Each piece holds at least one row.
     """
     n = min(block.shape[1] for block in blocks)
     width = sum(map(len, literals)) + sum(map(len, blocks))
@@ -232,10 +232,12 @@ def _pieces(literals: list[bytes], blocks: list[np.ndarray]) -> Iterator[str]:
         yield piece[:, :size].T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _rows(row: str, *columns: np.ndarray) -> str:
+def _rows(row: str, *columns: np.ndarray) -> Iterator[str]:
     """`row` once per index of the int64 columns, cut to the shortest, with
     its i-th %d read from the i-th column: (row * n) % (the entries in turn),
-    with no Python int made per entry.
+    with no Python int made per entry.  The text comes as the pieces of
+    `_pieces`, for the caller to write straight out (or join); the template
+    and the columns are checked, and the digits cut, before it returns.
 
     Each field becomes a `_digits` block, one row of n bytes per byte
     position, cut from the right a digit at a time.  A digit costs one floor
@@ -253,13 +255,22 @@ def _rows(row: str, *columns: np.ndarray) -> str:
     """
     literals = _literals(row, len(columns))
     n = min(map(len, columns))
-    return "".join(_pieces(literals, [_digits(column[:n]) for column in columns]))
+    return _pieces(literals, [_digits(column[:n]) for column in columns])
 
 
-def _json_nest(body: str, brackets: str) -> str:
-    """A list ("[]") or object ("{}") whose `_rows` body has rows ending ",\n",
-    as json.dumps(indent=2) nests it one level down."""
-    return f"{brackets[0]}\n{body[:-2]}\n  {brackets[1]}" if body else brackets
+def _json_nest(brackets: str, pieces: Iterator[str]) -> Iterator[str]:
+    """A list ("[]") or object ("{}") of the `_rows` pieces, whose rows end
+    ",\n", as json.dumps(indent=2) nests it one level down: the pieces pass
+    through, and only the last loses its ",\n"."""
+    last = next(pieces, None)
+    if last is None:
+        yield brackets
+        return
+    yield brackets[0] + "\n"
+    for piece in pieces:
+        yield last
+        last = piece
+    yield last[:-2] + "\n  " + brackets[1]
 
 
 def _decimal_order(keys: np.ndarray) -> np.ndarray:
@@ -300,13 +311,14 @@ def cmd_sweep(args) -> int:
         g = np.gcd(np.arange(p), p)[ks % p] * np.gcd(np.arange(q), q)[ks % q]
         num, den, at_points = ks // g, pq // g, step.breakpoint_values
         if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
-            stream.write(
-                '{\n  "breakpoint_values": %s,\n  "breakpoints": %s,\n  "interval_values": %s,\n'
-                '  "p": %d,\n  "q": %d,\n  "schema_version": %s\n}\n' % (
-                    _json_nest(_rows("    %d,\n", at_points), "[]"),
-                    _json_nest(_rows('    "%d/%d",\n', num, den), "[]"),
-                    _json_nest(_rows("    %d,\n", values), "[]"),
-                    knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
+            stream.write('{\n  "breakpoint_values": ')
+            stream.writelines(_json_nest("[]", _rows("    %d,\n", at_points)))
+            stream.write(',\n  "breakpoints": ')
+            stream.writelines(_json_nest("[]", _rows('    "%d/%d",\n', num, den)))
+            stream.write(',\n  "interval_values": ')
+            stream.writelines(_json_nest("[]", _rows("    %d,\n", values)))
+            stream.write(',\n  "p": %d,\n  "q": %d,\n  "schema_version": %s\n}\n'
+                         % (knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
             return
         # interval i runs from breakpoint i - 1 to breakpoint i, or from 0 / to 1;
         # both sections read the digits of num and den from one block each

@@ -13,11 +13,15 @@ general braid gets a check modulo one prime.  None of this shares code with
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
 ones).  So det A = +-1, and the monodromy M = A^{-1}A^T is an integer
-matrix that one back-substitution builds.
+matrix.  A back-substitution builds it a run of rows at a time: the bricks
+of one generator form a run whose diagonal block is I - (superdiagonal),
+which a reversed running sum inverts, so T(p,q) takes p - 1 runs, not one
+step per row.
 
-The brick matrix is one read-only int64 array built by broadcasting.  Its
-sign convention (a wrong one silently computes the mirror knot) is fixed so
-that sigma(T(2,3)) = +2 and pinned by tests: the Alexander-polynomial check
+The brick matrix is one read-only int64 array: the identity with each
+brick's at most three links scattered into it.  Its sign convention (a
+wrong one silently computes the mirror knot) is fixed so that
+sigma(T(2,3)) = +2 and pinned by tests: the Alexander-polynomial check
 catches wrong linking patterns, the comparison of signature functions with
 the lattice engine a wrong global sign.
 """
@@ -125,7 +129,7 @@ def torus_alexander(knot: TorusKnot) -> tuple[int, ...]:
 #
 # Each step is exact.  _MAX_RANK = 2^11 is the rank that `_exact_krylov`'s
 # int64 bounds allow (below).  Entries of A and M below _ENTRY_BOUND = 2^21
-# keep a back-substitution row below n 2^42 + 2^21 < 2^63.  Mod _PRIME < 2^26,
+# keep a back-substitution row below n 2^42 + 2^22 < 2^63.  Mod _PRIME < 2^26,
 # a mat-vec row, a dot product and a Berlekamp-Massey discrepancy (its length
 # is at most n) add at most n products below _PRIME^2 to a residue, which
 # n <= 2^11 keeps below 2^63.
@@ -142,18 +146,64 @@ def _require_rank(n: int) -> None:
 
 
 def _monodromy(a: np.ndarray) -> np.ndarray:
-    """M = A^{-1} A^T, exactly, by back-substitution over the nonzeros of each
-    row of the upper-triangular A: M[k] = A[k,k] (A^T[k] - A[k,nz] M[nz])."""
-    m = a.T.copy()
-    rows, cols = np.nonzero(np.triu(a, 1))
-    starts = np.searchsorted(rows, np.arange(len(a) + 1))
-    for k in range(len(a) - 1, -1, -1):
-        nz = cols[starts[k] : starts[k + 1]]
-        m[k] = a[k, k] * (m[k] - a[k, nz] @ m[nz])
-    # M[k] reads only the rows after k.  So the last row with an entry of 2^21
-    # or more read rows below the bound and is exact, even if the rows before
-    # it then wrapped; and if no row reaches the bound, every row is exact.
-    big = np.flatnonzero((np.abs(m) >= _ENTRY_BOUND).any(axis=1))
+    """M = A^{-1} A^T, exactly, for an upper-triangular int64 A with diagonal
+    +-1, solved a run of rows at a time.
+
+    With D = diag(A) (D^2 = I), U = DA has diagonal 1 and U M = D A^T.  A run
+    is a block of rows lo..hi on which U's diagonal block is I - N, N the
+    superdiagonal: U[k,k+1] = -1 within it and no other entry.  For k in it,
+    M[k] - M[k+1] = B[k] = (D A^T)[k] - sum over j > hi of U[k,j] M[j] (and
+    M[hi] = B[hi]).  So a run costs the subtraction of its coupling to later
+    rows, taken over U's nonzeros a stripe at a time (consecutive rows, one
+    entry each, of one value at one offset: a slice of M, no gathered
+    copy), then a reversed running sum, added in place row by row: numpy's
+    cumsum down axis 0 strides a whole row per step and runs ten times
+    slower at rank 2048.  Dense blocks are never multiplied.  A brick matrix
+    has one run per generator (consecutive bricks of a generator link by
+    -1, and nothing else within it), and for a torus knot two stripes
+    couple each run to the next; in any other U a row that has no such
+    link is a run of one, the plain back-substitution step.
+
+    An entry of 2^21 or more raises ValidationFailure naming the last row
+    that has one, and that row is exact.  M[k] reads only the rows after k:
+    the couplings of its run, and M[k+1].  If those are exact and below
+    2^21, B[k] is below n 2^42 + 2^21 and M[k] below n 2^42 + 2^22 < 2^63
+    (n <= 2^11), so M[k] is exact too, even if the rows before it then
+    wrap; and if no row reaches the bound, every row is exact.
+    """
+    n = len(a)
+    rows, cols = np.nonzero(a)
+    values, sign = a[rows, cols], a.diagonal()
+    m = np.zeros((n, n), np.int64)
+    m[cols, rows] = values * sign[cols]  # D A^T
+    if not n:
+        return m
+    units = values * sign[rows]  # U's entries
+    # row k runs on into row k + 1 if U[k,k+1] = -1, and no other entry of
+    # row k falls in the chain of such links through it
+    joined = sign[:-1] * a.diagonal(1) == -1
+    chain = np.concatenate(([0], np.cumsum(~joined)))
+    joined[rows[(cols > rows + 1) & (chain[rows] == chain[cols])]] = False
+    run = np.concatenate(([0], np.cumsum(~joined)))
+    firsts = [0, *(np.flatnonzero(~joined) + 1).tolist(), n]
+    # the couplings to later runs, by run, offset, value and row, cut into stripes
+    later = run[cols] > run[rows]
+    rows, cols, units = rows[later], cols[later], units[later]
+    order = np.lexsort((rows, units, cols - rows, run[rows]))
+    rows, cols, units = rows[order], cols[order], units[order]
+    cut = np.ones(rows.size, bool)  # a stripe starts here
+    cut[1:] = ((np.diff(rows) != 1) | (np.diff(cols) != 1) | (np.diff(units) != 0)
+               | (np.diff(run[rows]) != 0))
+    starts = np.flatnonzero(cut).tolist()
+    stripes = [[] for _ in firsts[1:]]  # per run: (first row, first col, rows, value)
+    for s, e in zip(starts, starts[1:] + [rows.size]):
+        stripes[run[rows[s]]].append((rows[s], cols[s], e - s, units[s]))
+    for i in range(len(firsts) - 2, -1, -1):
+        for r, c, size, u in stripes[i]:
+            m[r : r + size] -= u * m[c : c + size]
+        for k in range(firsts[i + 1] - 2, firsts[i] - 1, -1):
+            m[k] += m[k + 1]
+    big = np.flatnonzero((m.max(axis=1) >= _ENTRY_BOUND) | (m.min(axis=1) <= -_ENTRY_BOUND))
     if big.size:
         raise ValidationFailure(f"row {big[-1]} of A^-1 A^T has an entry of 2^21 or more")
     return m
@@ -263,19 +313,34 @@ def _brick_matrix(braid: BraidWord) -> np.ndarray:
       * for v of generator g_u + 1 whose interval interleaves u's:
         -1 when u starts first (a_u < a_v < b_u < b_v), +1 when it starts
         second (a_v < a_u < b_v < b_u).
+
+    So u has at most two such v, both read off the letters of g_u + 1: the
+    -1 brick starts at the last of them before b_u, if that is after a_u
+    and another follows; the +1 brick ends at the first of them after a_u,
+    if that is before b_u and another precedes.  One searchsorted over the
+    (generator, position) keys of all letters finds each, and the entries
+    are scattered into the identity.
     """
     letters = np.asarray(braid.letters, dtype=np.int64)
-    order = np.lexsort((np.arange(letters.size), letters))
+    size = letters.size
+    order = np.lexsort((np.arange(size), letters))  # positions by (generator, position)
     gens = letters[order]
-    same = gens[1:] == gens[:-1]
-    g, a, b = (x[same][:, None] for x in (gens[1:], order[:-1], order[1:]))
-    adjacent = g.T == g + 1
-    return (
-        np.eye(len(g), dtype=np.int64)
-        - ((g.T == g) & (a.T == b))
-        - (adjacent & (a < a.T) & (a.T < b) & (b < b.T))
-        + (adjacent & (a.T < a) & (a < b.T) & (b.T < b))
-    )
+    opens = np.append(gens[1:] == gens[:-1], False)  # i opens the brick (order[i], order[i+1])
+    brick = np.cumsum(opens) - 1  # the index of the brick that i opens
+    starts = np.flatnonzero(opens)
+    up, a, b = gens[starts] + 1, order[starts], order[starts + 1]
+    keys = gens * size + order  # increasing
+    last = np.searchsorted(keys, up * size + b) - 1  # >= the letter at b
+    first = np.minimum(np.searchsorted(keys, up * size + a), size - 1)  # > the letter at b
+    minus = (gens[last] == up) & (order[last] > a) & opens[last]
+    plus = (gens[first] == up) & (a < order[first]) & (order[first] < b) & opens[first - 1]
+    u = np.arange(starts.size)
+    chained = u[:-1][opens[starts[:-1] + 1]]  # the next brick has u's generator
+    matrix = np.eye(starts.size, dtype=np.int64)
+    matrix[chained, chained + 1] = -1
+    matrix[u[minus], brick[last[minus]]] = -1
+    matrix[u[plus], brick[first[plus] - 1]] = 1
+    return matrix
 
 
 def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
@@ -314,10 +379,12 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 #
 # int64: with n <= 2^11 and |M| < 2^21, a mat-vec row of entries below 2^31
 # stays below 2^63, and the first entry of y to reach 2^31 is exact, so it is
-# caught.  Then e |S_e| <= N 2^31 and |w_d| <= tau(d) N 2^31 < 2^63, as
-# tau(d) <= N <= 2 * 2049 within _MAX_RANK.  Brick entries lie in {-1, 0, 1}
-# (the three boolean terms of `_brick_matrix` are mutually exclusive) and
-# v < 2^6, so |A^T v| < 2^17 and g_m = (A^T v) . y_m has |g| < 2^59 < 2^63.
+# caught.  Then e |S_e| <= N 2^31, and w_d and each partial sum of the
+# Moebius product that builds it is at most tau(d) N 2^31 < 2^63, as tau(d)
+# <= N <= 2 * 2049 within _MAX_RANK.  Brick entries lie in {-1, 0, 1} (each
+# off-diagonal link of `_brick_matrix` goes to a different brick, so no entry
+# is written twice) and v < 2^6, so |A^T v| < 2^17 and g_m = (A^T v) . y_m
+# has |g| < 2^59 < 2^63.
 
 
 def _exact_krylov(a: np.ndarray, v, p: int, q: int) -> np.ndarray:
@@ -341,11 +408,13 @@ def _exact_krylov(a: np.ndarray, v, p: int, q: int) -> np.ndarray:
     divisors, mu = [d for d in range(1, pq + 1) if pq % d == 0], {}
     for d in divisors:  # the sum of mu(e) over e | d is [d = 1]
         mu[d] = int(d == 1) - sum(mu[e] for e in mu if d % e == 0)
-    scaled = {e: e * y[:pq:e].sum(axis=0) for e in divisors}  # e S_e
-    for d in divisors:
-        w = sum(mu[d // e] * scaled[e] for e in divisors if d % e == 0 and mu[d // e])
-        if (nonzero := bool(np.any(w))) != bool(p % d and q % d):
-            raise ValidationFailure(f"the Phi_{d} component of v is {'non' * nonzero}zero")
+    # every w_d at once: the Moebius matrix [mu(d/e) if e | d] times the rows e S_e
+    mobius = np.array([[mu[d // e] if d % e == 0 else 0 for e in divisors] for d in divisors])
+    w = mobius @ np.stack([e * y[:pq:e].sum(axis=0) for e in divisors])
+    nonzero = w.any(axis=1).tolist()
+    for d, found in zip(divisors, nonzero):
+        if found != bool(p % d and q % d):
+            raise ValidationFailure(f"the Phi_{d} component of v is {'non' * found}zero")
     return y
 
 
@@ -424,7 +493,9 @@ def oracle_step_function(knot: TorusKnot, tol: float = DEFAULT_TOLERANCE) -> Ste
     k = k[(k % knot.p != 0) & (k % knot.q != 0)]
     form = np.fft.rfft(g)[k].imag
     margin = np.abs(form)
-    if not margin.min(initial=np.inf) > tol * margin.max(initial=0.0):
+    # a Python float product: one that overflows is inf, which no margin
+    # exceeds, with no numpy overflow warning
+    if not margin.min(initial=np.inf) > tol * float(margin.max(initial=0.0)):
         t = RationalAngle(int(k[margin.argmin()]), pq)
         raise NearSingular(f"jump slope at t = {t} is not above {tol} times the largest")
     jumps = np.where(form < 0, 2, -2)

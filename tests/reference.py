@@ -5,8 +5,9 @@ deliberately different and simpler route (point-by-point or column-by-column
 loops, sorting, a list-based walk).  The tests compare the kernels against
 these; nothing in `src/` imports this module.  It also keeps
 `rotation_relation`, the q -> q + p rotation of the balanced sequence, which
-no `verify` suite runs, and the %-formatting and `json.dumps` renderers that
-`torsig.cli` replaced with its digit-matrix `_rows`.
+no `verify` suite runs, the %-formatting and `json.dumps` renderers that
+`torsig.cli` replaced with its digit-matrix `_rows`, and the row-by-row
+back-substitution that `torsig.oracle._monodromy` replaced with runs.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 from torsig.cli import SCHEMA_VERSION
 from torsig.core import InvalidParameter, RationalAngle, TorusKnot
 from torsig.lattice import StepFunction, classical_signature
 from torsig.maxsig import DistanceProfile, balanced_sequence, distance_profile, max_cyclic_sum
-from torsig.oracle import BraidWord
+from torsig.oracle import BraidWord, ValidationFailure
 
 
 def floor_sum_naive(n: int, m: int, a: int, b: int) -> int:
@@ -446,6 +449,24 @@ def seifert_bricks_loop(braid: BraidWord) -> list[list[int]]:
                 elif c < a < d < b:
                     raw[u][v] = -1
     return [[-x for x in row] for row in raw]
+
+
+def monodromy_rows(a: np.ndarray) -> np.ndarray:
+    """M = A^{-1} A^T for an upper-triangular int64 A with diagonal +-1, one
+    row at a time from the bottom: M[k] = A[k,k] (A^T[k] - A[k,nz] M[nz]) over
+    the nonzeros nz of row k right of the diagonal.  Raises the same
+    ValidationFailure as `_monodromy` when an entry reaches 2^21: M[k] reads
+    only later rows, so the last row that does is exact."""
+    m = a.T.copy()
+    rows, cols = np.nonzero(np.triu(a, 1))
+    starts = np.searchsorted(rows, np.arange(len(a) + 1))
+    for k in range(len(a) - 1, -1, -1):
+        nz = cols[starts[k] : starts[k + 1]]
+        m[k] = a[k, k] * (m[k] - a[k, nz] @ m[nz])
+    big = np.flatnonzero((np.abs(m) >= 2**21).any(axis=1))
+    if big.size:
+        raise ValidationFailure(f"row {big[-1]} of A^-1 A^T has an entry of 2^21 or more")
+    return m
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:

@@ -226,14 +226,16 @@ class TestRenderer:
         columns = [np.array(data.draw(st.lists(self.ENTRIES, max_size=12)), dtype=np.int64)
                    for _ in range(width)]
         row = "%d".join(literals)
-        assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+        assert "".join(cli._rows(row, *columns)) == rows_by_percent(
+            row, *(c.tolist() for c in columns))
 
     def test_large_columns_match_percent_formatting(self):
         rng = np.random.default_rng(7)
         columns = [rng.integers(-(10**6), 10**6, 5000), rng.integers(0, 2**40, 5000),
                    rng.integers(-(2**63) + 1, 2**63 - 1, 5000, dtype=np.int64)]
         row = "x%d,%d;%d\n"
-        assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+        assert "".join(cli._rows(row, *columns)) == rows_by_percent(
+            row, *(c.tolist() for c in columns))
 
     @pytest.mark.parametrize("digits", [1, 2, 9, 10, 18])
     def test_minus_on_every_row_of_a_field(self, digits):
@@ -244,7 +246,8 @@ class TestRenderer:
         rows_with_minus = (cli._digits(column) == ord("-")).any(axis=1)
         assert rows_with_minus.tolist() == [True] * digits + [False]
         for row, columns in (("%d\n", [column]), ("<%d|%d>", [column, column[::-1].copy()])):
-            assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+            assert "".join(cli._rows(row, *columns)) == rows_by_percent(
+                row, *(c.tolist() for c in columns))
 
     @pytest.mark.parametrize("entries", [
         [-1, -10, -7, -999, -1000, -123456789, -(2**63) + 1],
@@ -255,7 +258,14 @@ class TestRenderer:
     def test_edge_columns_match_percent_formatting(self, entries):
         column = np.array(entries, dtype=np.int64)
         for row, columns in (("%d", [column]), ("a%d,%d;\n", [column, column[::-1].copy()])):
-            assert cli._rows(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
+            assert "".join(cli._rows(row, *columns)) == rows_by_percent(
+                row, *(c.tolist() for c in columns))
+
+    @pytest.mark.parametrize("n", [0, 1, cli._PIECE, cli._PIECE + 1, 2 * cli._PIECE + 5])
+    def test_json_nest_matches_dumps_across_pieces(self, n):
+        column = np.arange(n, dtype=np.int64) - n // 2
+        nested = "".join(cli._json_nest("[]", cli._rows("    %d,\n", column)))
+        assert '{\n  "a": ' + nested + "\n}" == json.dumps({"a": column.tolist()}, indent=2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(ENTRIES, max_size=30))
@@ -385,6 +395,19 @@ class TestVerify:
         )
         assert code == 1
         assert "result=FAIL" in out and "FAIL suite=oracle" in out
+
+    def test_overflowing_tolerance_fails_with_a_clean_stderr(self):
+        # tol times the largest slope overflows to inf: the row fails, and
+        # numpy prints no overflow warning on stderr
+        argv = [sys.executable, "-m", "torsig", "verify", "--which", "oracle",
+                "--p-max", "2", "--q-max", "3", "--tol", "1e308"]
+        done = subprocess.run(argv, capture_output=True, env=src_env(), timeout=120)
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert done.stdout.decode() == (
+            "suite=oracle checked=1 failed=1\n"
+            "FAIL suite=oracle p=2 q=3 expected= computed=error: "
+            "jump slope at t = 1/6 is not above 1e+308 times the largest\n"
+            "result=FAIL\n")
 
     def test_env_tolerance_and_flag_priority(self, capsys, monkeypatch):
         """TORSIG_TOL is not read: --tol is the only tolerance input."""

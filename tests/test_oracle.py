@@ -37,6 +37,7 @@ from reference import (
     cyclotomic,
     cyclotomic_torus_alexander,
     has_repeated_root_mod,
+    monodromy_rows,
     pieces_as_fractions,
     seifert_bricks_loop,
     torus_alexander_by_division,
@@ -276,7 +277,7 @@ class TestSeifertMatrix:
             assert seifert_matrix(braid).entries.tolist() == seifert_bricks_loop(braid)
 
     def test_bricks_match_loop_reference_on_random_braids(self):
-        for braid in random_knot_braids(seed=2212, count=300, max_strands=8, max_rank=40):
+        for braid in random_knot_braids(seed=2212, count=300, max_strands=16, max_rank=120):
             assert seifert_matrix(braid).entries.tolist() == seifert_bricks_loop(braid)
 
     def test_entries_are_signs(self):
@@ -473,6 +474,112 @@ class TestAlexanderContract:
         assert_validates_exactly(raw, pencil_det_bruteforce(raw.tolist()))
 
 
+def monodromy_outcome(monodromy, a):
+    """monodromy(a) as nested lists, or the message of its ValidationFailure."""
+    try:
+        return monodromy(np.asarray(a, dtype=np.int64)).tolist()
+    except ValidationFailure as error:
+        return str(error)
+
+
+SIGNS = st.sampled_from([1, -1])
+# small entries, and entries that drive M past 2^21 within a few rows
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2**20), 2**20))
+
+
+@st.composite
+def upper_triangular(draw, max_n=12):
+    """A random upper-triangular matrix with diagonal +-1, sparse or dense."""
+    n = draw(st.integers(0, max_n))
+    a = np.diag(draw(st.lists(SIGNS, min_size=n, max_size=n))).astype(np.int64)
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if draw(st.floats(0, 1)) < density:
+            a[i, j] = draw(ENTRIES)
+    return a
+
+
+@st.composite
+def chains(draw, max_n=16):
+    """Rows linked into chains by U[k,k+1] = -1 (U = diag(A) A), with some
+    links broken by +1 or 0 or by a -1 diagonal beside a -1 superdiagonal
+    (a run of one row), and far entries dropped inside the chains."""
+    n = draw(st.integers(1, max_n))
+    sign = np.array(draw(st.lists(SIGNS, min_size=n, max_size=n)), dtype=np.int64)
+    a = np.diag(sign)
+    for k in range(n - 1):
+        a[k, k + 1] = draw(st.sampled_from([-sign[k], -sign[k], -sign[k], -1, 1, 0]))
+    for _ in range(draw(st.integers(0, n))):
+        i = draw(st.integers(0, n - 1))
+        if i + 2 < n:
+            a[i, draw(st.integers(i + 2, n - 1))] = draw(ENTRIES)
+    return a
+
+
+@st.composite
+def banded_runs(draw):
+    """Runs of rows linked by U[k,k+1] = -1, as the bricks of one generator
+    are, each coupled to the next run by bands: entries at one offset from
+    the diagonal on consecutive rows, of one value or of mixed values."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = sum(lengths)
+    sign = np.array(draw(st.lists(SIGNS, min_size=n, max_size=n)), dtype=np.int64)
+    a = np.diag(sign)
+    firsts = np.cumsum([0, *lengths]).tolist()
+    for lo, hi, end in zip(firsts, firsts[1:], firsts[2:] + [n]):
+        for k in range(lo, hi - 1):
+            a[k, k + 1] = -sign[k]
+        for _ in range(draw(st.integers(0, 2)) if hi < n else 0):
+            offset = draw(st.integers(hi - lo, end - 1 - lo))
+            same = st.sampled_from([-1, 1, 2]).map(lambda v: [v] * (hi - lo))
+            mixed = st.lists(st.sampled_from([-1, 1, 2]), min_size=hi - lo, max_size=hi - lo)
+            for k, value in zip(range(lo, hi), draw(st.one_of(same, mixed))):
+                if k + offset < n:
+                    a[k, k + offset] = value
+    return a
+
+
+class TestMonodromyRuns:
+    """`_monodromy` by runs against the row-by-row `monodromy_rows`: the same
+    M, or the same ValidationFailure naming the last row over 2^21."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(upper_triangular())
+    def test_random_upper_triangular(self, a):
+        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chains())
+    def test_chains_with_far_entries_and_negative_diagonals(self, a):
+        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(banded_runs())
+    def test_runs_coupled_by_bands(self, a):
+        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.integers(-(2**20), 2**20))
+    @example(5, 2**11)
+    @example(5, 2**20)
+    def test_identity_plus_k_superdiagonal(self, n, k):
+        a = np.eye(n, dtype=np.int64) + np.diag(np.full(n - 1, k, dtype=np.int64), 1)
+        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_random_braids(self, seed):
+        [braid] = random_knot_braids(seed=seed, count=1, max_strands=16, max_rank=120)
+        a = seifert_matrix(braid).entries
+        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+
+    def test_torus_grid_to_rank_200(self):
+        pairs = [(p, q) for p, q in coprime_pairs(12, 201) if (p - 1) * (q - 1) <= 200]
+        for p, q in pairs:
+            a = seifert_matrix(torus_braid(TorusKnot(p, q))).entries
+            assert np.array_equal(oracle._monodromy(a), monodromy_rows(a)), (p, q)
+
+
 # Checks that torus_seifert_matrix's refusals hold with asserts stripped; prints
 # one line per case, the exception class name or "passed".
 _REFUSALS = """
@@ -533,6 +640,14 @@ class TestExactValidation:
         # Phi_d(M) v lies in a Krylov space of dimension n - phi(d) < n
         with pytest.raises(ValidationFailure, match=f"Phi_{d} component of v is zero"):
             phi_start(TorusKnot(p, q), d)
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 12)])
+    def test_eigenvalue_one_is_named_first(self, p, q):
+        # A = I gives M = I: y_pq = v holds, and v lies wholly in the kernel
+        # of Phi_1(M), which w_1 = S_1 = pq v shows before any other d
+        a = np.eye((p - 1) * (q - 1), dtype=np.int64)
+        with pytest.raises(ValidationFailure, match="Phi_1 component of v is nonzero"):
+            validate_as_torus(a, TorusKnot(p, q))
 
     def test_matrix_outside_the_proof_refused(self):
         entries = seifert_matrix(torus_braid(TorusKnot(3, 4))).entries
