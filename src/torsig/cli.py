@@ -122,25 +122,28 @@ def cmd_max(args) -> int:
     profile = distance_profile(knot)  # empty for p <= 2
     sequence = balanced_sequence(profile)
     row = _peak_row(knot, max_cyclic_sum(sequence))
-    D, d, js = profile.D, profile.d, profile.j
-    ks = -js[::-1]  # the indices of d
+    D, d = profile.D, profile.d
+    ks = -profile.j[::-1]  # the indices of d; D's are -ks[::-1]
     if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
-        out, D_order, d_order = sys.stdout, _decimal_order(js), _decimal_order(ks)
+        # D's keys "-k" sort as d's keys "k" do
+        out, order = sys.stdout, _decimal_order(ks)
+        signs = np.full((2, sequence.size), ord("1"), np.uint8)  # "-1" or "1", NUL-padded
+        signs[0] = (sequence < 0) * ord("-")
         out.write('{\n  "D": ')
-        out.writelines(_json_nest("{}", _rows('    "%d": %d,\n', js[D_order], D[D_order])))
+        out.writelines(_json_nest("{}", _rows('    "-%d": %d,\n', ks[order], D[::-1][order])))
         out.write(',\n  "M": %d,\n  "d": ' % row["M"])
-        out.writelines(_json_nest("{}", _rows('    "%d": %d,\n', ks[d_order], d[d_order])))
+        out.writelines(_json_nest("{}", _rows('    "%d": %d,\n', ks[order], d[order])))
         out.write(',\n  "g4_lb": %d,\n  "p": %d,\n  "q": %d,\n  "schema_version": %s,\n'
                   '  "sequence": ' % (row["g4_lb"], knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
-        out.writelines(_json_nest("[]", _rows("    %d,\n", sequence.astype(np.int64))))
+        out.writelines(_json_nest("[]", _pieces(_literals("    %d,\n", 1), [signs])))
         out.write(',\n  "sigma": %d,\n  "sigma_hat": %d\n}\n' % (row["sigma"], row["sigma_hat"]))
     else:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
-        if D.size:  # each line: its first entry, then " D[j]=D_j" for the others
-            for name, index, value in (("D", js, D), ("d", ks, d)):
-                sys.stdout.write(f"{name}[{index[0]}]={value[0]}")
-                sys.stdout.writelines(_rows(f" {name}[%d]=%d", index[1:], value[1:]))
+        if D.size:  # each line: its first entry, then " D[-k]=D_-k" for the others
+            for name, index, value in (("D[-", ks[::-1], D), ("d[", ks, d)):
+                sys.stdout.write(f"{name}{index[0]}]={value[0]}")
+                sys.stdout.writelines(_rows(f" {name}%d]=%d", index[1:], value[1:]))
                 sys.stdout.write("\n")
         print(f"sequence={_sequence_str(sequence)}")
         print(f"M={row['M']}")
@@ -163,24 +166,21 @@ def _literals(row: str, fields: int) -> list[bytes]:
 
 
 def _digits(column: np.ndarray) -> np.ndarray:
-    """The decimal text of an int64 column as a uint8 block with one row per
-    byte position: entry i reads down column i, right-aligned, with NUL
-    before it.  How and why is told at `_rows`."""
+    """The decimal text of a non-negative int64 column as a uint8 block with
+    one row per byte position: entry i reads down column i, right-aligned,
+    with NUL before it.  How and why is told at `_rows`."""
     if (dtype := getattr(column, "dtype", type(column))) != np.int64:
         raise TypeError(f"columns must be int64 arrays, got {dtype}")
     n = len(column)
     lo, hi = (int(column.min()), int(column.max())) if n else (0, 0)
-    if lo == -(2**63):
-        raise ValueError("-2^63 has no int64 absolute value")
-    digits, signed = len(str(max(hi, -lo))), lo < 0
-    block = np.empty((signed + digits, n), np.uint8)
-    q = np.empty(n, np.uint32 if digits < 10 else np.int64)  # 10^9 - 1 < 2^32 < 10^10 - 1
-    np.abs(column, out=q, casting="unsafe")
-    t, scratch = np.empty_like(q), np.empty(n, np.uint8)
-    shown, above = np.empty(n, bool), np.ones(n, bool)  # digit k shown; digit k - 1 shown
-    minus = np.uint8(ord("-")) * (column < 0)
+    if lo < 0:
+        raise ValueError(f"columns must be non-negative, got {lo}")
+    digits = len(str(hi))
+    block = np.empty((digits, n), np.uint8)
+    q = column.astype(np.uint32 if digits < 10 else np.int64)  # 10^9 - 1 < 2^32 < 10^10 - 1
+    t, scratch, shown = np.empty_like(q), np.empty(n, np.uint8), np.empty(n, bool)
     np.copyto(block[-1], q, casting="unsafe")
-    for k in range(digits):  # row -1 - k holds q mod 256, q = |entry| // 10^k
+    for k in range(digits):  # row -1 - k holds q mod 256, q = entry // 10^k
         row = block[-1 - k]
         if k < digits - 1:  # else q < 10 already
             np.floor_divide(q, 10, out=t)
@@ -191,14 +191,7 @@ def _digits(column: np.ndarray) -> np.ndarray:
         if k:
             np.not_equal(q, 0, out=shown)
             row *= shown
-            if signed:
-                np.bitwise_xor(above, shown, out=above)  # shown implies above
-                np.multiply(above, minus, out=scratch)
-                row += scratch
-                above, shown = shown, above
         q, t = t, q
-    if signed:
-        np.multiply(above, minus, out=block[0])
     return block
 
 
@@ -233,11 +226,12 @@ def _pieces(literals: list[bytes], blocks: list[np.ndarray]) -> Iterator[str]:
 
 
 def _rows(row: str, *columns: np.ndarray) -> Iterator[str]:
-    """`row` once per index of the int64 columns, cut to the shortest, with
-    its i-th %d read from the i-th column: (row * n) % (the entries in turn),
-    with no Python int made per entry.  The text comes as the pieces of
-    `_pieces`, for the caller to write straight out (or join); the template
-    and the columns are checked, and the digits cut, before it returns.
+    """`row` once per index of the non-negative int64 columns, cut to the
+    shortest, with its i-th %d read from the i-th column: (row * n) % (the
+    entries in turn), with no Python int made per entry.  A sign is literal
+    text of `row`.  The text comes as the pieces of `_pieces`, for the caller
+    to write straight out (or join); the template and the columns are
+    checked, and the digits cut, before it returns.
 
     Each field becomes a `_digits` block, one row of n bytes per byte
     position, cut from the right a digit at a time.  A digit costs one floor
@@ -248,10 +242,8 @@ def _rows(row: str, *columns: np.ndarray) -> Iterator[str]:
     0..9, and the uint8 cast of t is already the next row's q.  Rows above
     an entry's first digit are blanked by multiplying with q != 0, and no
     ufunc writes through where=, which runs several times slower than a
-    plain one.  A '-' goes where the entry is negative, the digit below is
-    shown and this one is not; entries that use every digit row get theirs
-    on the field's sign row.  `_pieces` lays the blocks between the literals
-    and deletes the NULs left before shorter numbers.
+    plain one.  `_pieces` lays the blocks between the literals and deletes
+    the NULs left before shorter numbers.
     """
     literals = _literals(row, len(columns))
     n = min(map(len, columns))
@@ -274,21 +266,19 @@ def _json_nest(brackets: str, pieces: Iterator[str]) -> Iterator[str]:
 
 
 def _decimal_order(keys: np.ndarray) -> np.ndarray:
-    """The order in which json.dumps(sort_keys=True) puts int64 keys: that of
-    their decimal strings, with no string made per key.
+    """The order in which json.dumps(sort_keys=True) puts non-negative int64
+    keys: that of their decimal strings, with no string made per key.
 
-    '-' sorts before every digit, so negative keys come first.  Among keys
-    of one sign, digit strings compare as their digits left-aligned to a
-    common length L would, with the shorter string first on a tie, which
-    is where it is a prefix of the longer one: the order of (sign,
-    |key| * 10^(L - digits), digits).  The middle value is below 10^L <=
-    10^19 < 2^64.
+    Digit strings compare as their digits left-aligned to a common length L
+    would, with the shorter string first on a tie, which is where it is a
+    prefix of the longer one: the order of (key * 10^(L - digits), digits).
+    The first value is below 10^L <= 10^19 < 2^64.
     """
-    magnitude = np.abs(keys).astype(np.uint64)  # |-2^63| wraps to 2^63 itself
+    keys = keys.astype(np.uint64)
     tens = 10 ** np.arange(20, dtype=np.uint64)
-    top = len(str(int(magnitude.max()))) if keys.size else 1
-    more = np.searchsorted(tens[1:top], magnitude, "right")  # digits - 1
-    return np.lexsort((more, magnitude * tens[top - 1 - more], keys >= 0))
+    top = len(str(int(keys.max()))) if keys.size else 1
+    more = np.searchsorted(tens[1:top], keys, "right")  # digits - 1
+    return np.lexsort((more, keys * tens[top - 1 - more]))
 
 
 def cmd_sweep(args) -> int:

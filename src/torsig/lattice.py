@@ -153,6 +153,16 @@ def signature_step_function(knot: TorusKnot) -> StepFunction:
     is k/pq + 1: it enters and sigma rises by 2 (Litherland, "Signatures of
     iterated torus knots", LNM 722, 1979).  sigma is 0 on (0, 1/pq), so the
     values are a cumulative sum.  Every int64 intermediate is below pq.
+
+    No value is negative.  No point has norm 1, and (i, j) -> (p-i, q-j)
+    sends norm n to 2 - n, so for t <= 1/2 the count of `lt_signature` reads
+    sigma_t = 2(#{1-t < norm < 1} - #{norm <= t}); compare the two counts
+    column by column.  Column i holds floor(q(t - i/p)) points of norm <= t.
+    If that is positive, i/p < t <= 1/2, so its j in the open interval
+    (q(1 - t - i/p), q(1 - i/p)), which lies in [0, q) and has length qt,
+    are at least ceil(qt) - 1 points of norm in (1-t, 1); and as
+    q/p > 1, floor(q(t - i/p)) < qt - 1 <= ceil(qt) - 1.  For t > 1/2,
+    sigma_t = sigma_{1-t}.
     """
     p, q = knot.p, knot.q
     pq = p * q

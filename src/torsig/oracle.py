@@ -77,10 +77,13 @@ class BraidWord:
     def __post_init__(self) -> None:
         if not _is_int(self.strands) or self.strands < 1:
             raise InvalidParameter(f"strands must be an integer >= 1, got {self.strands!r}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for g in self.letters:
-            if not _is_int(g) or not 1 <= g < self.strands:
-                raise InvalidParameter(f"letter {g!r} outside [1, {self.strands - 1}]")
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        # one C-level pass per test; the loop below only names the first bad letter
+        if letters and not (set(map(type, letters)) <= {int}
+                            and 1 <= min(letters) and max(letters) < self.strands):
+            bad = next(g for g in letters if type(g) is not int or not 1 <= g < self.strands)
+            raise InvalidParameter(f"letter {bad!r} outside [1, {self.strands - 1}]")
 
     def closure_components(self) -> int:
         """Number of components of the closed-up braid: the cycles of its permutation."""
@@ -164,16 +167,20 @@ def _monodromy(a: np.ndarray) -> np.ndarray:
     couple each run to the next; in any other U a row that has no such
     link is a run of one, the plain back-substitution step.
 
-    An entry of 2^21 or more raises ValidationFailure naming the last row
-    that has one, and that row is exact.  M[k] reads only the rows after k:
-    the couplings of its run, and M[k+1].  If those are exact and below
-    2^21, B[k] is below n 2^42 + 2^21 and M[k] below n 2^42 + 2^22 < 2^63
-    (n <= 2^11), so M[k] is exact too, even if the rows before it then
-    wrap; and if no row reaches the bound, every row is exact.
+    An A that is not upper triangular with diagonal +-1, read off its
+    nonzeros, raises ValidationFailure.  So does an entry of M of 2^21 or
+    more, naming the last row that has one, and that row is exact.  M[k]
+    reads only the rows after k: the couplings of its run, and M[k+1].  If
+    those are exact and below 2^21, B[k] is below n 2^42 + 2^21 and M[k]
+    below n 2^42 + 2^22 < 2^63 (n <= 2^11), so M[k] is exact too, even if
+    the rows before it then wrap; and if no row reaches the bound, every row
+    is exact.
     """
     n = len(a)
     rows, cols = np.nonzero(a)
     values, sign = a[rows, cols], a.diagonal()
+    if (rows > cols).any() or (np.abs(sign) != 1).any():
+        raise ValidationFailure("A is not upper triangular with diagonal +-1")
     m = np.zeros((n, n), np.int64)
     m[cols, rows] = values * sign[cols]  # D A^T
     if not n:
@@ -391,9 +398,9 @@ def _exact_krylov(a: np.ndarray, v, p: int, q: int) -> np.ndarray:
     """y_j = M^j v (j <= pq) for M = A^{-1}A^T, exactly in int64, once it
     proves det(A - tA^T) = +-Delta(T(p,q)) as above; else ValidationFailure."""
     n, pq = len(a), p * q
-    if n != (p - 1) * (q - 1) or np.tril(a, -1).any() or (np.abs(a.diagonal()) != 1).any():
-        raise ValidationFailure(f"A is not upper triangular of size {(p - 1) * (q - 1)}, diagonal +-1")
-    m = _monodromy(a)
+    if n != (p - 1) * (q - 1):
+        raise ValidationFailure(f"A is not of size {(p - 1) * (q - 1)}")
+    m = _monodromy(a)  # refuses an A that is not upper triangular with diagonal +-1
     # det M = 1, so every row of M has a nonzero and starts a segment of them
     rows, cols = np.nonzero(m)
     values, starts = m[rows, cols], np.searchsorted(rows, np.arange(n))
@@ -401,7 +408,7 @@ def _exact_krylov(a: np.ndarray, v, p: int, q: int) -> np.ndarray:
     y[0] = v
     for j in range(pq):
         y[j + 1] = np.add.reduceat(values * y[j, cols], starts)
-    if np.abs(y).max(initial=0) >= 2**31:
+    if y.max(initial=0) >= 2**31 or y.min(initial=0) <= -(2**31):
         raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
     if not np.array_equal(y[pq], y[0]):
         raise ValidationFailure(f"(A^-1 A^T)^{pq} v is not v")
@@ -443,8 +450,8 @@ def hermitian_signature(matrix, t: RationalAngle, tol: float = DEFAULT_TOLERANCE
     One complex Hermitian eigen-solve of size n.  Any eigenvalue smaller
     than tol times the largest magnitude raises NearSingular: the caller
     should pick a different t (midpoints between candidate jumps are always
-    safe), never round.  `verify` no longer calls it: tests keep it as the
-    slow reference for `oracle_step_function`.
+    safe), never round.  Tests keep it as the slow reference for
+    `oracle_step_function`.
     """
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
     if a.size == 0:

@@ -208,13 +208,13 @@ class TestTable:
 
 class TestRenderer:
     """`cli._rows` and the commands it renders, against the %-formatting and
-    `json.dumps` routes it replaced."""
+    `json.dumps` routes it replaced.  Its columns are non-negative, and a
+    minus sign is literal text of the row template."""
 
-    # 0, 10^k - 1, 10^k and 10^k + 1, 2^32 and its neighbours, and the int64 ends
+    # 0, 10^k - 1, 10^k and 10^k + 1, 2^32 and its neighbours, and the int64 top
     EDGES = [0, *(10**k + d for k in range(19) for d in (-1, 0, 1)), *(2**32 + d for d in (-1, 0, 1)),
              2**63 - 1]
-    ENTRIES = st.one_of(st.integers(-(2**63) + 1, 2**63 - 1), st.sampled_from(EDGES),
-                        st.sampled_from(EDGES).map(lambda x: -x))
+    ENTRIES = st.one_of(st.integers(0, 2**63 - 1), st.sampled_from(EDGES))
     LITERALS = st.text(st.characters(min_codepoint=1, max_codepoint=127, blacklist_characters="%"),
                        max_size=4)
 
@@ -231,39 +231,40 @@ class TestRenderer:
 
     def test_large_columns_match_percent_formatting(self):
         rng = np.random.default_rng(7)
-        columns = [rng.integers(-(10**6), 10**6, 5000), rng.integers(0, 2**40, 5000),
-                   rng.integers(-(2**63) + 1, 2**63 - 1, 5000, dtype=np.int64)]
+        columns = [rng.integers(0, 10**6, 5000), rng.integers(0, 2**40, 5000),
+                   rng.integers(0, 2**63 - 1, 5000, dtype=np.int64)]
         row = "x%d,%d;%d\n"
         assert "".join(cli._rows(row, *columns)) == rows_by_percent(
             row, *(c.tolist() for c in columns))
 
     @pytest.mark.parametrize("digits", [1, 2, 9, 10, 18])
     def test_minus_on_every_row_of_a_field(self, digits):
-        # -9, -99, ..., -(10^digits - 1) beside 10^digits - 1: each entry's '-'
-        # sits one row higher, the widest one's on the sign row
-        column = np.array([-(10**k - 1) for k in range(1, digits + 1)] + [10**digits - 1],
-                          dtype=np.int64)
-        rows_with_minus = (cli._digits(column) == ord("-")).any(axis=1)
-        assert rows_with_minus.tolist() == [True] * digits + [False]
-        for row, columns in (("%d\n", [column]), ("<%d|%d>", [column, column[::-1].copy()])):
+        # 9, 99, ..., 10^digits - 1 start on every digit row of their block; a
+        # '-' before the field is template text and must land on each first digit
+        column = np.array([10**k - 1 for k in range(1, digits + 1)], dtype=np.int64)
+        assert len(cli._digits(column)) == digits
+        for row, columns in (("-%d\n", [column]), ("<-%d|%d>", [column, column[::-1].copy()])):
+            printed = [-column, *columns[1:]]
             assert "".join(cli._rows(row, *columns)) == rows_by_percent(
-                row, *(c.tolist() for c in columns))
+                row.replace("-", "", 1), *(c.tolist() for c in printed))
 
     @pytest.mark.parametrize("entries", [
         [-1, -10, -7, -999, -1000, -123456789, -(2**63) + 1],
         [], [0], [-5], [10**18],
-        [10**9 - 1, -(10**9 - 1), 0, 7, -10],  # 9 digits: uint32 digit loop
-        [10**9, -(10**9), 2**32 - 1, 2**32, -(2**32), 10**10 - 1, 3],  # 10 digits: int64
+        [10**9 - 1, 10**9 - 2, 0, 7, 10],  # 9 digits: uint32 digit loop
+        [10**9, 10**9 + 1, 2**32 - 1, 2**32, 2**32 + 1, 10**10 - 1, 3],  # 10 digits: int64
     ], ids=["all-negative", "length-0", "zero", "one-negative", "one-wide", "9-digits", "10-digits"])
     def test_edge_columns_match_percent_formatting(self, entries):
+        # a negative column goes out as its magnitudes behind a template '-', as `max` writes D
         column = np.array(entries, dtype=np.int64)
+        sign = "-" if column.size and column.min() < 0 else ""
         for row, columns in (("%d", [column]), ("a%d,%d;\n", [column, column[::-1].copy()])):
-            assert "".join(cli._rows(row, *columns)) == rows_by_percent(
-                row, *(c.tolist() for c in columns))
+            rendered = cli._rows(row.replace("%d", sign + "%d"), *map(np.abs, columns))
+            assert "".join(rendered) == rows_by_percent(row, *(c.tolist() for c in columns))
 
     @pytest.mark.parametrize("n", [0, 1, cli._PIECE, cli._PIECE + 1, 2 * cli._PIECE + 5])
     def test_json_nest_matches_dumps_across_pieces(self, n):
-        column = np.arange(n, dtype=np.int64) - n // 2
+        column = np.arange(n, dtype=np.int64)
         nested = "".join(cli._json_nest("[]", cli._rows("    %d,\n", column)))
         assert '{\n  "a": ' + nested + "\n}" == json.dumps({"a": column.tolist()}, indent=2)
 
@@ -274,13 +275,13 @@ class TestRenderer:
         order = cli._decimal_order(column).tolist()
         assert order == sorted(range(len(keys)), key=lambda i: str(keys[i]))
 
-    def test_decimal_order_takes_the_lowest_int64(self):
-        keys = [-(2**63), 2**63 - 1, -9, 0, -(2**63) + 1, 10]
+    def test_decimal_order_takes_the_int64_ends(self):
+        keys = [2**63 - 1, 9, 0, 2**63 - 10, 10**18, 10]
         order = cli._decimal_order(np.array(keys, dtype=np.int64)).tolist()
         assert order == sorted(range(len(keys)), key=lambda i: str(keys[i]))
 
     @pytest.mark.parametrize("column", [
-        np.array([5, -(2**63)], dtype=np.int64),  # its absolute value overflows
+        np.array([5, -(2**63)], dtype=np.int64),  # negative, so refused
         np.array([1.0, 2.0]),
         np.array([1, 2], dtype=np.int32),
         np.array([1, 2], dtype=np.uint64),
@@ -289,6 +290,14 @@ class TestRenderer:
     def test_refuses_what_it_cannot_print(self, column):
         with pytest.raises((TypeError, ValueError)):
             cli._rows("%d,%d\n", np.arange(2), column)
+
+    @pytest.mark.parametrize("column", [[-1], [0, 7, -1, 12], [2**63 - 1, -(2**63) + 1]])
+    def test_negative_entry_raises(self, column):
+        column = np.array(column, dtype=np.int64)
+        with pytest.raises(ValueError, match="non-negative"):
+            cli._digits(column)
+        with pytest.raises(ValueError, match="non-negative"):
+            cli._rows("-%d\n", column)
 
     @pytest.mark.parametrize("row", ["%d", "%d%d%d", "%s %d,%d", "%d,%d%%", "%d\0%d"])
     def test_refuses_templates_it_cannot_fill(self, row):

@@ -2,7 +2,8 @@
 
 The corpus is rewritten by tests/golden/regen.py; a failure here means a
 command's output or exit code changed.  The corpus is also run once under
-`python -O`, which strips every assert, so no output may depend on one.
+`python -O -W error`, which strips every assert, so no output may depend
+on one, and turns every warning (a numpy RuntimeWarning, say) into a failure.
 """
 
 import importlib.util
@@ -52,7 +53,7 @@ def test_stdout_matches_golden_without_asserts():
     path = [str(GOLDEN.parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     argvs = json.dumps({name: argv for name, (argv, _) in CASES.items()})
-    run = subprocess.run([sys.executable, "-O", "-c", _RUN_ALL, argvs],
+    run = subprocess.run([sys.executable, "-O", "-W", "error", "-c", _RUN_ALL, argvs],
                          capture_output=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
     results = json.loads(run.stdout)

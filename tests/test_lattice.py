@@ -308,6 +308,14 @@ class TestStepFunction:
         assert FractionStep.of(step) == step_function_walk(knot)
         assert step.max_value() == max(step_function_walk(knot).interval_values)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 400).flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 4000)))
+           .filter(lambda pq: math.gcd(*pq) == 1))
+    def test_no_value_is_negative(self, pq):
+        # the argument is in `signature_step_function`'s docstring; `sweep`
+        # renders the values with the non-negative digit kernel of `cli._rows`
+        assert signature_step_function(TorusKnot(*pq)).interval_values.min() >= 0
+
     def test_argmax_pieces_match_list_reference_on_grid(self):
         for p in range(1, 16):
             for q in range(p, 31):

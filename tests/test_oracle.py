@@ -211,6 +211,10 @@ class TestBraidWord:
             BraidWord(True, ())
         with pytest.raises(InvalidParameter):
             BraidWord(2.0, (1,))
+        with pytest.raises(InvalidParameter, match="letter 3 outside"):  # the first bad letter
+            BraidWord(3, (2, 1, 3, 0, 1.0))
+        with pytest.raises(InvalidParameter, match="letter 1.0 outside"):
+            BraidWord(3, (2, 1, 1.0, 0))
 
     def test_connectivity(self):
         assert BraidWord(3, (1, 2)).closure_components() == 1
@@ -653,10 +657,13 @@ class TestExactValidation:
         entries = seifert_matrix(torus_braid(TorusKnot(3, 4))).entries
         lower = entries.copy()
         lower[2, 0] = 1
+        twice = entries.copy()
+        twice[3, 3] = 2
         # two copies of A: every component check passes, but the pencil is Delta^2
         doubled = np.kron(np.eye(2, dtype=np.int64), entries)
-        for wrong in (lower, doubled):
-            with pytest.raises(ValidationFailure, match="upper triangular of size 6"):
+        for wrong, message in ((lower, "not upper triangular"), (twice, "diagonal \\+-1"),
+                               (doubled, "not of size 6")):
+            with pytest.raises(ValidationFailure, match=message):
                 validate_as_torus(wrong, TorusKnot(3, 4))
 
     def test_accepts_every_torus_knot_up_to_rank_120(self):
@@ -1002,6 +1009,23 @@ class TestOracleStepFunction:
 
     def test_krylov_entry_bound(self, monkeypatch):
         monkeypatch.setattr(oracle, "_monodromy", scaled(oracle._monodromy))
+        with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
+            oracle_step_function(TorusKnot(3, 5))
+
+    def test_krylov_entry_bound_below_zero(self, monkeypatch):
+        # M = I with row 0 replaced by -2^26 at column c > 0, where v_c >= 32:
+        # y_j[0] = -2^26 v_c <= -2^31 for every j >= 1, and no entry is positive
+        # past the bound
+        n = TorusKnot(3, 5).seifert_rank()
+        c = next(i for i, x in enumerate(start_vector(n)) if i and x >= 32)
+
+        def negative_row(a):
+            m = np.eye(n, dtype=np.int64)
+            m[0] = 0
+            m[0, c] = -(2**26)
+            return m
+
+        monkeypatch.setattr(oracle, "_monodromy", negative_row)
         with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
             oracle_step_function(TorusKnot(3, 5))
 
