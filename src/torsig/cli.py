@@ -13,12 +13,9 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
-from collections import Counter
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 
 import numpy as np
@@ -125,14 +122,18 @@ def cmd_max(args) -> int:
     D, d = profile.D, profile.d
     ks = -profile.j[::-1]  # the indices of d; D's are -ks[::-1]
     if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
-        # D's keys "-k" sort as d's keys "k" do
+        # D's keys "-k" sort as d's keys "k" do, so both rows read one key block
         out, order = sys.stdout, _decimal_order(ks)
+        keys = _digits(ks[order])
         signs = np.full((2, sequence.size), ord("1"), np.uint8)  # "-1" or "1", NUL-padded
         signs[0] = (sequence < 0) * ord("-")
         out.write('{\n  "D": ')
-        out.writelines(_json_nest("{}", _rows('    "-%d": %d,\n', ks[order], D[::-1][order])))
+        out.writelines(_json_nest("{}", _pieces(_literals('    "-%d": %d,\n', 2),
+                                                [keys, _digits(D[::-1][order])])))
         out.write(',\n  "M": %d,\n  "d": ' % row["M"])
-        out.writelines(_json_nest("{}", _rows('    "%d": %d,\n', ks[order], d[order])))
+        out.writelines(_json_nest("{}", _pieces(_literals('    "%d": %d,\n', 2),
+                                                [keys, _digits(d[order])])))
+        del keys  # before the sequence's rows are cut
         out.write(',\n  "g4_lb": %d,\n  "p": %d,\n  "q": %d,\n  "schema_version": %s,\n'
                   '  "sequence": ' % (row["g4_lb"], knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
         out.writelines(_json_nest("[]", _pieces(_literals("    %d,\n", 1), [signs])))
@@ -141,10 +142,14 @@ def cmd_max(args) -> int:
         print(f"knot=T({knot.p},{knot.q})")
         print(f"sigma={row['sigma']}")
         if D.size:  # each line: its first entry, then " D[-k]=D_-k" for the others
-            for name, index, value in (("D[-", ks[::-1], D), ("d[", ks, d)):
+            keys = _digits(ks)  # D's block is the same one read backwards
+            for name, index, block, value in (("D[-", ks[::-1], keys[:, ::-1], D),
+                                              ("d[", ks, keys, d)):
                 sys.stdout.write(f"{name}{index[0]}]={value[0]}")
-                sys.stdout.writelines(_rows(f" {name}%d]=%d", index[1:], value[1:]))
+                sys.stdout.writelines(_pieces(_literals(f" {name}%d]=%d", 2),
+                                              [block[:, 1:], _digits(value[1:])]))
                 sys.stdout.write("\n")
+            del keys, block  # before the sequence's text is built
         print(f"sequence={_sequence_str(sequence)}")
         print(f"M={row['M']}")
         print(f"sigma_hat={row['sigma_hat']}")
@@ -370,11 +375,11 @@ def cmd_table(args) -> int:
 # verify
 #
 # SUITES maps each suite name, in output order, to the grid it runs on (a
-# key of GRIDS) and a checker (p, q, tol) -> (passed, expected, computed).
-# Checkers resolve the kernels they call by module attribute at call time, so
-# tracing wrappers and test doubles installed on those names are seen.  Tasks
-# cross the process pool as (suite, p, q, tol) tuples and find their checker
-# here.
+# key of GRIDS) and a checker (pairs, tol) -> [(passed, expected, computed)],
+# one row per pair.  Checkers resolve the kernels they call by module
+# attribute at call time, so tracing wrappers and test doubles installed on
+# those names are seen.  Tasks cross the process pool as (suite, pairs, tol)
+# tuples and find their checker here.
 
 
 def _coprime_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
@@ -390,16 +395,37 @@ def _identity(report) -> tuple[bool, str, str]:
     return report.passed, str(report.expected), str(report.computed)
 
 
+def _row(check, *args) -> tuple[bool, str, str]:
+    """check(*args), or the failure row of the TorsigError it raises."""
+    try:
+        return check(*args)
+    except TorsigError as exc:
+        return False, "", f"error: {exc}"
+
+
+def _each(check):
+    """The checker of a suite whose check (p, q, tol) takes one pair at a time."""
+    return lambda pairs, tol: [_row(check, p, q, tol) for p, q in pairs]
+
+
 def _check_closed_forms(p: int, q: int, tol: float) -> tuple[bool, str, str]:
     """Both closed forms at p; a failure shows the first failing report."""
     bad = [r for r in check_closed_forms(p) if not r.passed]
     return _identity(bad[0]) if bad else (True, "", "")
 
 
-def _check_oracle(p: int, q: int, tol: float) -> tuple[bool, str, str]:
-    """Lattice against oracle step function; a failure shows the first midpoint that differs."""
-    knot, pq = TorusKnot(p, q), p * q
-    lattice, numeric = signature_step_function(knot), oracle.oracle_step_function(knot, tol=tol)
+def _check_oracle(pairs, tol: float) -> list[tuple[bool, str, str]]:
+    """Lattice against oracle step function, the oracle run on all the pairs
+    as one batch; a failure shows the first midpoint that differs."""
+    knots = [TorusKnot(p, q) for p, q in pairs]
+    numeric = oracle.oracle_step_functions(knots, tol=tol)
+    return [_row(lambda k, s: _compare_steps(k, oracle._raised(s)), knot, step)
+            for knot, step in zip(knots, numeric)]
+
+
+def _compare_steps(knot: TorusKnot, numeric) -> tuple[bool, str, str]:
+    """The oracle row of one knot, whose oracle step function is numeric."""
+    lattice, pq = signature_step_function(knot), knot.p * knot.q
     a, b = (f.interval_values[np.searchsorted(f.breakpoints, np.arange(pq), "right")]
             for f in (lattice, numeric))
     differ = np.flatnonzero(a != b)
@@ -437,34 +463,30 @@ GRIDS = {
 
 
 SUITES = {
-    "glm": ("all pairs", lambda p, q, tol: _identity(check_glm(p, q))),
-    "even-periodicity": ("even p", lambda p, q, tol: _identity(check_even_periodicity(p, q))),
-    "main": ("all pairs", lambda p, q, tol: _identity(check_main_recursion(p, q))),
-    "odd-shift": ("odd p", lambda p, q, tol: _identity(check_odd_shift_identity(p, q))),
-    "closed-forms": ("p alone", _check_closed_forms),
+    "glm": ("all pairs", _each(lambda p, q, tol: _identity(check_glm(p, q)))),
+    "even-periodicity": ("even p",
+                         _each(lambda p, q, tol: _identity(check_even_periodicity(p, q)))),
+    "main": ("all pairs", _each(lambda p, q, tol: _identity(check_main_recursion(p, q)))),
+    "odd-shift": ("odd p", _each(lambda p, q, tol: _identity(check_odd_shift_identity(p, q)))),
+    "closed-forms": ("p alone", _each(_check_closed_forms)),
     "oracle": ("all pairs", _check_oracle),
-    "brute-max": ("all pairs", _check_brute_max),
+    "brute-max": ("all pairs", _each(_check_brute_max)),
 }
 
 
-def _verify_task(task) -> tuple[bool, str, str]:
-    """(passed, expected, computed) of one task; never raises (workers must return)."""
-    suite, p, q, tol = task
-    try:
-        return SUITES[suite][1](p, q, tol)
-    except TorsigError as exc:
-        return False, "", f"error: {exc}"
+def _verify_task(task) -> list[tuple[bool, str, str]]:
+    """(passed, expected, computed) of each pair of one task (suite, pairs,
+    tol); a TorsigError fails its own pair, so this never raises (workers
+    must return)."""
+    suite, pairs, tol = task
+    return SUITES[suite][1](pairs, tol)
 
 
-def _verify_tasks(which, p_max, q_max, tol) -> list[tuple]:
-    """Tasks in output order: by suite as listed in SUITES, then by (p, q)."""
+def _verify_grids(which, p_max, q_max) -> dict[str, list[tuple[int, int]]]:
+    """The pairs of each suite run, in output order: by suite as listed in
+    SUITES, then by (p, q)."""
     pairs = _coprime_pairs(p_max, q_max)
-    return [
-        (name, p, q, tol)
-        for name, (grid, _) in SUITES.items()
-        if name in which
-        for p, q in GRIDS[grid](pairs, p_max)
-    ]
+    return {name: GRIDS[grid](pairs, p_max) for name, (grid, _) in SUITES.items() if name in which}
 
 
 def _parse_which(chunks) -> set[str]:
@@ -489,32 +511,41 @@ def cmd_verify(args) -> int:
                                f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates} "
                                f"pairs and {args.p_max} p values")
 
-    tasks = _verify_tasks(which, args.p_max, args.q_max, args.tol)
+    grids = _verify_grids(which, args.p_max, args.q_max)
+    # each suite in min(jobs, pairs) tasks, every jobs-th pair apiece, so each
+    # task spans the grid's sizes and the oracle runs as that many batches
+    tasks = [(name, grid[i :: args.jobs], args.tol)
+             for name, grid in grids.items() for i in range(min(args.jobs, len(grid)))]
     if args.jobs > 1 and len(tasks) > 1:
+        # imported here: a serial run never needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # Spawned workers default to one BLAS thread each; values the caller set win.
         unset = [v for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS") if v not in os.environ]
         os.environ.update(dict.fromkeys(unset, "1"))
         try:
             spawn = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-                outcomes = list(pool.map(_verify_task, tasks, chunksize=8))
+                outcomes = list(pool.map(_verify_task, tasks))
         finally:
             for name in unset:
                 os.environ.pop(name, None)
     else:
         outcomes = [_verify_task(t) for t in tasks]
 
-    failures = [
-        {"suite": suite, "p": p, "q": q, "expected": expected, "computed": computed}
-        for (suite, p, q, _), (passed, expected, computed) in zip(tasks, outcomes)
-        if not passed
-    ]
-    checked = Counter(suite for suite, *_ in tasks)
-    failed = Counter(f["suite"] for f in failures)
+    rows = {(name, p, q): row for (name, pairs, _), task_rows in zip(tasks, outcomes)
+            for (p, q), row in zip(pairs, task_rows)}
+    failures = []
+    for name, grid in grids.items():
+        for p, q in grid:
+            passed, expected, computed = rows[name, p, q]
+            if not passed:
+                failures.append({"suite": name, "p": p, "q": q,
+                                 "expected": expected, "computed": computed})
     counts = {
-        name: {"checked": checked[name], "failed": failed[name]}
-        for name in SUITES
-        if name in which
+        name: {"checked": len(grid), "failed": sum(f["suite"] == name for f in failures)}
+        for name, grid in grids.items()
     }
     result = "FAIL" if failures else "PASS"
 

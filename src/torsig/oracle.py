@@ -6,9 +6,16 @@ from one exact Krylov sequence M^j v of the monodromy M = A^{-1}A^T, and
 reads the whole signature function off that same sequence: its real FFT
 projects v onto the eigenvectors of M, and the jump formula at the roots of
 Delta (Matumoto 1977, Gambaudo-Ghys 2005) gives each jump of sigma as the
-sign of one term of the real FFT of the scalar sequence v^T A M^j v.  A
+sign of one term of the real FFT of the scalar sequence g_j = v^T A M^j v.  A
 general braid gets a check modulo one prime.  None of this shares code with
 `torsig.lattice` or `torsig.maxsig`, which is the point.
+
+The proof needs g alone too: Moebius sums of g over the divisors of pq
+give a certificate c_d per cyclotomic factor Phi_d of Delta (see
+`_exact_krylov`), so no vector M^j v outlives the step that uses it.  Knots
+run in batches: their monodromies side by side as one block-diagonal
+operator, in decreasing order of pq, so each step touches only the knots
+not yet done, and a knot that fails any check fails alone.
 
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
@@ -28,7 +35,9 @@ the lattice engine a wrong global sign.
 
 from __future__ import annotations
 
+import functools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +58,7 @@ __all__ = [
     "hermitian_signature",
     "brute_force_max",
     "oracle_step_function",
+    "oracle_step_functions",
     "DEFAULT_TOLERANCE",
 ]
 
@@ -207,7 +217,13 @@ def _monodromy(a: np.ndarray) -> np.ndarray:
         stripes[run[rows[s]]].append((rows[s], cols[s], e - s, units[s]))
     for i in range(len(firsts) - 2, -1, -1):
         for r, c, size, u in stripes[i]:
-            m[r : r + size] -= u * m[c : c + size]
+            # a unit, as every brick entry is, needs no product copy: one
+            # stripe of T(3,1025) is 16 MiB, a fifth of its traced peak
+            source = m[c : c + size]
+            if u == -1:
+                m[r : r + size] += source
+            else:
+                m[r : r + size] -= source if u == 1 else u * source
         for k in range(firsts[i + 1] - 2, firsts[i] - 1, -1):
             m[k] += m[k + 1]
     big = np.flatnonzero((m.max(axis=1) >= _ENTRY_BOUND) | (m.min(axis=1) <= -_ENTRY_BOUND))
@@ -364,74 +380,182 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 
 
 # --------------------------------------------------------------------------
-# det(A - t*A^T) = +-Delta exactly for T(p,q), from one exact Krylov sequence
+# det(A - t*A^T) = +-Delta exactly for T(p,q), from one streamed Krylov sequence
 #
-# Let N = pq and y_j = M^j v, exactly.  If y_N = v, then M^N = I on the
-# Krylov space K of v, so M is diagonalizable on K, and t^N - 1 splits K into
-# the kernels of the Phi_d(M), d | N, with rational projectors E_d.  On K,
-# the sum of M^j over j < N with e | j is (N/e) times the sum of E_d over
-# d | e; Moebius inversion of S_e = sum_{j<N, e|j} y_j gives the integer
-# vector w_d = sum_{e|d} mu(d/e) e S_e = N E_d v.  Phi_d is irreducible over
-# Q, so minpoly(v) is the product of the Phi_d with w_d != 0.  If those are
-# exactly the d | N dividing neither p nor q, then:
-#   * dim K = deg minpoly(v) = sum of phi(d) over them = (p-1)(q-1) = n, so
-#     v is cyclic and K = Q^n;
+# Let N = pq, y_j = M^j v exactly, u = A^T v and g_j = u . y_j.  If y_N = v,
+# then M^N = I on the Krylov space K of v, so M is diagonalizable on K, and
+# t^N - 1 splits K into the kernels of the Phi_d(M), d | N, with rational
+# projectors E_d.  On K, the sum of M^j over j < N with e | j is (N/e) times
+# the sum of E_d over d | e, so Moebius inversion of S_e = sum_{j<N, e|j} y_j
+# gives w_d = sum_{e|d} mu(d/e) e S_e = N E_d v.  Its projection
+# c_d = u . w_d = sum_{e|d} mu(d/e) e sum_{j<N, e|j} g_j needs g alone, and
+# c_d != 0 proves w_d != 0.  Phi_d is irreducible over Q, so minpoly(v) is
+# the product of the Phi_d with w_d != 0.  If c_d != 0 for every d | N
+# dividing neither p nor q, then:
+#   * deg minpoly(v) >= sum of phi(d) over those d = (p-1)(q-1) = n, so v is
+#     cyclic, K = Q^n, and minpoly(v), of degree n at most, is their product;
 #   * M^N = I on all of Q^n, and charpoly(M) = minpoly(v) = prod Phi_d =
 #     (t^N - 1)(t - 1)/((t^p - 1)(t^q - 1)) = Delta;
 #   * A is upper triangular of size n with diagonal +-1 (checked), so
 #     det(A - t*A^T) = det A * t^n charpoly(M)(1/t) = +-Delta exactly (Delta
 #     is palindromic).
+# Every other d then has w_d = 0, and c_d = 0 is checked there too, so a
+# wrong M fails at its first wrong d either way.  Last, g_m = g_{(1-m) mod N}
+# is checked: g_{-m} = y_m^T A y_0 = y_0^T A^T y_m = y_0^T A M y_m = g_{m+1},
+# as A^T = AM; it ties the sequence the jump stage reads to A.
 # Milnor (Singular Points of Complex Hypersurfaces, 1968) is why this passes:
 # M is the monodromy of x^p + y^q, of order pq; the proof does not use it.
 #
 # int64: with n <= 2^11 and |M| < 2^21, a mat-vec row of entries below 2^31
 # stays below 2^63, and the first entry of y to reach 2^31 is exact, so it is
-# caught.  Then e |S_e| <= N 2^31, and w_d and each partial sum of the
-# Moebius product that builds it is at most tau(d) N 2^31 < 2^63, as tau(d)
-# <= N <= 2 * 2049 within _MAX_RANK.  Brick entries lie in {-1, 0, 1} (each
-# off-diagonal link of `_brick_matrix` goes to a different brick, so no entry
-# is written twice) and v < 2^6, so |A^T v| < 2^17 and g_m = (A^T v) . y_m
-# has |g| < 2^59 < 2^63.
+# caught.  |u| < 2^21 (checked) keeps every partial sum of g_j below
+# n 2^21 2^31 <= 2^63; the sums S_e and c_d are Python ints.  Brick entries
+# lie in {-1, 0, 1} (each off-diagonal link of `_brick_matrix` goes to a
+# different brick, so no entry is written twice) and v < 2^6, so
+# |u| < 2^17 passes.
+#
+# No y_j is kept: a batch of knots runs as one block-diagonal operator, its
+# knots in decreasing order of pq, and step j touches only those with
+# pq > j, a prefix of its rows.  Each step applies M to the prefix, adds up
+# every knot's g_j, and keeps a running max and min of y for the bound;
+# y_pq is compared with v as each knot finishes.
+
+# Rows of one batch: its buffers are a few int64 arrays per row and per
+# nonzero, so a large grid runs as several batches of a few MB.
+_BATCH_ROWS = 2**16
 
 
-def _exact_krylov(a: np.ndarray, v, p: int, q: int) -> np.ndarray:
-    """y_j = M^j v (j <= pq) for M = A^{-1}A^T, exactly in int64, once it
-    proves det(A - tA^T) = +-Delta(T(p,q)) as above; else ValidationFailure."""
-    n, pq = len(a), p * q
+def _sparse_case(a, v, p: int, q: int) -> tuple:
+    """(p, q, v, u = A^T v, and M's nonzeros by row: column, value and the
+    first of each row), M = A^{-1}A^T; the dense M is dropped."""
+    a = np.asarray(getattr(a, "entries", a))
+    n = len(a)
     if n != (p - 1) * (q - 1):
         raise ValidationFailure(f"A is not of size {(p - 1) * (q - 1)}")
+    _require_rank(n)
     m = _monodromy(a)  # refuses an A that is not upper triangular with diagonal +-1
     # det M = 1, so every row of M has a nonzero and starts a segment of them
     rows, cols = np.nonzero(m)
-    values, starts = m[rows, cols], np.searchsorted(rows, np.arange(n))
-    y = np.empty((pq + 1, n), dtype=np.int64)
-    y[0] = v
-    for j in range(pq):
-        y[j + 1] = np.add.reduceat(values * y[j, cols], starts)
-    if y.max(initial=0) >= 2**31 or y.min(initial=0) <= -(2**31):
-        raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
-    if not np.array_equal(y[pq], y[0]):
-        raise ValidationFailure(f"(A^-1 A^T)^{pq} v is not v")
+    v = np.array(v, dtype=np.int64).reshape(n)
+    u = v @ a
+    if u.max(initial=0) >= 2**21 or u.min(initial=0) <= -(2**21):
+        raise ValidationFailure("an entry of A^T v reaches 2^21")
+    return p, q, v, u, cols, m[rows, cols], np.searchsorted(rows, np.arange(n))
+
+
+def _exact_krylov(cases) -> Iterator:
+    """g_j = (A^T v) . M^j v for j < pq, M = A^{-1}A^T, exactly in int64,
+    for each case once it proves det(A - tA^T) = +-Delta(T(p,q)) as above;
+    else the TorsigError of that case.  Yields them in the order of `cases`.
+
+    `cases` holds functions that return (A, v, p, q), A a matrix or a
+    SeifertMatrix.  Each is called in turn and its M kept by its nonzeros
+    alone, so no two dense matrices are alive at once.  A batch of at most
+    _BATCH_ROWS rows then runs one streamed loop (`_stream`), and its
+    results are yielded before the next batch starts.
+    """
+    results, batch, rows = [], [], 0
+    for case in cases:
+        try:
+            knot = _sparse_case(*case())
+            p, q, n = knot[0], knot[1], len(knot[2])
+            if not n:  # rank 0: y is empty, so g = 0
+                results.append(_certify(np.zeros(p * q, np.int64), p, q))
+                continue
+        except TorsigError as error:  # kept without its frames, which hold A and M
+            results.append(error.with_traceback(None))
+            continue
+        if rows + n > _BATCH_ROWS:
+            _stream(batch, results)
+            yield from results
+            results, batch, rows = [], [], 0
+        batch.append((len(results), *knot))
+        results.append(None)
+        rows += n
+    _stream(batch, results)
+    yield from results
+
+
+def _stream(batch: list, results: list) -> None:
+    """The Krylov loop of one batch, (index, *_sparse_case) per knot, then
+    each knot's checks; results[index] becomes its g or ValidationFailure."""
+    if not batch:
+        return
+    batch = sorted(batch, key=lambda knot: -knot[1] * knot[2])
+    index, p, q, v, u, cols, values, starts = zip(*batch)
+    pq = np.array([a * b for a, b in zip(p, q)], dtype=np.int64)
+    first = np.cumsum([0, *map(len, v)])  # each knot's first row
+    nonzeros = np.cumsum([0, *map(len, cols)])
+    cols = np.concatenate([c + f for c, f in zip(cols, first)])
+    values = np.concatenate(values)
+    starts = np.concatenate([*(s + z for s, z in zip(starts, nonzeros)), nonzeros[-1:]])
+    v, u = np.concatenate(v), np.concatenate(u)
+    # step j runs the knots with pq > j, a prefix; g_j of knot i is g[at[j] + i]
+    live = np.searchsorted(-pq, -np.arange(pq[0])).tolist()
+    at = np.cumsum([0, *live])
+    g = np.empty(at[-1], np.int64)
+    y, high, low = v, v.copy(), v.copy()
+    closed = np.ones(len(pq), bool)
+    for j, (k, done) in enumerate(zip(live, live[1:] + [0])):
+        r = first[k]
+        np.add.reduceat(u[:r] * y[:r], first[:k], out=g[at[j] : at[j + 1]])
+        y = np.add.reduceat(values[: starts[r]] * y[cols[: starts[r]]], starts[:r])
+        np.maximum(high[:r], y, out=high[:r])
+        np.minimum(low[:r], y, out=low[:r])
+        if done < k:  # knots done..k-1 have pq = j + 1
+            same = y[first[done] :] == v[first[done] : r]
+            closed[done:k] = np.logical_and.reduceat(same, first[done:k] - first[done])
+    for i, slot in enumerate(index):
+        own = slice(first[i], first[i + 1])
+        try:
+            if high[own].max() >= 2**31 or low[own].min() <= -(2**31):
+                raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
+            if not closed[i]:
+                raise ValidationFailure(f"(A^-1 A^T)^{pq[i]} v is not v")
+            results[slot] = _certify(g[at[: pq[i]] + i], p[i], q[i])
+        except ValidationFailure as error:
+            results[slot] = error.with_traceback(None)
+
+
+def _certify(g: np.ndarray, p: int, q: int) -> np.ndarray:
+    """g, once c_d is nonzero exactly for the d | pq dividing neither p nor q
+    and g_m = g_{(1-m) mod pq}, as above; else ValidationFailure."""
+    pq = p * q
     divisors, mu = [d for d in range(1, pq + 1) if pq % d == 0], {}
     for d in divisors:  # the sum of mu(e) over e | d is [d = 1]
         mu[d] = int(d == 1) - sum(mu[e] for e in mu if d % e == 0)
-    # every w_d at once: the Moebius matrix [mu(d/e) if e | d] times the rows e S_e
-    mobius = np.array([[mu[d // e] if d % e == 0 else 0 for e in divisors] for d in divisors])
-    w = mobius @ np.stack([e * y[:pq:e].sum(axis=0) for e in divisors])
-    nonzero = w.any(axis=1).tolist()
-    for d, found in zip(divisors, nonzero):
+    terms = g.tolist()
+    sums = {e: e * sum(terms[::e]) for e in divisors}
+    for d in divisors:
+        found = bool(sum(mu[d // e] * sums[e] for e in divisors if d % e == 0))
         if found != bool(p % d and q % d):
             raise ValidationFailure(f"the Phi_{d} component of v is {'non' * found}zero")
-    return y
+    wrong = np.flatnonzero(g != g[(1 - np.arange(pq)) % pq])
+    if wrong.size:
+        m = int(wrong[0])
+        raise ValidationFailure(f"v^T A M^{m} v is not v^T A M^{(1 - m) % pq} v")
+    return g
+
+
+def _torus_case(knot: TorusKnot) -> tuple:
+    """(A, v, p, q) of the torus braid closure, v nonzero from random.Random(n)."""
+    _require_rank(knot.seifert_rank())  # before the braid of (p-1)q letters is built
+    matrix = seifert_matrix(torus_braid(knot))
+    return matrix, random.Random(matrix.size).choices(range(1, 64), k=matrix.size), knot.p, knot.q
+
+
+def _raised(result):
+    """result, unless it is a TorsigError, which is raised."""
+    if isinstance(result, TorsigError):
+        raise result
+    return result
 
 
 def _validated_monodromy(knot: TorusKnot) -> tuple[SeifertMatrix, np.ndarray]:
-    """(A, y) of the torus braid closure: y_j = M^j v for j <= pq and v
-    nonzero from random.Random(n), det(A - tA^T) = +-Delta proved on the way."""
-    _require_rank(knot.seifert_rank())
-    matrix = seifert_matrix(torus_braid(knot))
-    v = random.Random(matrix.size).choices(range(1, 64), k=matrix.size)
-    return matrix, _exact_krylov(matrix.entries, v, knot.p, knot.q)
+    """(A, g) of the torus braid closure, det(A - tA^T) = +-Delta proved on the
+    way: the one-knot batch of `_exact_krylov`."""
+    case = _torus_case(knot)
+    return case[0], _raised(next(_exact_krylov([lambda: case])))
 
 
 def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
@@ -482,7 +606,8 @@ def brute_force_max(knot: TorusKnot) -> tuple[int, np.ndarray]:
 
 
 def oracle_step_function(knot: TorusKnot, tol: float = DEFAULT_TOLERANCE) -> StepFunction:
-    """The whole signature function of T(p,q) from its validated Krylov sequence alone.
+    """The whole signature function of T(p,q) from its validated Krylov sequence
+    alone: the one-knot batch of `oracle_step_functions`.
 
     Row k of the real FFT x of y_j = M^j v (j < pq) is an eigenvector of M
     for e^{2 pi i k/pq}, a simple root of Delta, if p, q do not divide k, and
@@ -494,10 +619,27 @@ def oracle_step_function(knot: TorusKnot, tol: float = DEFAULT_TOLERANCE) -> Ste
     conjugates with negated jumps, and sigma = 0 on (0, 1/pq).
     NearSingular unless each |Im G_k| is above tol times the largest.
     """
-    (matrix, y), pq = _validated_monodromy(knot), knot.p * knot.q
-    g = y[:pq] @ (matrix.entries.T @ y[0])  # exact in int64, as bounded above _exact_krylov
+    return _raised(next(oracle_step_functions([knot], tol)))
+
+
+def oracle_step_functions(knots, tol: float = DEFAULT_TOLERANCE) -> Iterator:
+    """`oracle_step_function` of each knot, or the TorsigError it raises, in
+    turn: one streamed Krylov loop per batch of knots (`_exact_krylov`), so
+    only one batch's sequences are held at a time."""
+    knots = list(knots)
+    sequences = _exact_krylov(functools.partial(_torus_case, knot) for knot in knots)
+    for knot, g in zip(knots, sequences):
+        try:
+            yield _jumps(_raised(g), knot.p, knot.q, tol)
+        except TorsigError as error:
+            yield error
+
+
+def _jumps(g: np.ndarray, p: int, q: int, tol: float) -> StepFunction:
+    """The step function read off the real FFT of g, as `oracle_step_function` tells."""
+    pq = p * q
     k = np.arange(pq // 2 + 1)
-    k = k[(k % knot.p != 0) & (k % knot.q != 0)]
+    k = k[(k % p != 0) & (k % q != 0)]
     form = np.fft.rfft(g)[k].imag
     margin = np.abs(form)
     # a Python float product: one that overflows is inf, which no margin

@@ -6,8 +6,9 @@ loops, sorting, a list-based walk).  The tests compare the kernels against
 these; nothing in `src/` imports this module.  It also keeps
 `rotation_relation`, the q -> q + p rotation of the balanced sequence, which
 no `verify` suite runs, the %-formatting and `json.dumps` renderers that
-`torsig.cli` replaced with its digit-matrix `_rows`, and the row-by-row
-back-substitution that `torsig.oracle._monodromy` replaced with runs.
+`torsig.cli` replaced with its digit-matrix `_rows`, the row-by-row
+back-substitution that `torsig.oracle._monodromy` replaced with runs, and
+the stored Krylov sequence that `torsig.oracle._exact_krylov` streams.
 """
 
 from __future__ import annotations
@@ -467,6 +468,19 @@ def monodromy_rows(a: np.ndarray) -> np.ndarray:
     if big.size:
         raise ValidationFailure(f"row {big[-1]} of A^-1 A^T has an entry of 2^21 or more")
     return m
+
+
+def krylov_rows(a: np.ndarray, v, count: int) -> np.ndarray:
+    """y_j = M^j v for j < count, M = A^{-1} A^T from `monodromy_rows`, one
+    dense int64 mat-vec per row: the stored sequence that
+    `torsig.oracle._exact_krylov` streams.  Exact while every entry stays
+    below 2^31, as it does on the torus knots the tests run."""
+    m = monodromy_rows(np.asarray(a, dtype=np.int64))
+    y = np.empty((count, len(m)), np.int64)
+    y[0] = v
+    for j in range(1, count):
+        y[j] = m @ y[j - 1]
+    return y
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import json
 import math
@@ -366,7 +367,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("verify started work for an over-cap --jobs")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(cli, "_verify_task", refuse)
         code, out, err = run(capsys, "verify", "--which", "glm", "--jobs", str(jobs))
         assert code == 2 and out == ""
@@ -392,7 +393,7 @@ class TestVerify:
 
         args = ["verify", "--p-max", "4", "--q-max", "7", "--which", "glm"]
         code1, out1, _ = run(capsys, *args, "--jobs", "1")
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         code, out, _ = run(capsys, *args, "--jobs", str(MAX_JOBS))
         assert code == code1 == 0 and out == out1
         assert built == [(MAX_JOBS, "spawn")]
@@ -602,7 +603,8 @@ class TestVerifyFailureRows:
             values[1], values[3] = knot.q, 7
             return StepFunction(step.breakpoints, step.denominator, values)
 
-        monkeypatch.setattr(oracle, "oracle_step_function", fake)
+        monkeypatch.setattr(oracle, "oracle_step_functions",
+                            lambda knots, tol: [fake(knot, tol) for knot in knots])
 
     @pytest.fixture
     def lying_brute_max(self, monkeypatch):
@@ -693,13 +695,13 @@ class TestWorkerPool:
         """The BLAS variables one worker of verify's own pool sees."""
         seen = []
 
-        class Probe(cli.ProcessPoolExecutor):
+        class Probe(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
                 seen.append([self.submit(os.getenv, name).result(timeout=120)
                              for name in TestWorkerPool.BLAS])
                 return super().map(fn, *iterables, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Probe)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probe)
         for name in self.BLAS:
             monkeypatch.delenv(name, raising=False)
         return seen
@@ -720,6 +722,14 @@ class TestWorkerPool:
         before = dict(os.environ)
         code, _, _ = run(capsys, *self.ARGS)
         assert code == 0 and dict(os.environ) == before
+
+    def test_import_loads_no_pool_modules(self):
+        """Only `verify --jobs N > 1` imports the pool, so no other command pays for it."""
+        code = ("import sys, torsig, torsig.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=src_env(),
+                              timeout=120)
+        assert (done.returncode, done.stdout) == (0, b"[]\n"), done.stderr
 
     def test_spawned_run_matches_serial_run_in_a_subprocess(self):
         """`python -m torsig` under spawn: torsig/__main__.py has no __name__

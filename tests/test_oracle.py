@@ -1,9 +1,13 @@
+import concurrent.futures
+import functools
 import inspect
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +41,7 @@ from reference import (
     cyclotomic,
     cyclotomic_torus_alexander,
     has_repeated_root_mod,
+    krylov_rows,
     monodromy_rows,
     pieces_as_fractions,
     seifert_bricks_loop,
@@ -146,18 +151,24 @@ def start_vector(n):
     return random.Random(n).choices(range(1, 64), k=n)
 
 
+def exact_krylov(entries, v, knot):
+    """g of `_exact_krylov` on one case, or the TorsigError it gives, raised."""
+    [g] = oracle._exact_krylov([lambda: (entries, v, knot.p, knot.q)])
+    return oracle._raised(g)
+
+
 def validate_as_torus(entries, knot):
     """What `torus_seifert_matrix` checks, on a given matrix, with its start vector."""
     entries = np.asarray(entries)
-    return oracle._exact_krylov(entries, start_vector(len(entries)), knot.p, knot.q)
+    return exact_krylov(entries, start_vector(len(entries)), knot)
 
 
 def phi_start(knot, d):
     """`_exact_krylov` from Phi_d(M) v instead of v: its Phi_d component is zero."""
     entries = seifert_matrix(torus_braid(knot)).entries
-    y = validate_as_torus(entries, knot)
     c = np.array(cyclotomic(d), dtype=np.int64)
-    return oracle._exact_krylov(entries, c @ y[: len(c)], knot.p, knot.q)
+    y = krylov_rows(entries, start_vector(len(entries)), len(c))
+    return exact_krylov(entries, c @ y, knot)
 
 
 def with_oracle(name, wrap, call):
@@ -627,10 +638,12 @@ class TestExactValidation:
 
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (7, 20), (10, 23)])
     def test_order_is_exactly_pq(self, p, q):
-        # the validated sequence returns to v at j = pq and not before
-        y = oracle._validated_monodromy(TorusKnot(p, q))[1]
-        assert len(y) == p * q + 1 and np.array_equal(y[-1], y[0])
-        assert not (y[1:-1] == y[0]).all(axis=1).any()
+        # the validated sequence returns to v at j = pq and not before, and
+        # its g is u . y_j, u = A^T v
+        matrix, g = oracle._validated_monodromy(TorusKnot(p, q))
+        y = krylov_rows(matrix.entries, start_vector(matrix.size), p * q + 1)
+        assert np.array_equal(y[-1], y[0]) and not (y[1:-1] == y[0]).all(axis=1).any()
+        assert g.dtype == np.int64 and np.array_equal(g, y[:-1] @ (matrix.entries.T @ y[0]))
 
     def test_torus_seifert_matrix_checks_the_order(self, monkeypatch):
         # (-M)^12 = I, so y_12 = v; but -M has eigenvalues of order 3, which divides p
@@ -652,6 +665,38 @@ class TestExactValidation:
         a = np.eye((p - 1) * (q - 1), dtype=np.int64)
         with pytest.raises(ValidationFailure, match="Phi_1 component of v is nonzero"):
             validate_as_torus(a, TorusKnot(p, q))
+
+    def test_start_vector_over_the_g_bound_refused(self):
+        # column 0 of an upper-triangular A holds its diagonal alone, so u_0 = +-v_0
+        knot = TorusKnot(3, 4)
+        entries = seifert_matrix(torus_braid(knot)).entries
+        with pytest.raises(ValidationFailure, match="A\\^T v reaches 2\\^21"):
+            exact_krylov(entries, [2**21, *start_vector(6)[1:]], knot)
+
+    def test_over_rank_case_refused(self):
+        # the int64 bounds of the proof need n <= 2^11
+        with pytest.raises(InvalidParameter, match="rank 2052"):
+            exact_krylov(np.eye(2052, dtype=np.int64), [1] * 2052, TorusKnot(3, 1027))
+
+    def test_over_rank_knot_refused_before_its_braid(self, monkeypatch):
+        def refuse(knot):
+            raise AssertionError(f"built the braid of {knot}")
+
+        monkeypatch.setattr(oracle, "torus_braid", refuse)
+        [error] = oracle.oracle_step_functions([TorusKnot(2, 4099)])
+        assert isinstance(error, InvalidParameter) and "rank 4098" in str(error)
+        with pytest.raises(InvalidParameter, match="rank 10"):
+            oracle.oracle_step_function(TorusKnot(2, 10**12 + 1))
+
+    def test_held_errors_keep_no_frames(self):
+        # an error waits for the rest of its batch; its frames would hold A and M
+        cases = [lambda: (np.eye(6, dtype=np.int64), start_vector(6), 3, 4),
+                 functools.partial(oracle._torus_case, TorusKnot(2, 4099)),
+                 functools.partial(oracle._torus_case, TorusKnot(3, 4))]
+        wrong, over, g = oracle._exact_krylov(cases)
+        assert isinstance(wrong, ValidationFailure) and isinstance(over, InvalidParameter)
+        assert wrong.__traceback__ is None and over.__traceback__ is None
+        assert len(g) == 12
 
     def test_matrix_outside_the_proof_refused(self):
         entries = seifert_matrix(torus_braid(TorusKnot(3, 4))).entries
@@ -923,6 +968,61 @@ class TestCrossCheck:
         b = oracle_step_function(TorusKnot(3, 8))
         assert same_function(a, b)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(pairs_of_rank_300, min_size=1, max_size=6), st.sampled_from([2**16, 300, 1]))
+    @example([(2, 3), (1, 4), (3, 4), (2, 3)], 2**16).via("a rank-0 knot and a repeat")
+    def test_batch_matches_one_knot_calls(self, pairs, rows):
+        """Each knot of a batch gets its one-knot function, however the row
+        cap cuts the batch."""
+        knots = [TorusKnot(*pq) for pq in pairs]
+        real, oracle._BATCH_ROWS = oracle._BATCH_ROWS, rows
+        try:
+            steps = list(oracle.oracle_step_functions(knots))
+        finally:
+            oracle._BATCH_ROWS = real
+        assert len(steps) == len(knots)
+        for knot, step in zip(knots, steps):
+            assert same_function(step, oracle_step_function(knot)), knot
+
+    def test_one_failing_knot_fails_alone(self, capsys, monkeypatch):
+        """-M for T(4,7) alone: its row fails, every other knot of its batch
+        passes, and the bytes do not depend on how --jobs cuts the batches."""
+        knots = [TorusKnot(p, q) for p, q in coprime_pairs(6, 11)]
+        bad, real = seifert_matrix(torus_braid(TorusKnot(4, 7))).entries, oracle._monodromy
+        monkeypatch.setattr(oracle, "_monodromy",
+                            lambda a: -real(a) if np.array_equal(a, bad) else real(a))
+        for knot, step in zip(knots, oracle.oracle_step_functions(knots)):
+            if knot == TorusKnot(4, 7):
+                assert isinstance(step, ValidationFailure), step
+            else:
+                assert same_function(step, signature_step_function(knot)), knot
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        argv = ["verify", "--which", "oracle", "--p-max", "6", "--q-max", "11"]
+        for fmt in ("text", "json"):
+            outs = [(main([*argv, "--format", fmt, "--jobs", jobs]), capsys.readouterr().out)
+                    for jobs in ("1", "2", "3")]
+            assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0] == 1 and json.loads(outs[0][1])["failures"] == [
+            {"suite": "oracle", "p": 4, "q": 7, "expected": "",
+             "computed": "error: the Phi_7 component of v is nonzero"}]
+
+
+class SerialPool:
+    """Stands in for verify's process pool and runs its tasks in this process,
+    where the test doubles are."""
+
+    def __init__(self, max_workers, mp_context):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
 
 class TestOracleStepFunction:
     def test_trefoil_sign_is_pinned(self):
@@ -963,11 +1063,12 @@ class TestOracleStepFunction:
         """M^T A M = A, so y_j^T A y_l = g_{(l-j) mod pq} and x_k* A x_k = pq G_k."""
         knot = TorusKnot(*pq)
         p, q, n = *pq, knot.seifert_rank()
-        matrix, y = oracle._validated_monodromy(knot)
-        a, y = matrix.entries, y[: p * q]
+        matrix, g = oracle._validated_monodromy(knot)
+        a = matrix.entries
+        y = krylov_rows(a, start_vector(n), p * q)
         m = oracle._monodromy(a)
         assert np.array_equal(m.T @ a @ m, a)  # exact in int64
-        g = y @ (a.T @ y[0])
+        assert np.array_equal(g, y @ (a.T @ y[0]))
         for j, l in ((rng.randrange(p * q), rng.randrange(p * q)) for _ in range(20)):
             assert y[j] @ a @ y[l] == g[(l - j) % (p * q)]
         x, big_g = np.fft.rfft(y, axis=0), np.fft.rfft(g)
@@ -1028,6 +1129,28 @@ class TestOracleStepFunction:
         monkeypatch.setattr(oracle, "_monodromy", negative_row)
         with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
             oracle_step_function(TorusKnot(3, 5))
+
+    def test_sequence_must_be_symmetric(self, monkeypatch):
+        # M^T closes up and has M's eigenvalues, so its c_d pass, but
+        # A^T = A M^T fails, and with it g_m = g_{1-m}
+        monkeypatch.setattr(oracle, "_monodromy", lambda a: monodromy_rows(a).T.copy())
+        with pytest.raises(ValidationFailure, match="v\\^T A M\\^0 v is not v\\^T A M\\^1 v"):
+            oracle_step_function(TorusKnot(4, 7))
+
+    @pytest.mark.parametrize("p, q", [(2, 2049), (3, 1025)])
+    def test_holds_no_sequence(self, p, q):
+        """At rank 2048 the dense A and M take 64 MiB; the (pq + 1) n int64
+        sequence once stored took 48 or 64 MiB more, and a quarter of it
+        fails, as does a product copy of one 16 MiB stripe of T(3,1025)."""
+        knot = TorusKnot(p, q)
+        n, pq = knot.seifert_rank(), p * q
+        tracemalloc.start()
+        try:
+            oracle_step_function(knot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8 + (pq + 1) * n * 8 // 4
 
     def test_refusals_hold_without_asserts(self):
         tests = Path(__file__).resolve().parent
