@@ -128,15 +128,13 @@ def cmd_max(args) -> int:
         signs = np.full((2, sequence.size), ord("1"), np.uint8)  # "-1" or "1", NUL-padded
         signs[0] = (sequence < 0) * ord("-")
         out.write('{\n  "D": ')
-        out.writelines(_json_nest("{}", _pieces(_literals('    "-%d": %d,\n', 2),
-                                                [keys, _digits(D[::-1][order])])))
+        out.writelines(_json_nest("{}", _pieces('    "-%d": %d,\n', keys, _digits(D[::-1][order]))))
         out.write(',\n  "M": %d,\n  "d": ' % row["M"])
-        out.writelines(_json_nest("{}", _pieces(_literals('    "%d": %d,\n', 2),
-                                                [keys, _digits(d[order])])))
+        out.writelines(_json_nest("{}", _pieces('    "%d": %d,\n', keys, _digits(d[order]))))
         del keys  # before the sequence's rows are cut
         out.write(',\n  "g4_lb": %d,\n  "p": %d,\n  "q": %d,\n  "schema_version": %s,\n'
                   '  "sequence": ' % (row["g4_lb"], knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
-        out.writelines(_json_nest("[]", _pieces(_literals("    %d,\n", 1), [signs])))
+        out.writelines(_json_nest("[]", _pieces("    %d,\n", signs)))
         out.write(',\n  "sigma": %d,\n  "sigma_hat": %d\n}\n' % (row["sigma"], row["sigma_hat"]))
     else:
         print(f"knot=T({knot.p},{knot.q})")
@@ -146,8 +144,7 @@ def cmd_max(args) -> int:
             for name, index, block, value in (("D[-", ks[::-1], keys[:, ::-1], D),
                                               ("d[", ks, keys, d)):
                 sys.stdout.write(f"{name}{index[0]}]={value[0]}")
-                sys.stdout.writelines(_pieces(_literals(f" {name}%d]=%d", 2),
-                                              [block[:, 1:], _digits(value[1:])]))
+                sys.stdout.writelines(_pieces(f" {name}%d]=%d", block[:, 1:], _digits(value[1:])))
                 sys.stdout.write("\n")
             del keys, block  # before the sequence's text is built
         print(f"sequence={_sequence_str(sequence)}")
@@ -161,19 +158,22 @@ def cmd_max(args) -> int:
 # sweep
 
 
-def _literals(row: str, fields: int) -> list[bytes]:
-    """The ASCII literals around the `fields` %d of `row`, which may hold no
-    other % and no NUL."""
-    literals = row.encode("ascii").split(b"%d")
-    if len(literals) != fields + 1 or any(b"%" in x or b"\0" in x for x in literals):
-        raise ValueError(f"{row!r} is not {fields} %d fields among literals without % or NUL")
-    return literals
-
-
 def _digits(column: np.ndarray) -> np.ndarray:
     """The decimal text of a non-negative int64 column as a uint8 block with
     one row per byte position: entry i reads down column i, right-aligned,
-    with NUL before it.  How and why is told at `_rows`."""
+    with NUL before it.  No Python int is made per entry.
+
+    The block is cut from the right a digit at a time.  A digit costs one
+    floor division t = q // 10 of the whole array: numpy divides an integer
+    array by a scalar with a multiply and shift, while q % 10 and divmod
+    divide in hardware once per entry.  The digit is then q - 10t taken in
+    uint8, whose arithmetic wraps mod 256; that is exact because the digit
+    lies in 0..9, and the uint8 cast of t is already the next row's q.  Rows
+    above an entry's first digit are blanked by multiplying with q != 0, and
+    no ufunc writes through where=, which runs several times slower than a
+    plain one.  `_pieces` lays the blocks between the literals of a row
+    template and deletes the NULs left before shorter numbers.
+    """
     if (dtype := getattr(column, "dtype", type(column))) != np.int64:
         raise TypeError(f"columns must be int64 arrays, got {dtype}")
     n = len(column)
@@ -204,15 +204,19 @@ def _digits(column: np.ndarray) -> np.ndarray:
 _PIECE = 1 << 13
 
 
-def _pieces(literals: list[bytes], blocks: list[np.ndarray]) -> Iterator[str]:
-    """One row per column index, cut to the narrowest block: the literals in
-    turn with the `_digits` blocks between them, NULs dropped.
+def _pieces(row: str, *blocks: np.ndarray) -> Iterator[str]:
+    """`row` once per column index of the `_digits` blocks, cut to the
+    narrowest, with its i-th %d read from the i-th block and NULs dropped.
+    A sign is literal text of `row`, which may hold no other % and no NUL.
 
     The rows come a piece at a time, each through one reused matrix of byte
     positions: transposed to row order, stripped of NULs and decoded.  A
     caller that writes the pieces straight out never holds the whole text.
     Each piece holds at least one row.
     """
+    literals = row.encode("ascii").split(b"%d")
+    if len(literals) != len(blocks) + 1 or any(b"%" in x or b"\0" in x for x in literals):
+        raise ValueError(f"{row!r} is not {len(blocks)} %d fields among literals without % or NUL")
     n = min(block.shape[1] for block in blocks)
     width = sum(map(len, literals)) + sum(map(len, blocks))
     piece = np.empty((width, min(n, _PIECE)), np.uint8)
@@ -230,35 +234,10 @@ def _pieces(literals: list[bytes], blocks: list[np.ndarray]) -> Iterator[str]:
         yield piece[:, :size].T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _rows(row: str, *columns: np.ndarray) -> Iterator[str]:
-    """`row` once per index of the non-negative int64 columns, cut to the
-    shortest, with its i-th %d read from the i-th column: (row * n) % (the
-    entries in turn), with no Python int made per entry.  A sign is literal
-    text of `row`.  The text comes as the pieces of `_pieces`, for the caller
-    to write straight out (or join); the template and the columns are
-    checked, and the digits cut, before it returns.
-
-    Each field becomes a `_digits` block, one row of n bytes per byte
-    position, cut from the right a digit at a time.  A digit costs one floor
-    division t = q // 10 of the whole array: numpy divides an integer array
-    by a scalar with a multiply and shift, while q % 10 and divmod divide in
-    hardware once per entry.  The digit is then q - 10t taken in uint8,
-    whose arithmetic wraps mod 256; that is exact because the digit lies in
-    0..9, and the uint8 cast of t is already the next row's q.  Rows above
-    an entry's first digit are blanked by multiplying with q != 0, and no
-    ufunc writes through where=, which runs several times slower than a
-    plain one.  `_pieces` lays the blocks between the literals and deletes
-    the NULs left before shorter numbers.
-    """
-    literals = _literals(row, len(columns))
-    n = min(map(len, columns))
-    return _pieces(literals, [_digits(column[:n]) for column in columns])
-
-
 def _json_nest(brackets: str, pieces: Iterator[str]) -> Iterator[str]:
-    """A list ("[]") or object ("{}") of the `_rows` pieces, whose rows end
-    ",\n", as json.dumps(indent=2) nests it one level down: the pieces pass
-    through, and only the last loses its ",\n"."""
+    """A list ("[]") or object ("{}") of the pieces `_pieces` yields, whose
+    rows end ",\n", as json.dumps(indent=2) nests it one level down: the
+    pieces pass through, and only the last loses its ",\n"."""
     last = next(pieces, None)
     if last is None:
         yield brackets
@@ -307,11 +286,11 @@ def cmd_sweep(args) -> int:
         num, den, at_points = ks // g, pq // g, step.breakpoint_values
         if args.format == "json":  # the bytes of _emit_json's sorted, indented payload
             stream.write('{\n  "breakpoint_values": ')
-            stream.writelines(_json_nest("[]", _rows("    %d,\n", at_points)))
+            stream.writelines(_json_nest("[]", _pieces("    %d,\n", _digits(at_points))))
             stream.write(',\n  "breakpoints": ')
-            stream.writelines(_json_nest("[]", _rows('    "%d/%d",\n', num, den)))
+            stream.writelines(_json_nest("[]", _pieces('    "%d/%d",\n', _digits(num), _digits(den))))
             stream.write(',\n  "interval_values": ')
-            stream.writelines(_json_nest("[]", _rows("    %d,\n", values)))
+            stream.writelines(_json_nest("[]", _pieces("    %d,\n", _digits(values))))
             stream.write(',\n  "p": %d,\n  "q": %d,\n  "schema_version": %s\n}\n'
                          % (knot.p, knot.q, json.dumps(SCHEMA_VERSION)))
             return
@@ -321,13 +300,13 @@ def cmd_sweep(args) -> int:
         stream.write("t_lo,t_hi,sigma\n")
         if ks.size:
             stream.write(f"0,{num[0]}/{den[0]},{values[0]}\n")
-            stream.writelines(_pieces(_literals("%d/%d,%d/%d,%d\n", 5), [
-                nums[:, :-1], dens[:, :-1], nums[:, 1:], dens[:, 1:], _digits(values[1:-1])]))
+            stream.writelines(_pieces("%d/%d,%d/%d,%d\n", nums[:, :-1], dens[:, :-1],
+                                      nums[:, 1:], dens[:, 1:], _digits(values[1:-1])))
             stream.write(f"{num[-1]}/{den[-1]},1,{values[-1]}\n")
         else:
             stream.write(f"0,1,{values[0]}\n")
         stream.write("\nt,sigma\n")
-        stream.writelines(_pieces(_literals("%d/%d,%d\n", 3), [nums, dens, _digits(at_points)]))
+        stream.writelines(_pieces("%d/%d,%d\n", nums, dens, _digits(at_points)))
 
     return _write_output(args.output, render)
 

@@ -551,17 +551,13 @@ def _raised(result):
     return result
 
 
-def _validated_monodromy(knot: TorusKnot) -> tuple[SeifertMatrix, np.ndarray]:
-    """(A, g) of the torus braid closure, det(A - tA^T) = +-Delta proved on the
-    way: the one-knot batch of `_exact_krylov`."""
-    case = _torus_case(knot)
-    return case[0], _raised(next(_exact_krylov([lambda: case])))
-
-
 def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
     """Seifert matrix of the torus braid closure, det(A - tA^T) = +-Delta proved
-    exactly from one Krylov sequence of its monodromy, with no prime."""
-    return _validated_monodromy(knot)[0]
+    exactly from one Krylov sequence of its monodromy, with no prime: the
+    one-knot batch of `_exact_krylov`."""
+    case = _torus_case(knot)
+    _raised(next(_exact_krylov([lambda: case])))
+    return case[0]
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,10 @@ loops, sorting, a list-based walk).  The tests compare the kernels against
 these; nothing in `src/` imports this module.  It also keeps
 `rotation_relation`, the q -> q + p rotation of the balanced sequence, which
 no `verify` suite runs, the %-formatting and `json.dumps` renderers that
-`torsig.cli` replaced with its digit-matrix `_rows`, the row-by-row
-back-substitution that `torsig.oracle._monodromy` replaced with runs, and
-the stored Krylov sequence that `torsig.oracle._exact_krylov` streams.
+`torsig.cli` replaced with its digit blocks (`_digits` and `_pieces`), the
+row-by-row back-substitution that `torsig.oracle._monodromy` replaced with
+runs, and the stored Krylov sequence that `torsig.oracle._exact_krylov`
+streams.
 """
 
 from __future__ import annotations
@@ -547,7 +548,7 @@ def has_repeated_root_mod(coeffs: list[int], p: int) -> bool:
 
 def rows_by_percent(row: str, *columns) -> str:
     """`row` filled from each index of the lists in turn, cut to the
-    shortest, by one % call: the route `torsig.cli._rows` replaced."""
+    shortest, by one % call: the route `torsig.cli._pieces` replaced."""
     count = min(map(len, columns))
     return (row * count) % tuple(chain.from_iterable(zip(*columns)))
 

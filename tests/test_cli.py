@@ -207,10 +207,17 @@ class TestTable:
         assert keys == sorted(keys)
 
 
+def rendered(row, *columns):
+    """`cli._pieces` over the `_digits` of each column, cut to the shortest
+    first, joined."""
+    n = min(map(len, columns))
+    return "".join(cli._pieces(row, *(cli._digits(column[:n]) for column in columns)))
+
+
 class TestRenderer:
-    """`cli._rows` and the commands it renders, against the %-formatting and
-    `json.dumps` routes it replaced.  Its columns are non-negative, and a
-    minus sign is literal text of the row template."""
+    """`cli._digits` and `cli._pieces` and the commands they render, against
+    the %-formatting and `json.dumps` routes they replaced.  The columns are
+    non-negative, and a minus sign is literal text of the row template."""
 
     # 0, 10^k - 1, 10^k and 10^k + 1, 2^32 and its neighbours, and the int64 top
     EDGES = [0, *(10**k + d for k in range(19) for d in (-1, 0, 1)), *(2**32 + d for d in (-1, 0, 1)),
@@ -227,16 +234,14 @@ class TestRenderer:
         columns = [np.array(data.draw(st.lists(self.ENTRIES, max_size=12)), dtype=np.int64)
                    for _ in range(width)]
         row = "%d".join(literals)
-        assert "".join(cli._rows(row, *columns)) == rows_by_percent(
-            row, *(c.tolist() for c in columns))
+        assert rendered(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
 
     def test_large_columns_match_percent_formatting(self):
         rng = np.random.default_rng(7)
         columns = [rng.integers(0, 10**6, 5000), rng.integers(0, 2**40, 5000),
                    rng.integers(0, 2**63 - 1, 5000, dtype=np.int64)]
         row = "x%d,%d;%d\n"
-        assert "".join(cli._rows(row, *columns)) == rows_by_percent(
-            row, *(c.tolist() for c in columns))
+        assert rendered(row, *columns) == rows_by_percent(row, *(c.tolist() for c in columns))
 
     @pytest.mark.parametrize("digits", [1, 2, 9, 10, 18])
     def test_minus_on_every_row_of_a_field(self, digits):
@@ -246,7 +251,7 @@ class TestRenderer:
         assert len(cli._digits(column)) == digits
         for row, columns in (("-%d\n", [column]), ("<-%d|%d>", [column, column[::-1].copy()])):
             printed = [-column, *columns[1:]]
-            assert "".join(cli._rows(row, *columns)) == rows_by_percent(
+            assert rendered(row, *columns) == rows_by_percent(
                 row.replace("-", "", 1), *(c.tolist() for c in printed))
 
     @pytest.mark.parametrize("entries", [
@@ -260,13 +265,13 @@ class TestRenderer:
         column = np.array(entries, dtype=np.int64)
         sign = "-" if column.size and column.min() < 0 else ""
         for row, columns in (("%d", [column]), ("a%d,%d;\n", [column, column[::-1].copy()])):
-            rendered = cli._rows(row.replace("%d", sign + "%d"), *map(np.abs, columns))
-            assert "".join(rendered) == rows_by_percent(row, *(c.tolist() for c in columns))
+            text = rendered(row.replace("%d", sign + "%d"), *map(np.abs, columns))
+            assert text == rows_by_percent(row, *(c.tolist() for c in columns))
 
     @pytest.mark.parametrize("n", [0, 1, cli._PIECE, cli._PIECE + 1, 2 * cli._PIECE + 5])
     def test_json_nest_matches_dumps_across_pieces(self, n):
         column = np.arange(n, dtype=np.int64)
-        nested = "".join(cli._json_nest("[]", cli._rows("    %d,\n", column)))
+        nested = "".join(cli._json_nest("[]", cli._pieces("    %d,\n", cli._digits(column))))
         assert '{\n  "a": ' + nested + "\n}" == json.dumps({"a": column.tolist()}, indent=2)
 
     @settings(max_examples=200, deadline=None)
@@ -290,7 +295,7 @@ class TestRenderer:
     ], ids=["min-int64", "float", "int32", "uint64", "list"])
     def test_refuses_what_it_cannot_print(self, column):
         with pytest.raises((TypeError, ValueError)):
-            cli._rows("%d,%d\n", np.arange(2), column)
+            rendered("%d,%d\n", np.arange(2), column)
 
     @pytest.mark.parametrize("column", [[-1], [0, 7, -1, 12], [2**63 - 1, -(2**63) + 1]])
     def test_negative_entry_raises(self, column):
@@ -298,12 +303,12 @@ class TestRenderer:
         with pytest.raises(ValueError, match="non-negative"):
             cli._digits(column)
         with pytest.raises(ValueError, match="non-negative"):
-            cli._rows("-%d\n", column)
+            rendered("-%d\n", column)
 
     @pytest.mark.parametrize("row", ["%d", "%d%d%d", "%s %d,%d", "%d,%d%%", "%d\0%d"])
     def test_refuses_templates_it_cannot_fill(self, row):
         with pytest.raises(ValueError):
-            cli._rows(row, np.arange(3), np.arange(3))
+            rendered(row, np.arange(3), np.arange(3))
 
     @pytest.mark.parametrize("p,q", [(102, 295), (184, 543)])
     def test_sweep_matches_the_percent_and_json_routes(self, capsys, p, q):

@@ -313,7 +313,7 @@ class TestStepFunction:
            .filter(lambda pq: math.gcd(*pq) == 1))
     def test_no_value_is_negative(self, pq):
         # the argument is in `signature_step_function`'s docstring; `sweep`
-        # renders the values with the non-negative digit kernel of `cli._rows`
+        # renders the values with the non-negative digit kernel `cli._digits`
         assert signature_step_function(TorusKnot(*pq)).interval_values.min() >= 0
 
     def test_argmax_pieces_match_list_reference_on_grid(self):

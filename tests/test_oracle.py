@@ -147,7 +147,7 @@ def flipped_interleave(knot):
 
 
 def start_vector(n):
-    """The start vector `_validated_monodromy` draws at rank n."""
+    """The start vector `torus_seifert_matrix` draws at rank n."""
     return random.Random(n).choices(range(1, 64), k=n)
 
 
@@ -640,7 +640,9 @@ class TestExactValidation:
     def test_order_is_exactly_pq(self, p, q):
         # the validated sequence returns to v at j = pq and not before, and
         # its g is u . y_j, u = A^T v
-        matrix, g = oracle._validated_monodromy(TorusKnot(p, q))
+        knot = TorusKnot(p, q)
+        matrix = torus_seifert_matrix(knot)
+        g = validate_as_torus(matrix.entries, knot)
         y = krylov_rows(matrix.entries, start_vector(matrix.size), p * q + 1)
         assert np.array_equal(y[-1], y[0]) and not (y[1:-1] == y[0]).all(axis=1).any()
         assert g.dtype == np.int64 and np.array_equal(g, y[:-1] @ (matrix.entries.T @ y[0]))
@@ -665,6 +667,13 @@ class TestExactValidation:
         a = np.eye((p - 1) * (q - 1), dtype=np.int64)
         with pytest.raises(ValidationFailure, match="Phi_1 component of v is nonzero"):
             validate_as_torus(a, TorusKnot(p, q))
+
+    def test_divisor_sums_are_exact(self):
+        # a symmetric g whose S_1 = 2^64 wraps to 0 in int64, which would hide
+        # the Phi_1 component and name Phi_2 instead
+        g = np.array([2**62, 2**62, 2**62, 0, 0, 2**62], np.int64)
+        with pytest.raises(ValidationFailure, match="Phi_1 component of v is nonzero"):
+            oracle._certify(g, 2, 3)
 
     def test_start_vector_over_the_g_bound_refused(self):
         # column 0 of an upper-triangular A holds its diagonal alone, so u_0 = +-v_0
@@ -1063,8 +1072,8 @@ class TestOracleStepFunction:
         """M^T A M = A, so y_j^T A y_l = g_{(l-j) mod pq} and x_k* A x_k = pq G_k."""
         knot = TorusKnot(*pq)
         p, q, n = *pq, knot.seifert_rank()
-        matrix, g = oracle._validated_monodromy(knot)
-        a = matrix.entries
+        a = torus_seifert_matrix(knot).entries
+        g = validate_as_torus(a, knot)
         y = krylov_rows(a, start_vector(n), p * q)
         m = oracle._monodromy(a)
         assert np.array_equal(m.T @ a @ m, a)  # exact in int64
