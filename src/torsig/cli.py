@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import InvalidParameter, RationalAngle, TorsigError, TorusKnot
+from .core import _MAX_DIGITS, InvalidParameter, RationalAngle, TorsigError, TorusKnot
 from .identities import (
     check_closed_forms,
     check_even_periodicity,
@@ -461,13 +461,6 @@ def _verify_task(task) -> list[tuple[bool, str, str]]:
     return SUITES[suite][1](pairs, tol)
 
 
-def _verify_grids(which, p_max, q_max) -> dict[str, list[tuple[int, int]]]:
-    """The pairs of each suite run, in output order: by suite as listed in
-    SUITES, then by (p, q)."""
-    pairs = _coprime_pairs(p_max, q_max)
-    return {name: GRIDS[grid](pairs, p_max) for name, (grid, _) in SUITES.items() if name in which}
-
-
 def _parse_which(chunks) -> set[str]:
     """The suites named by the --which flags (all of them if none is given)."""
     names = [name for chunk in chunks or [",".join(SUITES)] for name in chunk.split(",")]
@@ -490,7 +483,10 @@ def cmd_verify(args) -> int:
                                f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates} "
                                f"pairs and {args.p_max} p values")
 
-    grids = _verify_grids(which, args.p_max, args.q_max)
+    # the pairs of each suite run, in output order: by suite as listed in SUITES, then by (p, q)
+    pairs = _coprime_pairs(args.p_max, args.q_max)
+    grids = {name: GRIDS[grid](pairs, args.p_max)
+             for name, (grid, _) in SUITES.items() if name in which}
     # each suite in min(jobs, pairs) tasks, every jobs-th pair apiece, so each
     # task spans the grid's sizes and the oracle runs as that many batches
     tasks = [(name, grid[i :: args.jobs], args.tol)
@@ -555,8 +551,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def integer(text):  # ASCII digits after an optional '-', as `RationalAngle.parse` reads -t
-        if not (text.isascii() and text.removeprefix("-").isdigit()):
+        digits = text.removeprefix("-")
+        if not (text.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(f"need an integer in ASCII digits, got {text!r}")
+        if len(digits) > _MAX_DIGITS:
+            raise argparse.ArgumentTypeError(f"need at most {_MAX_DIGITS} digits, got {len(digits)}")
         return int(text)
 
     def number(text):  # float() alone takes '_', non-ASCII digits and surrounding space

@@ -16,6 +16,19 @@ import math
 import re
 from dataclasses import dataclass
 
+__all__ = [
+    "TorsigError",
+    "NotCoprime",
+    "InvalidParameter",
+    "OutOfRange",
+    "TorusKnot",
+    "RationalAngle",
+]
+
+# Digits allowed in each integer read from text (the CLI and `RationalAngle.parse`):
+# sigma < pq + 2p then prints in at most 4001, under Python's 4300-digit int/str limit.
+_MAX_DIGITS = 2000
+
 
 class TorsigError(Exception):
     """Base class for all errors raised by this package."""
@@ -97,13 +110,15 @@ class RationalAngle:
 
     @classmethod
     def parse(cls, text: str) -> "RationalAngle":
-        """Parse an exact "n/d" string of ASCII digits.
+        """Parse an exact "n/d" string of at most `_MAX_DIGITS` ASCII digits each.
 
         Decimals, signs, spaces, underscores and non-ASCII digits are rejected.
         """
         match = re.fullmatch(r"([0-9]+)/([0-9]+)", text)
         if match is None:
             raise InvalidParameter(f"angle must be written as n/d, got {text!r}")
+        if max(map(len, match.groups())) > _MAX_DIGITS:
+            raise InvalidParameter(f"n and d in n/d may have at most {_MAX_DIGITS} digits each")
         return cls(int(match[1]), int(match[2]))
 
     def __str__(self) -> str:

@@ -8,7 +8,8 @@ projects v onto the eigenvectors of M, and the jump formula at the roots of
 Delta (Matumoto 1977, Gambaudo-Ghys 2005) gives each jump of sigma as the
 sign of one term of the real FFT of the scalar sequence g_j = v^T A M^j v.  A
 general braid gets a check modulo one prime.  None of this shares code with
-`torsig.lattice` or `torsig.maxsig`, which is the point.
+`torsig.lattice` or `torsig.maxsig`, which is the point; the one exception is
+`brute_force_max`, which wraps `signature_step_function`.
 
 The proof needs g alone too: Moebius sums of g over the divisors of pq
 give a certificate c_d per cyclotomic factor Phi_d of Delta (see
@@ -53,9 +54,6 @@ __all__ = [
     "torus_braid",
     "seifert_matrix",
     "torus_seifert_matrix",
-    "torus_alexander",
-    "alexander_from_seifert",
-    "hermitian_signature",
     "brute_force_max",
     "oracle_step_function",
     "oracle_step_functions",
@@ -438,7 +436,7 @@ def _sparse_case(a, v, p: int, q: int) -> tuple:
     rows, cols = np.nonzero(m)
     v = np.array(v, dtype=np.int64).reshape(n)
     u = v @ a
-    if u.max(initial=0) >= 2**21 or u.min(initial=0) <= -(2**21):
+    if u.max(initial=0) >= _ENTRY_BOUND or u.min(initial=0) <= -_ENTRY_BOUND:
         raise ValidationFailure("an entry of A^T v reaches 2^21")
     return p, q, v, u, cols, m[rows, cols], np.searchsorted(rows, np.arange(n))
 

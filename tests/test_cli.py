@@ -22,7 +22,7 @@ from reference import (
 from torsig import cli, oracle
 from torsig.cli import MAX_JOBS, MAX_MAX_P, SWEEP_MAX_PQ, TABLE_MAX_ROWS, main
 from torsig.core import RationalAngle, TorusKnot
-from torsig.lattice import StepFunction, signature_step_function
+from torsig.lattice import StepFunction, classical_signature, lt_signature, signature_step_function
 from torsig.maxsig import distance_profile
 
 
@@ -101,6 +101,35 @@ class TestIntegerFlags:
     def test_negative_values_reach_the_domain_checks(self, capsys, command, flag):
         code, out, err = run(capsys, *with_flag(command, flag, "-5"))
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sig", "-p", "2", "-q", "3", "-t", "1/" + "7" * 5000],
+        ["sig", "-p", "11", "-q", "9" * 4299 + "7", "-t", "1/2"],
+        ["max", "-p", "11", "-q", "9" * 4299 + "7"],
+        ["max", "-p", "9" * 5000, "-q", "3"],
+    ])
+    def test_over_the_digit_cap_exits_2(self, capsys, argv):
+        """Past 2000 digits σ could exceed Python's 4300-digit int/str limit;
+        a traceback here would be an exception out of `main`."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "at most 2000 digits" in captured.err.splitlines()[-1]
+        assert len(captured.err) < 200  # the digits are not echoed back
+
+    def test_sigma_prints_at_the_digit_cap(self, capsys):
+        p, q = 10**2000 - 2, 10**2000 - 1
+        code, out, _ = run(capsys, "sig", "-p", str(p), "-q", str(q), "-t", "1/2")
+        sigma = lt_signature(TorusKnot(p, q), RationalAngle(1, 2))
+        assert code == 0 and out == f"sigma={sigma}\n"
+        assert 4000 <= len(out) - len("sigma=\n") <= 4001
+        q = int("9" * 1999 + "7")
+        code, out, _ = run(capsys, "max", "-p", "11", "-q", str(q))
+        sigma = classical_signature(TorusKnot(11, q))
+        assert code == 0 and out.startswith(f"knot=T(11,{q})\nsigma={sigma}\n")
 
 
 class TestMax:

@@ -1,8 +1,11 @@
+import inspect
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import torsig
+from torsig import core, identities, lattice, maxsig, oracle
 from torsig.core import (
     InvalidParameter,
     NotCoprime,
@@ -105,7 +108,26 @@ class TestRationalAngle:
             assert math.gcd(t.numerator, t.denominator) == 1
             assert 0 < t.numerator < t.denominator
 
+    def test_parse_caps_digits(self):
+        assert RationalAngle.parse("1/" + "9" * 2000).denominator == 10**2000 - 1
+        for bad in ("1/" + "7" * 2001, "0" * 2001 + "1/2"):
+            with pytest.raises(InvalidParameter, match="at most 2000 digits"):
+                RationalAngle.parse(bad)
+
     def test_str_roundtrip(self):
         t = RationalAngle(3, 14)
         assert RationalAngle.parse(str(t)) == t
 
+
+def test_package_exports_each_modules_all_once():
+    """`torsig` re-exports the five `__all__` lists, and no test reference."""
+    modules = (core, lattice, maxsig, identities, oracle)
+    declared = [(name, module) for module in modules for name in module.__all__]
+    public = {name for name, value in vars(torsig).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {name for name, _ in declared} and len(public) == len(declared)
+    for name, module in declared:
+        assert getattr(torsig, name) is getattr(module, name), name
+    references = {"alexander_from_seifert", "torus_alexander", "hermitian_signature"}
+    assert not references & public
+    assert all(callable(getattr(oracle, name)) for name in references)

@@ -727,18 +727,29 @@ class TestExactValidation:
             assert torus_seifert_matrix(TorusKnot(p, q)).size == (p - 1) * (q - 1)
 
     def test_torus_path_is_prime_free(self, capsys, monkeypatch):
-        argv = ["verify", "--which", "oracle", "--p-max", "6", "--q-max", "11"]
-        assert main(argv) == 0
-        expected = capsys.readouterr().out
-        assert expected == "suite=oracle checked=22 failed=0\nresult=PASS\n"
+        """`verify` reaches neither the congruence check nor any test reference."""
+        runs = {
+            ("verify", "--which", "oracle", "--p-max", "6", "--q-max", "11"):
+                "suite=oracle checked=22 failed=0\nresult=PASS\n",
+            ("verify",):  # all seven suites
+                "suite=glm checked=103 failed=0\nsuite=even-periodicity checked=45 failed=0\n"
+                "suite=main checked=103 failed=0\nsuite=odd-shift checked=58 failed=0\n"
+                "suite=closed-forms checked=9 failed=0\nsuite=oracle checked=103 failed=0\n"
+                "suite=brute-max checked=103 failed=0\nresult=PASS\n",
+        }
+        for argv, expected in runs.items():
+            assert main(list(argv)) == 0
+            assert capsys.readouterr().out == expected
 
         def refuse(*args):
-            raise AssertionError("the torus path reached the congruence check")
+            raise AssertionError("verify reached the congruence check or a test reference")
 
-        for name in ("alexander_from_seifert", "_minpoly_mod", "torus_alexander"):
+        for name in ("alexander_from_seifert", "_minpoly_mod", "torus_alexander",
+                     "hermitian_signature"):
             monkeypatch.setattr(oracle, name, refuse)
-        assert main(argv) == 0
-        assert capsys.readouterr().out == expected
+        for argv, expected in runs.items():
+            assert main(list(argv)) == 0
+            assert capsys.readouterr().out == expected
 
     def test_congruent_target_is_only_a_congruence(self):
         knot = TorusKnot(3, 5)
