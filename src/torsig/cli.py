@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import _MAX_DIGITS, InvalidParameter, RationalAngle, TorsigError, TorusKnot
+from .core import _MAX_DIGITS, InvalidParameter, RationalAngle, TorsigError, TorusKnot, _echo
 from .identities import (
     check_closed_forms,
     check_even_periodicity,
@@ -115,7 +115,7 @@ def _peak_row(knot: TorusKnot, m: int) -> dict:
 def cmd_max(args) -> int:
     knot = TorusKnot(args.p, args.q)
     if knot.p > MAX_MAX_P:
-        raise InvalidParameter(f"max needs p <= {MAX_MAX_P}, got p = {knot.p}")
+        raise InvalidParameter(f"max needs p <= {MAX_MAX_P}, got p = {_echo(knot.p)}")
     profile = distance_profile(knot)  # empty for p <= 2
     sequence = balanced_sequence(profile)
     row = _peak_row(knot, max_cyclic_sum(sequence))
@@ -268,7 +268,8 @@ def _decimal_order(keys: np.ndarray) -> np.ndarray:
 def cmd_sweep(args) -> int:
     knot = TorusKnot(args.p, args.q)
     if knot.p * knot.q > SWEEP_MAX_PQ:
-        raise InvalidParameter(f"sweep needs pq <= {SWEEP_MAX_PQ}, got pq = {knot.p * knot.q}")
+        raise InvalidParameter(f"sweep needs pq <= {SWEEP_MAX_PQ}, "
+                               f"got pq = {_echo(knot.p * knot.q)}")
     step = signature_step_function(knot)
     ks, pq, values = step.breakpoints, step.denominator, step.interval_values
 
@@ -326,7 +327,8 @@ def _table_candidates(p_max: int, q_max: int) -> int:
 
 def _require_grid(args) -> None:
     if args.p_max < 1 or args.q_max < 1:
-        raise InvalidParameter(f"--p-max and --q-max must be >= 1, got {args.p_max} and {args.q_max}")
+        raise InvalidParameter(f"--p-max and --q-max must be >= 1, "
+                               f"got {_echo(args.p_max)} and {_echo(args.q_max)}")
 
 
 def cmd_table(args) -> int:
@@ -334,7 +336,8 @@ def cmd_table(args) -> int:
     candidates = _table_candidates(args.p_max, args.q_max)
     if candidates > TABLE_MAX_ROWS:
         raise InvalidParameter(f"table allows at most {TABLE_MAX_ROWS} (p, q) pairs, "
-                               f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates}")
+                               f"--p-max {_echo(args.p_max)} --q-max {_echo(args.q_max)} "
+                               f"spans {_echo(candidates)}")
     pairs = _coprime_pairs(args.p_max, args.q_max)
 
     def render(stream) -> None:
@@ -466,7 +469,7 @@ def _parse_which(chunks) -> set[str]:
     names = [name for chunk in chunks or [",".join(SUITES)] for name in chunk.split(",")]
     unknown = [name for name in names if name not in SUITES]
     if unknown:
-        raise InvalidParameter(f"unknown suite {unknown[0]!r}")
+        raise InvalidParameter(f"unknown suite {_echo(unknown[0])}")
     return set(names)
 
 
@@ -474,14 +477,14 @@ def cmd_verify(args) -> int:
     _require_grid(args)
     which = _parse_which(args.which)
     if not 1 <= args.jobs <= MAX_JOBS:
-        raise InvalidParameter(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
+        raise InvalidParameter(f"--jobs must be between 1 and {MAX_JOBS}, got {_echo(args.jobs)}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InvalidParameter(f"--tol must be finite and > 0, got {args.tol}")
     candidates = _table_candidates(args.p_max, args.q_max)
     if max(candidates, args.p_max) > TABLE_MAX_ROWS:
         raise InvalidParameter(f"verify allows at most {TABLE_MAX_ROWS} pairs and p values, "
-                               f"--p-max {args.p_max} --q-max {args.q_max} spans {candidates} "
-                               f"pairs and {args.p_max} p values")
+                               f"--p-max {_echo(args.p_max)} --q-max {_echo(args.q_max)} spans "
+                               f"{_echo(candidates)} pairs and {_echo(args.p_max)} p values")
 
     # the pairs of each suite run, in output order: by suite as listed in SUITES, then by (p, q)
     pairs = _coprime_pairs(args.p_max, args.q_max)
@@ -542,9 +545,20 @@ def cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommand parsers, whose
+    refusal is one line like every other refusal of `main`: a pointer to -h
+    stands in for the usage block."""
+
+    def error(self, message):
+        if len(message) > 200:  # argparse echoes an unknown choice or argument whole
+            message = f"{message[:200]}... ({len(message)} characters)"
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see {self.prog} -h)\n")
+
+
 @functools.cache  # built once per process: it costs more than a small command
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torsig",
         description="Exact signature-function computations for torus knots.",
     )
@@ -553,14 +567,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def integer(text):  # ASCII digits after an optional '-', as `RationalAngle.parse` reads -t
         digits = text.removeprefix("-")
         if not (text.isascii() and digits.isdigit()):
-            raise argparse.ArgumentTypeError(f"need an integer in ASCII digits, got {text!r}")
+            raise argparse.ArgumentTypeError(f"need an integer in ASCII digits, got {_echo(text)}")
         if len(digits) > _MAX_DIGITS:
             raise argparse.ArgumentTypeError(f"need at most {_MAX_DIGITS} digits, got {len(digits)}")
         return int(text)
 
     def number(text):  # float() alone takes '_', non-ASCII digits and surrounding space
         if not text.isascii() or "_" in text or text != text.strip():
-            raise argparse.ArgumentTypeError(f"need a number in ASCII digits, got {text!r}")
+            raise argparse.ArgumentTypeError(f"need a number in ASCII digits, got {_echo(text)}")
         return float(text)
 
     def add_knot_args(p):

@@ -28,6 +28,8 @@ __all__ = [
 # Digits allowed in each integer read from text (the CLI and `RationalAngle.parse`):
 # sigma < pq + 2p then prints in at most 4001, under Python's 4300-digit int/str limit.
 _MAX_DIGITS = 2000
+# Characters of an input that an error message echoes; past them it gives the length.
+_ECHO_CHARS = 40
 
 
 class TorsigError(Exception):
@@ -44,6 +46,21 @@ class InvalidParameter(TorsigError):
 
 class OutOfRange(TorsigError):
     """A rational angle falls outside the open interval (0, 1)."""
+
+
+def _echo(value) -> str:
+    """An input as an error message shows it, in at most about _ECHO_CHARS
+    characters: an int by its digits, or by how many it has; anything else
+    by its repr, or the start of it and the length of the input."""
+    if _is_int(value):
+        digits = str(abs(value))
+        if len(digits) > _ECHO_CHARS:
+            return f"{'-' * (value < 0)}<{len(digits)} digits>"
+        return str(value)
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(value)} characters)"
 
 
 def _is_int(x) -> bool:
@@ -68,9 +85,9 @@ class TorusKnot:
         if not (_is_int(p) and _is_int(q)):
             raise InvalidParameter(f"p and q must be integers, got ({p!r}, {q!r})")
         if p < 1 or q < 1:
-            raise InvalidParameter(f"p and q must be >= 1, got ({p}, {q})")
+            raise InvalidParameter(f"p and q must be >= 1, got ({_echo(p)}, {_echo(q)})")
         if math.gcd(p, q) != 1:
-            raise NotCoprime(f"p and q must be coprime, got ({p}, {q})")
+            raise NotCoprime(f"p and q must be coprime, got ({_echo(p)}, {_echo(q)})")
         if p > q:
             p, q = q, p
         object.__setattr__(self, "p", p)
@@ -103,7 +120,7 @@ class RationalAngle:
         if not (_is_int(n) and _is_int(d)) or d <= 0:
             raise InvalidParameter(f"need integer n and d > 0, got ({n!r}, {d!r})")
         if not 0 < n < d:
-            raise OutOfRange(f"t = {n}/{d} is outside the open interval (0, 1)")
+            raise OutOfRange(f"t = {_echo(n)}/{_echo(d)} is outside the open interval (0, 1)")
         g = math.gcd(n, d)
         object.__setattr__(self, "numerator", n // g)
         object.__setattr__(self, "denominator", d // g)
@@ -116,7 +133,7 @@ class RationalAngle:
         """
         match = re.fullmatch(r"([0-9]+)/([0-9]+)", text)
         if match is None:
-            raise InvalidParameter(f"angle must be written as n/d, got {text!r}")
+            raise InvalidParameter(f"angle must be written as n/d, got {_echo(text)}")
         if max(map(len, match.groups())) > _MAX_DIGITS:
             raise InvalidParameter(f"n and d in n/d may have at most {_MAX_DIGITS} digits each")
         return cls(int(match[1]), int(match[2]))

@@ -21,13 +21,16 @@ not yet done, and a knot that fails any check fails alone.
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
 ones).  So det A = +-1, and the monodromy M = A^{-1}A^T is an integer
-matrix.  A back-substitution builds it a run of rows at a time: the bricks
-of one generator form a run whose diagonal block is I - (superdiagonal),
-which a reversed running sum inverts, so T(p,q) takes p - 1 runs, not one
-step per row.
+matrix.  `_monodromy` builds it sparse from A's links, a run of rows at a
+time: the bricks of one generator form a run whose diagonal block is
+I - (superdiagonal), which a running sum inverts.  A batch is one
+block-diagonal A from one brick build, and the runs of all its knots at one
+distance from their knot's last run take one vectorised pass, so T(p,q)
+takes p - 1 passes and no n x n array is built.
 
-The brick matrix is one read-only int64 array: the identity with each
-brick's at most three links scattered into it.  Its sign convention (a
+The brick matrix comes as links: each brick's diagonal and at most three
+links to later bricks, which `seifert_matrix` scatters into a read-only
+int64 array.  Its sign convention (a
 wrong one silently computes the mirror knot) is fixed so that
 sigma(T(2,3)) = +2 and pinned by tests: the Alexander-polynomial check
 catches wrong linking patterns, the comparison of signature functions with
@@ -156,78 +159,92 @@ def _require_rank(n: int) -> None:
         raise InvalidParameter(f"rank {n} is not in [0, {_MAX_RANK}]: not a knot, or too large")
 
 
-def _monodromy(a: np.ndarray) -> np.ndarray:
-    """M = A^{-1} A^T, exactly, for an upper-triangular int64 A with diagonal
-    +-1, solved a run of rows at a time.
+def _monodromy(rows, cols, values, first) -> tuple:
+    """M = A^{-1} A^T, exactly, for a block-diagonal int64 A given by its
+    links (rows, cols, values), block i on rows first[i]..first[i+1] - 1:
+    M's nonzeros by row (cols, values, and starts: row k's are at
+    starts[k]..starts[k+1] - 1), and per block None or its ValidationFailure.
 
     With D = diag(A) (D^2 = I), U = DA has diagonal 1 and U M = D A^T.  A run
     is a block of rows lo..hi on which U's diagonal block is I - N, N the
     superdiagonal: U[k,k+1] = -1 within it and no other entry.  For k in it,
     M[k] - M[k+1] = B[k] = (D A^T)[k] - sum over j > hi of U[k,j] M[j] (and
-    M[hi] = B[hi]).  So a run costs the subtraction of its coupling to later
-    rows, taken over U's nonzeros a stripe at a time (consecutive rows, one
-    entry each, of one value at one offset: a slice of M, no gathered
-    copy), then a reversed running sum, added in place row by row: numpy's
-    cumsum down axis 0 strides a whole row per step and runs ten times
-    slower at rank 2048.  Dense blocks are never multiplied.  A brick matrix
-    has one run per generator (consecutive bricks of a generator link by
-    -1, and nothing else within it), and for a torus knot two stripes
-    couple each run to the next; in any other U a row that has no such
-    link is a run of one, the plain back-substitution step.
+    M[hi] = B[hi]), so M[k] is the sum of B[i] over k <= i <= hi.  A brick
+    matrix has one run per generator (consecutive bricks of a generator link
+    by -1, and nothing else within it); elsewhere a row with no such link
+    is a run of one, the plain back-substitution step.  A run reads only
+    later runs of its block, so the runs of every block at one level (the
+    number of runs after it in its block) take one vectorised pass, and
+    T(p,q) takes p - 1.  A pass lists the terms of each B[k] (the rows of M
+    its couplings read, times -U[k,j], and D A^T), sorts them by column and
+    then by row from hi down, and sums them in each (run, column) group:
+    after the last term of row k the sum is M[k, column], down to the next
+    row with a term.
 
-    An A that is not upper triangular with diagonal +-1, read off its
-    nonzeros, raises ValidationFailure.  So does an entry of M of 2^21 or
-    more, naming the last row that has one, and that row is exact.  M[k]
-    reads only the rows after k: the couplings of its run, and M[k+1].  If
-    those are exact and below 2^21, B[k] is below n 2^42 + 2^21 and M[k]
-    below n 2^42 + 2^22 < 2^63 (n <= 2^11), so M[k] is exact too, even if
-    the rows before it then wrap; and if no row reaches the bound, every row
-    is exact.
+    A block that is not upper triangular with diagonal +-1 fails.  So does
+    one with an entry of M of 2^21 or more, naming its last row that has
+    one, and that row is exact.  M[k] reads only the rows after k in its
+    block.  If those are exact and below 2^21, as A's entries are, each
+    partial sum of its groups (M[k+1, c] and some terms of B[k, c]) is below
+    n 2^42 + 2^22 < 2^63 (n <= 2^11), so M[k] is exact too, even if the
+    rows before it then wrap; and if no row reaches the bound, every row is
+    exact.  A group's sums are one cumsum less its value before the group:
+    int64 wraps mod 2^64, so each is exact while its true value is below 2^63.
     """
-    n = len(a)
-    rows, cols = np.nonzero(a)
-    values, sign = a[rows, cols], a.diagonal()
-    if (rows > cols).any() or (np.abs(sign) != 1).any():
-        raise ValidationFailure("A is not upper triangular with diagonal +-1")
-    m = np.zeros((n, n), np.int64)
-    m[cols, rows] = values * sign[cols]  # D A^T
-    if not n:
-        return m
-    units = values * sign[rows]  # U's entries
+    n = int(first[-1])
+    block = np.repeat(np.arange(len(first) - 1), np.diff(first))  # of each row
+    sign, superdiagonal = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    sign[rows[rows == cols]] = values[rows == cols]
+    superdiagonal[rows[cols == rows + 1]] = values[cols == rows + 1]
+    wrong = np.abs(sign) != 1  # rows that refuse their block
+    wrong[rows[rows > cols]] = True
     # row k runs on into row k + 1 if U[k,k+1] = -1, and no other entry of
     # row k falls in the chain of such links through it
-    joined = sign[:-1] * a.diagonal(1) == -1
-    chain = np.concatenate(([0], np.cumsum(~joined)))
+    joined = sign[:-1] * superdiagonal[:-1] == -1
+    run = np.ones(n, bool)  # a run starts at this row
+    run[1:] = ~joined
+    chain = np.cumsum(run)
     joined[rows[(cols > rows + 1) & (chain[rows] == chain[cols])]] = False
-    run = np.concatenate(([0], np.cumsum(~joined)))
-    firsts = [0, *(np.flatnonzero(~joined) + 1).tolist(), n]
-    # the couplings to later runs, by run, offset, value and row, cut into stripes
-    later = run[cols] > run[rows]
-    rows, cols, units = rows[later], cols[later], units[later]
-    order = np.lexsort((rows, units, cols - rows, run[rows]))
-    rows, cols, units = rows[order], cols[order], units[order]
-    cut = np.ones(rows.size, bool)  # a stripe starts here
-    cut[1:] = ((np.diff(rows) != 1) | (np.diff(cols) != 1) | (np.diff(units) != 0)
-               | (np.diff(run[rows]) != 0))
-    starts = np.flatnonzero(cut).tolist()
-    stripes = [[] for _ in firsts[1:]]  # per run: (first row, first col, rows, value)
-    for s, e in zip(starts, starts[1:] + [rows.size]):
-        stripes[run[rows[s]]].append((rows[s], cols[s], e - s, units[s]))
-    for i in range(len(firsts) - 2, -1, -1):
-        for r, c, size, u in stripes[i]:
-            # a unit, as every brick entry is, needs no product copy: one
-            # stripe of T(3,1025) is 16 MiB, a fifth of its traced peak
-            source = m[c : c + size]
-            if u == -1:
-                m[r : r + size] += source
-            else:
-                m[r : r + size] -= source if u == 1 else u * source
-        for k in range(firsts[i + 1] - 2, firsts[i] - 1, -1):
-            m[k] += m[k + 1]
-    big = np.flatnonzero((m.max(axis=1) >= _ENTRY_BOUND) | (m.min(axis=1) <= -_ENTRY_BOUND))
-    if big.size:
-        raise ValidationFailure(f"row {big[-1]} of A^-1 A^T has an entry of 2^21 or more")
-    return m
+    run[1:] = ~joined
+    lo, run = np.flatnonzero(run), np.cumsum(run) - 1  # each run's first row, each row's run
+    level = (np.searchsorted(lo, first[1:]) - 1)[block] - run
+    later = run[cols] > run[rows]  # U's couplings
+    k, j, u = rows[later], cols[later], values[later] * sign[rows[later]]
+    start, count = np.zeros(n, np.int64), np.zeros(n, np.int64)  # of each row of M in m
+    m = np.zeros((3, 0), np.int64)  # M's rows, columns and values, a level at a time
+    for step in range(int(level.max(initial=-1)) + 1):
+        now, direct = level[k] == step, level[cols] == step  # D A^T holds A[i,k] at (k, i)
+        size = count[j[now]]
+        at = np.repeat(start[j[now]] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        r = np.concatenate((np.repeat(k[now], size), cols[direct]))
+        c = np.concatenate((m[1, at], rows[direct]))
+        x = np.concatenate((-np.repeat(u[now], size) * m[2, at],
+                            values[direct] * sign[cols[direct]]))
+        order = np.argsort(c * n - r)  # by column, then by row from the bottom
+        r, c, x = r[order], c[order], x[order]
+        head = np.ones(r.size, bool)  # a (run, column) group starts here
+        head[1:] = (c[1:] != c[:-1]) | (run[r[1:]] != run[r[:-1]])
+        sums, h = np.cumsum(x), np.flatnonzero(head)
+        sums -= np.repeat(sums[h] - x[h], np.diff(np.append(h, r.size)))
+        last = np.ones(r.size, bool)  # the last term of its row in its group
+        last[:-1] = (c[1:] != c[:-1]) | (r[1:] != r[:-1])
+        below = np.where(np.append(~head[1:], False), np.append(r[1:], 0) + 1, lo[run[r]])
+        keep = last & (sums != 0)
+        r, c, sums, size = r[keep], c[keep], sums[keep], r[keep] - below[keep] + 1
+        r = np.repeat(r + np.cumsum(size) - size, size) - np.arange(size.sum())  # down to below
+        rows_m = np.stack((r, np.repeat(c, size), np.repeat(sums, size)))
+        rows_m = rows_m[:, np.argsort(r * n + rows_m[1])]
+        h = np.flatnonzero(np.diff(rows_m[0], prepend=-1))  # each row's first entry
+        start[rows_m[0, h]] = m.shape[1] + h
+        count[rows_m[0, h]] = np.diff(np.append(h, rows_m.shape[1]))
+        m = np.concatenate((m, rows_m), axis=1)
+    m = m[:, np.argsort(m[0], kind="stable")]
+    big = m[0, (m[2] >= _ENTRY_BOUND) | (m[2] <= -_ENTRY_BOUND)]  # in increasing order
+    refused, named = set(block[wrong].tolist()), dict(zip(block[big].tolist(), big.tolist()))
+    errors = [ValidationFailure("A is not upper triangular with diagonal +-1") if i in refused
+              else ValidationFailure(f"row {named[i] - f} of A^-1 A^T has an entry of 2^21 or more")
+              if i in named else None for i, f in enumerate(first[:-1])]
+    return m[1], m[2], np.concatenate(([0], np.cumsum(count))), errors
 
 
 def _minpoly_mod(s: np.ndarray, p: int) -> np.ndarray:
@@ -265,7 +282,8 @@ def alexander_from_seifert(matrix, expected) -> np.ndarray:
     entries below 2^21, as every `seifert_matrix` is; anything else (float,
     bool or object entries, too large a rank) raises InvalidParameter.  The
     pencil is det(A), the product of the diagonal, times det(I - tM), which
-    Berlekamp-Massey on u^T M^i v (i < 2n, M held sparse) finds once it
+    Berlekamp-Massey on u^T M^i v (i < 2n, M built and held sparse by
+    `_monodromy`, dense only for the return value) finds once it
     reaches degree n.  u and v come from random.Random(n), so no result
     depends on the process; a shortfall is retried _KRYLOV_TRIES times.
 
@@ -283,10 +301,14 @@ def alexander_from_seifert(matrix, expected) -> np.ndarray:
         raise InvalidParameter("need square upper-triangular A, diagonal +-1, entries below 2^21")
     _require_rank(n)
     a = a.astype(np.int64)
-    m, rng = _monodromy(a), random.Random(n)
+    rows, cols = np.nonzero(a)
+    cols, values, starts, [error] = _monodromy(rows, cols, a[rows, cols], np.array([0, n]))
+    if error:
+        raise error
+    m = np.zeros((n, n), np.int64)
+    m[np.repeat(np.arange(n), np.diff(starts)), cols] = values
     # det M = 1, so every row of M has a nonzero and starts a segment of them
-    rows, cols = np.nonzero(m)
-    values, starts = m[rows, cols] % _PRIME, np.searchsorted(rows, np.arange(n))
+    values, starts, rng = values % _PRIME, starts[:-1], random.Random(n)
     for _ in range(_KRYLOV_TRIES):
         u, w = (np.array([rng.randrange(_PRIME) for _ in range(n)], np.int64) for _ in range(2))
         s = np.empty(2 * n, dtype=np.int64)
@@ -324,9 +346,11 @@ class SeifertMatrix:
         return len(self.entries)
 
 
-def _brick_matrix(braid: BraidWord) -> np.ndarray:
-    """Brick matrix: one brick per pair (a, b) of consecutive positions of
-    the same generator g, ordered by generator and then by position.
+def _brick_matrix(letters: np.ndarray) -> tuple:
+    """Brick matrix of the int64 letters of a braid word, by its links
+    (rows, cols, values), the diagonal included: one brick per pair (a, b)
+    of consecutive positions of the same generator g, ordered by generator
+    and then by position.
 
     Entry [u][v], in the sign where sigma(T(2,3)) = +2:
       * +1 on the diagonal;
@@ -339,10 +363,8 @@ def _brick_matrix(braid: BraidWord) -> np.ndarray:
     -1 brick starts at the last of them before b_u, if that is after a_u
     and another follows; the +1 brick ends at the first of them after a_u,
     if that is before b_u and another precedes.  One searchsorted over the
-    (generator, position) keys of all letters finds each, and the entries
-    are scattered into the identity.
+    (generator, position) keys of all letters finds each.
     """
-    letters = np.asarray(braid.letters, dtype=np.int64)
     size = letters.size
     order = np.lexsort((np.arange(size), letters))  # positions by (generator, position)
     gens = letters[order]
@@ -357,22 +379,28 @@ def _brick_matrix(braid: BraidWord) -> np.ndarray:
     plus = (gens[first] == up) & (a < order[first]) & (order[first] < b) & opens[first - 1]
     u = np.arange(starts.size)
     chained = u[:-1][opens[starts[:-1] + 1]]  # the next brick has u's generator
-    matrix = np.eye(starts.size, dtype=np.int64)
-    matrix[chained, chained + 1] = -1
-    matrix[u[minus], brick[last[minus]]] = -1
-    matrix[u[plus], brick[first[plus] - 1]] = 1
-    return matrix
+    rows = np.concatenate((u, chained, u[minus], u[plus]))
+    cols = np.concatenate((u, chained + 1, brick[last[minus]], brick[first[plus] - 1]))
+    values = np.repeat(np.array([1, -1, -1, 1]), [u.size, chained.size, minus.sum(), plus.sum()])
+    return rows, cols, values
 
 
-def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of a positive braid closure, which must be a knot of rank <= _MAX_RANK."""
+def _knot_rank(braid: BraidWord) -> int:
+    """The rank of a braid closure that is a knot of rank <= _MAX_RANK; else InvalidParameter."""
     rank = len(braid.letters) - braid.strands + 1
     _require_rank(rank)  # a knot needs strands - 1 letters or more
     components = braid.closure_components()
     if components != 1:
         raise InvalidParameter(f"closure has {components} components, need a knot")
-    entries = _brick_matrix(braid)
-    assert len(entries) == rank
+    return rank
+
+
+def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
+    """Seifert matrix of a positive braid closure, which must be a knot of rank <= _MAX_RANK."""
+    # a knot's closure uses every generator, so it has rank bricks
+    entries = np.zeros((_knot_rank(braid),) * 2, np.int64)
+    rows, cols, values = _brick_matrix(np.array(braid.letters, dtype=np.int64))
+    entries[rows, cols] = values
     entries.flags.writeable = False
     return SeifertMatrix(entries)
 
@@ -418,27 +446,10 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 # every knot's g_j, and keeps a running max and min of y for the bound;
 # y_pq is compared with v as each knot finishes.
 
-# Rows of one batch: its buffers are a few int64 arrays per row and per
-# nonzero, so a large grid runs as several batches of a few MB.
+# Rows of one batch.  Its build and its Krylov loop hold a few int64 arrays
+# per row, per link of A and per nonzero of M, and never an n x n one, so a
+# large grid runs as several batches of a few MB.
 _BATCH_ROWS = 2**16
-
-
-def _sparse_case(a, v, p: int, q: int) -> tuple:
-    """(p, q, v, u = A^T v, and M's nonzeros by row: column, value and the
-    first of each row), M = A^{-1}A^T; the dense M is dropped."""
-    a = np.asarray(getattr(a, "entries", a))
-    n = len(a)
-    if n != (p - 1) * (q - 1):
-        raise ValidationFailure(f"A is not of size {(p - 1) * (q - 1)}")
-    _require_rank(n)
-    m = _monodromy(a)  # refuses an A that is not upper triangular with diagonal +-1
-    # det M = 1, so every row of M has a nonzero and starts a segment of them
-    rows, cols = np.nonzero(m)
-    v = np.array(v, dtype=np.int64).reshape(n)
-    u = v @ a
-    if u.max(initial=0) >= _ENTRY_BOUND or u.min(initial=0) <= -_ENTRY_BOUND:
-        raise ValidationFailure("an entry of A^T v reaches 2^21")
-    return p, q, v, u, cols, m[rows, cols], np.searchsorted(rows, np.arange(n))
 
 
 def _exact_krylov(cases) -> Iterator:
@@ -446,48 +457,83 @@ def _exact_krylov(cases) -> Iterator:
     for each case once it proves det(A - tA^T) = +-Delta(T(p,q)) as above;
     else the TorsigError of that case.  Yields them in the order of `cases`.
 
-    `cases` holds functions that return (A, v, p, q), A a matrix or a
-    SeifertMatrix.  Each is called in turn and its M kept by its nonzeros
-    alone, so no two dense matrices are alive at once.  A batch of at most
-    _BATCH_ROWS rows then runs one streamed loop (`_stream`), and its
-    results are yielded before the next batch starts.
+    `cases` holds functions that return (A, v, p, q), A a BraidWord or a
+    matrix, read by its nonzeros.  Each is called in turn and checked as far
+    as it can be before a build: rank, closure and n = (p-1)(q-1).  A batch
+    of at most _BATCH_ROWS rows is then built and streamed (`_stream`), and
+    its results are yielded before the next batch starts.
     """
     results, batch, rows = [], [], 0
     for case in cases:
         try:
-            knot = _sparse_case(*case())
-            p, q, n = knot[0], knot[1], len(knot[2])
+            a, v, p, q = case()
+            n = (p - 1) * (q - 1)
+            if (_knot_rank(a) if isinstance(a, BraidWord) else len(a)) != n:
+                raise ValidationFailure(f"A is not of size {n}")
+            _require_rank(n)
             if not n:  # rank 0: y is empty, so g = 0
                 results.append(_certify(np.zeros(p * q, np.int64), p, q))
                 continue
-        except TorsigError as error:  # kept without its frames, which hold A and M
+            v = np.array(v, dtype=np.int64).reshape(n)
+        except TorsigError as error:  # kept without its frames, which hold A
             results.append(error.with_traceback(None))
             continue
         if rows + n > _BATCH_ROWS:
             _stream(batch, results)
             yield from results
             results, batch, rows = [], [], 0
-        batch.append((len(results), *knot))
+        batch.append((len(results), p, q, v, a))
         results.append(None)
         rows += n
     _stream(batch, results)
     yield from results
 
 
+def _links(sources, first) -> tuple:
+    """The links of a batch's block-diagonal A, knot i on rows
+    first[i]..first[i+1] - 1: one brick build for all its braids, and a
+    matrix's nonzeros.  Each braid's generators are shifted past the last
+    braid's and one more, which has no letters, so no brick links two knots."""
+    braids = [i for i, a in enumerate(sources) if isinstance(a, BraidWord)]
+    shifts = np.cumsum([0, *(sources[i].strands for i in braids)])
+    letters = [np.add(sources[i].letters, s, dtype=np.int64) for i, s in zip(braids, shifts)]
+    rows, cols, values = _brick_matrix(np.concatenate([np.zeros(0, np.int64), *letters]))
+    size = np.diff(first)[braids]  # the bricks number the braids' rows alone
+    move = np.repeat(first[braids] - np.cumsum(size) + size, size)[rows]
+    links = [(rows + move, cols + move, values)]
+    for a, f in zip(sources, first):
+        if not isinstance(a, BraidWord):
+            r, c = np.nonzero(a)
+            links.append((r + f, c + f, np.asarray(a)[r, c]))
+    return tuple(map(np.concatenate, zip(*links)))
+
+
 def _stream(batch: list, results: list) -> None:
-    """The Krylov loop of one batch, (index, *_sparse_case) per knot, then
-    each knot's checks; results[index] becomes its g or ValidationFailure."""
+    """One batch, (slot, p, q, v, A) per knot, in decreasing order of pq: its
+    build, then its Krylov loop, then each knot's checks; results[slot]
+    becomes the knot's g or ValidationFailure.  A knot that fails a check of
+    the build (`_monodromy`'s, or |A^T v| < 2^21) is dropped, and the rest
+    are built again without it."""
+    batch = sorted(batch, key=lambda knot: -knot[1] * knot[2])
+    while batch:
+        slot, p, q, v, a = zip(*batch)
+        first = np.cumsum([0, *map(len, v)])  # each knot's first row
+        links = _links(a, first)
+        cols, values, starts, errors = _monodromy(*links, first)
+        v = np.concatenate(v)
+        u = np.zeros_like(v)
+        np.add.at(u, links[1], links[2] * v[links[0]])  # A^T v
+        over = np.logical_or.reduceat((u >= _ENTRY_BOUND) | (u <= -_ENTRY_BOUND), first[:-1])
+        errors = [error or (ValidationFailure("an entry of A^T v reaches 2^21") if o else None)
+                  for error, o in zip(errors, over)]
+        if not any(errors):
+            break
+        for s, error in zip(slot, errors):
+            results[s] = error
+        batch = [knot for knot, error in zip(batch, errors) if not error]
     if not batch:
         return
-    batch = sorted(batch, key=lambda knot: -knot[1] * knot[2])
-    index, p, q, v, u, cols, values, starts = zip(*batch)
     pq = np.array([a * b for a, b in zip(p, q)], dtype=np.int64)
-    first = np.cumsum([0, *map(len, v)])  # each knot's first row
-    nonzeros = np.cumsum([0, *map(len, cols)])
-    cols = np.concatenate([c + f for c, f in zip(cols, first)])
-    values = np.concatenate(values)
-    starts = np.concatenate([*(s + z for s, z in zip(starts, nonzeros)), nonzeros[-1:]])
-    v, u = np.concatenate(v), np.concatenate(u)
     # step j runs the knots with pq > j, a prefix; g_j of knot i is g[at[j] + i]
     live = np.searchsorted(-pq, -np.arange(pq[0])).tolist()
     at = np.cumsum([0, *live])
@@ -503,16 +549,16 @@ def _stream(batch: list, results: list) -> None:
         if done < k:  # knots done..k-1 have pq = j + 1
             same = y[first[done] :] == v[first[done] : r]
             closed[done:k] = np.logical_and.reduceat(same, first[done:k] - first[done])
-    for i, slot in enumerate(index):
+    for i, s in enumerate(slot):
         own = slice(first[i], first[i + 1])
         try:
             if high[own].max() >= 2**31 or low[own].min() <= -(2**31):
                 raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
             if not closed[i]:
                 raise ValidationFailure(f"(A^-1 A^T)^{pq[i]} v is not v")
-            results[slot] = _certify(g[at[: pq[i]] + i], p[i], q[i])
+            results[s] = _certify(g[at[: pq[i]] + i], p[i], q[i])
         except ValidationFailure as error:
-            results[slot] = error.with_traceback(None)
+            results[s] = error.with_traceback(None)
 
 
 def _certify(g: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -536,10 +582,10 @@ def _certify(g: np.ndarray, p: int, q: int) -> np.ndarray:
 
 
 def _torus_case(knot: TorusKnot) -> tuple:
-    """(A, v, p, q) of the torus braid closure, v nonzero from random.Random(n)."""
-    _require_rank(knot.seifert_rank())  # before the braid of (p-1)q letters is built
-    matrix = seifert_matrix(torus_braid(knot))
-    return matrix, random.Random(matrix.size).choices(range(1, 64), k=matrix.size), knot.p, knot.q
+    """(braid, v, p, q) of the torus knot, v nonzero from random.Random(n)."""
+    n = knot.seifert_rank()
+    _require_rank(n)  # before the braid of (p-1)q letters is built
+    return torus_braid(knot), random.Random(n).choices(range(1, 64), k=n), knot.p, knot.q
 
 
 def _raised(result):
@@ -555,7 +601,7 @@ def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
     one-knot batch of `_exact_krylov`."""
     case = _torus_case(knot)
     _raised(next(_exact_krylov([lambda: case])))
-    return case[0]
+    return seifert_matrix(case[0])
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,13 @@ loops, sorting, a list-based walk).  The tests compare the kernels against
 these; nothing in `src/` imports this module.  It also keeps
 `rotation_relation`, the q -> q + p rotation of the balanced sequence, which
 no `verify` suite runs, the %-formatting and `json.dumps` renderers that
-`torsig.cli` replaced with its digit blocks (`_digits` and `_pieces`), the
-row-by-row back-substitution that `torsig.oracle._monodromy` replaced with
-runs, and the stored Krylov sequence that `torsig.oracle._exact_krylov`
-streams.
+`torsig.cli` replaced with its digit blocks (`_digits` and `_pieces`), and
+the stored Krylov sequence that `torsig.oracle._exact_krylov` streams.
+`monodromy_rows`, a dense row-by-row back-substitution on one matrix, is
+the reference for `torsig.oracle._monodromy`, which builds M sparse, run by
+run and level by level, for a whole batch of blocks at once: each block's
+M, or its refusal naming the last row over 2^21, must be that of
+`monodromy_rows` on the block alone.
 """
 
 from __future__ import annotations

@@ -120,6 +120,25 @@ class TestIntegerFlags:
         assert "at most 2000 digits" in captured.err.splitlines()[-1]
         assert len(captured.err) < 200  # the digits are not echoed back
 
+    @pytest.mark.parametrize("argv", [
+        ["sig", "-p", "3", "-q", "4", "-t", "1/" + "7" * 5000 + "x"],
+        ["sig", "-p", "x" * 5000, "-q", "4", "-t", "1/2"],
+        ["verify", "--p-max", "9" * 2000, "--q-max", "9" * 2000],
+        ["table", "--p-max", "9" * 2000, "--q-max", "9" * 2000],
+        ["sig", "-p", "3", "-q", "4", "-t", "1/2", "--format", "x" * 5000],
+        ["sig", "-p", "3", "-q", "4", "-t", "1/2", "y" * 5000],
+    ], ids=["angle", "integer", "verify-cap", "table-cap", "choice", "extra-argument"])
+    def test_long_input_is_not_echoed(self, capsys, argv):
+        """A refusal echoes a prefix of an input and its length, and a count
+        over a cap by its number of digits: one short line."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 300
+
     def test_sigma_prints_at_the_digit_cap(self, capsys):
         p, q = 10**2000 - 2, 10**2000 - 1
         code, out, _ = run(capsys, "sig", "-p", str(p), "-q", str(q), "-t", "1/2")

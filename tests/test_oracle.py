@@ -181,9 +181,46 @@ def with_oracle(name, wrap, call):
         setattr(oracle, name, real)
 
 
-def negated(monodromy):
-    """_monodromy returning -M."""
-    return lambda a: -monodromy(a)
+def links(a):
+    """The links (rows, cols, values) of a dense matrix: its nonzeros."""
+    rows, cols = np.nonzero(a)
+    return rows, cols, np.asarray(a)[rows, cols]
+
+
+def csr(m):
+    """M's nonzeros by row, as `_monodromy` gives them: (cols, values, starts)."""
+    rows, cols = np.nonzero(m)
+    return cols, m[rows, cols], np.searchsorted(rows, np.arange(len(m) + 1))
+
+
+def dense(cols, values, starts):
+    """The n x n int64 matrix of a CSR (cols, values, starts)."""
+    n = len(starts) - 1
+    m = np.zeros((n, n), np.int64)
+    m[np.repeat(np.arange(n), np.diff(starts)), cols] = values
+    return m
+
+
+def sparse_monodromy(a):
+    """`_monodromy` of the one block a, densified; its ValidationFailure raised."""
+    a = np.asarray(a, dtype=np.int64)
+    cols, values, starts, [error] = oracle._monodromy(*links(a), np.array([0, len(a)]))
+    if error:
+        raise error
+    return dense(cols, values, starts)
+
+
+def with_values(change):
+    """A wrapper of `_monodromy` that applies change to the values of M."""
+    def wrap(monodromy):
+        def wrapped(*args):
+            cols, values, starts, errors = monodromy(*args)
+            return cols, change(values), starts, errors
+        return wrapped
+    return wrap
+
+
+negated = with_values(lambda values: -values)  # -M
 
 
 def assert_validates_exactly(matrix, pencil):
@@ -307,7 +344,8 @@ class TestSeifertMatrix:
         for braid in random_knot_braids(seed=9604, count=40):
             matrix = seifert_matrix(braid)
             pencil = pencil_det_bruteforce(matrix.entries)
-            assert set(oracle._monodromy(matrix.entries).flat) <= {-1, 0, 1}, braid
+            n = matrix.size
+            assert set(oracle._monodromy(*links(matrix.entries), [0, n])[1]) <= {-1, 0, 1}, braid
             try:
                 assert_validates_exactly(matrix, pencil)
             except ValidationFailure:
@@ -454,7 +492,7 @@ class TestAlexanderContract:
         # and 0 grow like k^3, k^4 and k^5, which wrap int64 at k = 2^20
         a = np.eye(5, dtype=np.int64) + np.diag(np.full(4, k), 1)
         with pytest.raises(ValidationFailure, match="row 3 "):
-            oracle._monodromy(a)
+            sparse_monodromy(a)
 
     def test_returns_the_exact_monodromy(self):
         a = seifert_matrix(torus_braid(TorusKnot(5, 12))).entries
@@ -554,6 +592,32 @@ def banded_runs(draw):
     return a
 
 
+@st.composite
+def any_block(draw):
+    """A block of a batch: of any kind above, a brick matrix, or rank 0 or 1."""
+    torus = st.sampled_from([(2, 3), (3, 4), (3, 7), (4, 5), (5, 6), (4, 11), (7, 8)])
+    return draw(st.one_of(
+        upper_triangular(max_n=8), chains(max_n=10), banded_runs(),
+        st.integers(0, 2**32).map(lambda seed: seifert_matrix(
+            random_knot_braids(seed, count=1, max_strands=8, max_rank=40)[0]).entries),
+        torus.map(lambda pq: seifert_matrix(torus_braid(TorusKnot(*pq))).entries),
+        st.sampled_from([np.zeros((0, 0), np.int64), np.eye(1, dtype=np.int64),
+                         -np.eye(1, dtype=np.int64)])))
+
+
+def batch_outcomes(blocks):
+    """`_monodromy` of the blocks as one block-diagonal A: each block's M as
+    nested lists, or the message of its ValidationFailure."""
+    first = np.cumsum([0, *map(len, blocks)])
+    parts = [(rows + f, cols + f, values) for (rows, cols, values), f
+             in zip(map(links, blocks), first)]
+    cols, values, starts, errors = oracle._monodromy(*map(np.concatenate, zip(*parts)), first)
+    return [str(error) if error else
+            dense(cols[starts[lo] : starts[hi]] - lo, values[starts[lo] : starts[hi]],
+                  starts[lo : hi + 1] - starts[lo]).tolist()
+            for lo, hi, error in zip(first, first[1:], errors)]
+
+
 class TestMonodromyRuns:
     """`_monodromy` by runs against the row-by-row `monodromy_rows`: the same
     M, or the same ValidationFailure naming the last row over 2^21."""
@@ -561,17 +625,17 @@ class TestMonodromyRuns:
     @settings(max_examples=300, deadline=None)
     @given(upper_triangular())
     def test_random_upper_triangular(self, a):
-        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+        assert monodromy_outcome(sparse_monodromy, a) == monodromy_outcome(monodromy_rows, a)
 
     @settings(max_examples=300, deadline=None)
     @given(chains())
     def test_chains_with_far_entries_and_negative_diagonals(self, a):
-        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+        assert monodromy_outcome(sparse_monodromy, a) == monodromy_outcome(monodromy_rows, a)
 
     @settings(max_examples=300, deadline=None)
     @given(banded_runs())
     def test_runs_coupled_by_bands(self, a):
-        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+        assert monodromy_outcome(sparse_monodromy, a) == monodromy_outcome(monodromy_rows, a)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 9), st.integers(-(2**20), 2**20))
@@ -579,24 +643,41 @@ class TestMonodromyRuns:
     @example(5, 2**20)
     def test_identity_plus_k_superdiagonal(self, n, k):
         a = np.eye(n, dtype=np.int64) + np.diag(np.full(n - 1, k, dtype=np.int64), 1)
-        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+        assert monodromy_outcome(sparse_monodromy, a) == monodromy_outcome(monodromy_rows, a)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32))
     def test_random_braids(self, seed):
         [braid] = random_knot_braids(seed=seed, count=1, max_strands=16, max_rank=120)
         a = seifert_matrix(braid).entries
-        assert monodromy_outcome(oracle._monodromy, a) == monodromy_outcome(monodromy_rows, a)
+        assert monodromy_outcome(sparse_monodromy, a) == monodromy_outcome(monodromy_rows, a)
 
     def test_torus_grid_to_rank_200(self):
         pairs = [(p, q) for p, q in coprime_pairs(12, 201) if (p - 1) * (q - 1) <= 200]
         for p, q in pairs:
             a = seifert_matrix(torus_braid(TorusKnot(p, q))).entries
-            assert np.array_equal(oracle._monodromy(a), monodromy_rows(a)), (p, q)
+            assert np.array_equal(sparse_monodromy(a), monodromy_rows(a)), (p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(any_block(), min_size=1, max_size=6))
+    def test_batches_of_blocks(self, blocks):
+        """Each block of a batch gets the M, or the refusal, of itself alone."""
+        assert batch_outcomes(blocks) == [monodromy_outcome(monodromy_rows, a) for a in blocks]
+
+    def test_one_block_over_the_bound_fails_alone(self):
+        # the block of test_last_row_over_the_bound_is_named, among others
+        big = np.eye(5, dtype=np.int64) + np.diag(np.full(4, 2**11), 1)
+        torus = seifert_matrix(torus_braid(TorusKnot(3, 7))).entries
+        blocks = [torus, np.eye(1, dtype=np.int64), big, np.zeros((0, 0), np.int64), -torus]
+        outcomes = batch_outcomes(blocks)
+        assert outcomes[2] == "row 3 of A^-1 A^T has an entry of 2^21 or more"
+        del outcomes[2], blocks[2]
+        assert outcomes == [monodromy_rows(a).tolist() for a in blocks]
 
 
-# Checks that torus_seifert_matrix's refusals hold with asserts stripped; prints
-# one line per case, the exception class name or "passed".
+# Checks that torus_seifert_matrix's refusals, each made by `_monodromy` or
+# the Krylov proof, hold with asserts stripped; prints one line per case, the
+# exception class name or "passed".
 _REFUSALS = """
 assert False, "asserts are live: run with python -O"
 import numpy as np
@@ -607,6 +688,7 @@ knot = TorusKnot(7, 20)
 cases = {
     "flipped-entry": lambda: validate_as_torus(flipped_interleave(knot), knot),
     "lower-entry": lambda: validate_as_torus(np.tril(np.ones((6, 6), np.int64)), TorusKnot(3, 4)),
+    "diagonal-two": lambda: validate_as_torus(np.diag([1, 1, 1, 2, 1, 1]), TorusKnot(3, 4)),
     "torus-order": lambda: with_oracle("_monodromy", negated,
                                        lambda: oracle.torus_seifert_matrix(TorusKnot(3, 4))),
     "phi-35-start": lambda: phi_start(knot, 35),
@@ -772,6 +854,7 @@ class TestExactValidation:
         assert run.stdout.decode().split("\n") == [
             "flipped-entry ValidationFailure",
             "lower-entry ValidationFailure",
+            "diagonal-two ValidationFailure",
             "torus-order ValidationFailure",
             "phi-35-start ValidationFailure",
             "",
@@ -970,9 +1053,7 @@ def zero_start(real_random):
     return types.SimpleNamespace(Random=Zeros)
 
 
-def scaled(monodromy):
-    """_monodromy returning M * 2^20."""
-    return lambda a: monodromy(a) * 2**20
+scaled = with_values(lambda values: values * 2**20)  # M * 2^20, past `_monodromy`'s bound
 
 
 class TestCrossCheck:
@@ -1009,8 +1090,17 @@ class TestCrossCheck:
         passes, and the bytes do not depend on how --jobs cuts the batches."""
         knots = [TorusKnot(p, q) for p, q in coprime_pairs(6, 11)]
         bad, real = seifert_matrix(torus_braid(TorusKnot(4, 7))).entries, oracle._monodromy
-        monkeypatch.setattr(oracle, "_monodromy",
-                            lambda a: -real(a) if np.array_equal(a, bad) else real(a))
+
+        def monodromy(rows, cols, values, first):  # -M in the block of T(4,7)
+            m_cols, m_values, starts, errors = real(rows, cols, values, first)
+            a = np.zeros((first[-1],) * 2, np.int64)
+            a[rows, cols] = values
+            for lo, hi in zip(first, first[1:]):
+                if np.array_equal(a[lo:hi, lo:hi], bad):
+                    m_values[starts[lo] : starts[hi]] *= -1
+            return m_cols, m_values, starts, errors
+
+        monkeypatch.setattr(oracle, "_monodromy", monodromy)
         for knot, step in zip(knots, oracle.oracle_step_functions(knots)):
             if knot == TorusKnot(4, 7):
                 assert isinstance(step, ValidationFailure), step
@@ -1086,7 +1176,7 @@ class TestOracleStepFunction:
         a = torus_seifert_matrix(knot).entries
         g = validate_as_torus(a, knot)
         y = krylov_rows(a, start_vector(n), p * q)
-        m = oracle._monodromy(a)
+        m = sparse_monodromy(a)
         assert np.array_equal(m.T @ a @ m, a)  # exact in int64
         assert np.array_equal(g, y @ (a.T @ y[0]))
         for j, l in ((rng.randrange(p * q), rng.randrange(p * q)) for _ in range(20)):
@@ -1140,11 +1230,11 @@ class TestOracleStepFunction:
         n = TorusKnot(3, 5).seifert_rank()
         c = next(i for i, x in enumerate(start_vector(n)) if i and x >= 32)
 
-        def negative_row(a):
+        def negative_row(rows, cols, values, first):
             m = np.eye(n, dtype=np.int64)
             m[0] = 0
             m[0, c] = -(2**26)
-            return m
+            return (*csr(m), [None])
 
         monkeypatch.setattr(oracle, "_monodromy", negative_row)
         with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
@@ -1153,24 +1243,28 @@ class TestOracleStepFunction:
     def test_sequence_must_be_symmetric(self, monkeypatch):
         # M^T closes up and has M's eigenvalues, so its c_d pass, but
         # A^T = A M^T fails, and with it g_m = g_{1-m}
-        monkeypatch.setattr(oracle, "_monodromy", lambda a: monodromy_rows(a).T.copy())
+        def transposed(rows, cols, values, first):
+            a = np.zeros((first[-1],) * 2, np.int64)
+            a[rows, cols] = values
+            return (*csr(monodromy_rows(a).T), [None])
+
+        monkeypatch.setattr(oracle, "_monodromy", transposed)
         with pytest.raises(ValidationFailure, match="v\\^T A M\\^0 v is not v\\^T A M\\^1 v"):
             oracle_step_function(TorusKnot(4, 7))
 
-    @pytest.mark.parametrize("p, q", [(2, 2049), (3, 1025)])
+    @pytest.mark.parametrize("p, q", [(2, 2049), (3, 1025), (33, 65)])
     def test_holds_no_sequence(self, p, q):
-        """At rank 2048 the dense A and M take 64 MiB; the (pq + 1) n int64
-        sequence once stored took 48 or 64 MiB more, and a quarter of it
-        fails, as does a product copy of one 16 MiB stripe of T(3,1025)."""
+        """At rank 2048 a dense A or M would take 32 MiB, and the (pq + 1) n
+        int64 sequence once stored took 48 or 64 MiB: the whole oracle,
+        sparse build and streamed loop, peaks below 8 MiB."""
         knot = TorusKnot(p, q)
-        n, pq = knot.seifert_rank(), p * q
         tracemalloc.start()
         try:
             oracle_step_function(knot)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * n * 8 + (pq + 1) * n * 8 // 4
+        assert knot.seifert_rank() == 2048 and peak < 8 * 2**20
 
     def test_refusals_hold_without_asserts(self):
         tests = Path(__file__).resolve().parent
