@@ -1,6 +1,7 @@
 """Command-line front end: evaluations, sweeps, tables, verification runs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+130 interrupted (Ctrl-C; no traceback, and `verify` workers are not waited for).
 Rationals cross the boundary as exact "n/d" strings; decimal input is
 rejected.  All output is deterministic: JSON documents carry sorted keys,
 grids are sorted by (p, q), and `verify` output is byte-identical across
@@ -41,13 +42,15 @@ SCHEMA_VERSION = "1"
 MAX_MAX_P = 6_000_000
 SWEEP_MAX_PQ = 2_000_000
 TABLE_MAX_ROWS = 100_000
-# `verify --jobs` starts this many worker processes at most (about 40 MB each).
+# `verify --jobs` runs this many worker threads at most.  Each holds one oracle
+# batch of up to `oracle._BATCH_ROWS` rows at a time, so the cap bounds memory.
 MAX_JOBS = 32
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130
 
 
 def _emit_json(payload: dict, stream) -> None:
@@ -360,8 +363,7 @@ def cmd_table(args) -> int:
 # key of GRIDS) and a checker (pairs, tol) -> [(passed, expected, computed)],
 # one row per pair.  Checkers resolve the kernels they call by module
 # attribute at call time, so tracing wrappers and test doubles installed on
-# those names are seen.  Tasks cross the process pool as (suite, pairs, tol)
-# tuples and find their checker here.
+# those names are seen, by worker threads too.
 
 
 def _coprime_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
@@ -456,14 +458,6 @@ SUITES = {
 }
 
 
-def _verify_task(task) -> list[tuple[bool, str, str]]:
-    """(passed, expected, computed) of each pair of one task (suite, pairs,
-    tol); a TorsigError fails its own pair, so this never raises (workers
-    must return)."""
-    suite, pairs, tol = task
-    return SUITES[suite][1](pairs, tol)
-
-
 def _parse_which(chunks) -> set[str]:
     """The suites named by the --which flags (all of them if none is given)."""
     names = [name for chunk in chunks or [",".join(SUITES)] for name in chunk.split(",")]
@@ -492,27 +486,25 @@ def cmd_verify(args) -> int:
              for name, (grid, _) in SUITES.items() if name in which}
     # each suite in min(jobs, pairs) tasks, every jobs-th pair apiece, so each
     # task spans the grid's sizes and the oracle runs as that many batches
-    tasks = [(name, grid[i :: args.jobs], args.tol)
+    tasks = [(name, grid[i :: args.jobs])
              for name, grid in grids.items() for i in range(min(args.jobs, len(grid)))]
+
+    def run(task):  # a TorsigError fails its own pair, so this raises only on a bug
+        name, task_pairs = task
+        return SUITES[name][1](task_pairs, args.tol)
+
     if args.jobs > 1 and len(tasks) > 1:
-        # imported here: a serial run never needs them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never needs it
 
-        # Spawned workers default to one BLAS thread each; values the caller set win.
-        unset = [v for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS") if v not in os.environ]
-        os.environ.update(dict.fromkeys(unset, "1"))
+        pool = ThreadPoolExecutor(args.jobs)
         try:
-            spawn = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-                outcomes = list(pool.map(_verify_task, tasks))
-        finally:
-            for name in unset:
-                os.environ.pop(name, None)
+            outcomes = list(pool.map(run, tasks))
+        finally:  # a Ctrl-C does not wait for running tasks: `entry` exits without joining them
+            pool.shutdown(wait=False, cancel_futures=True)
     else:
-        outcomes = [_verify_task(t) for t in tasks]
+        outcomes = list(map(run, tasks))
 
-    rows = {(name, p, q): row for (name, pairs, _), task_rows in zip(tasks, outcomes)
+    rows = {(name, p, q): row for (name, pairs), task_rows in zip(tasks, outcomes)
             for (p, q), row in zip(pairs, task_rows)}
     failures = []
     for name, grid in grids.items():
@@ -551,8 +543,9 @@ class _Parser(argparse.ArgumentParser):
     stands in for the usage block."""
 
     def error(self, message):
-        if len(message) > 200:  # argparse echoes an unknown choice or argument whole
-            message = f"{message[:200]}... ({len(message)} characters)"
+        encoded = message.encode()
+        if len(encoded) > 200:  # argparse echoes an unknown choice or argument whole; cut its bytes
+            message = f"{encoded[:200].decode(errors='ignore')}... ({len(message)} characters)"
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see {self.prog} -h)\n")
 
 
@@ -618,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help=f"comma-separated suites from {', '.join(SUITES)} (default: all)",
     )
-    verify.add_argument("--jobs", type=integer, default=1, help=f"worker processes (1 to {MAX_JOBS})")
+    verify.add_argument("--jobs", type=integer, default=1, help=f"worker threads (1 to {MAX_JOBS})")
     verify.add_argument(
         "--tol",
         type=number,
@@ -651,6 +644,11 @@ def entry() -> None:
         # failing again and printing "Exception ignored".
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_IO
+    except KeyboardInterrupt:
+        # Ctrl-C: exit at once, without the traceback and without the join of
+        # `verify`'s worker threads that a normal exit would wait for; output
+        # still buffered is dropped.
+        os._exit(EXIT_INTERRUPTED)
     sys.exit(code)
 
 

@@ -83,7 +83,7 @@ class TorusKnot:
     def __post_init__(self) -> None:
         p, q = self.p, self.q
         if not (_is_int(p) and _is_int(q)):
-            raise InvalidParameter(f"p and q must be integers, got ({p!r}, {q!r})")
+            raise InvalidParameter(f"p and q must be integers, got ({_echo(p)}, {_echo(q)})")
         if p < 1 or q < 1:
             raise InvalidParameter(f"p and q must be >= 1, got ({_echo(p)}, {_echo(q)})")
         if math.gcd(p, q) != 1:
@@ -118,7 +118,7 @@ class RationalAngle:
     def __post_init__(self) -> None:
         n, d = self.numerator, self.denominator
         if not (_is_int(n) and _is_int(d)) or d <= 0:
-            raise InvalidParameter(f"need integer n and d > 0, got ({n!r}, {d!r})")
+            raise InvalidParameter(f"need integer n and d > 0, got ({_echo(n)}, {_echo(d)})")
         if not 0 < n < d:
             raise OutOfRange(f"t = {_echo(n)}/{_echo(d)} is outside the open interval (0, 1)")
         g = math.gcd(n, d)

@@ -1,15 +1,20 @@
 import concurrent.futures
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reference import (
     argmax_in_window_fractions,
@@ -127,7 +132,9 @@ class TestIntegerFlags:
         ["table", "--p-max", "9" * 2000, "--q-max", "9" * 2000],
         ["sig", "-p", "3", "-q", "4", "-t", "1/2", "--format", "x" * 5000],
         ["sig", "-p", "3", "-q", "4", "-t", "1/2", "y" * 5000],
-    ], ids=["angle", "integer", "verify-cap", "table-cap", "choice", "extra-argument"])
+        ["sig", "-p", "3", "-q", "4", "-t", "1" + "0" * 1999 + "/0"],
+    ], ids=["angle", "integer", "verify-cap", "table-cap", "choice", "extra-argument",
+            "zero-denominator"])
     def test_long_input_is_not_echoed(self, capsys, argv):
         """A refusal echoes a prefix of an input and its length, and a count
         over a cap by its number of digits: one short line."""
@@ -420,36 +427,29 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("verify started work for an over-cap --jobs")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(cli, "_verify_task", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setitem(cli.SUITES, "glm", (cli.SUITES["glm"][0], refuse))
         code, out, err = run(capsys, "verify", "--which", "glm", "--jobs", str(jobs))
         assert code == 2 and out == ""
         assert "--jobs" in err and str(MAX_JOBS) in err
 
     def test_jobs_at_cap_accepted(self, capsys, monkeypatch):
-        built = []
-
-        class SerialPool:
-            """Stands in for the process pool and runs every task in this process."""
-
-            def __init__(self, max_workers, mp_context):
-                built.append((max_workers, mp_context.get_start_method()))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        args = ["verify", "--p-max", "4", "--q-max", "7", "--which", "glm"]
+        """--jobs 32 runs its 32 tasks at once, each on its own thread: every
+        task waits at a barrier until all 32 have reached it."""
+        args = ["verify", "--p-max", "9", "--q-max", "13", "--which", "glm"]
         code1, out1, _ = run(capsys, *args, "--jobs", "1")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        grid, check = cli.SUITES["glm"]
+        barrier, threads = threading.Barrier(MAX_JOBS, timeout=60), set()
+
+        def meet(pairs, tol):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return check(pairs, tol)
+
+        monkeypatch.setitem(cli.SUITES, "glm", (grid, meet))
         code, out, _ = run(capsys, *args, "--jobs", str(MAX_JOBS))
-        assert code == code1 == 0 and out == out1
-        assert built == [(MAX_JOBS, "spawn")]
+        assert code == code1 == 0 and out == out1 and "checked=40 " in out
+        assert len(threads) == MAX_JOBS and threading.get_ident() not in threads
 
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(
@@ -640,9 +640,15 @@ class TestSizeCaps:
 
 class TestVerifyFailureRows:
     """Exact failure rows of the oracle and brute-max suites, with the oracle
-    forced into a mismatch (`--jobs 1`, so the monkeypatch reaches every task)."""
+    forced into a mismatch, run serially and on two worker threads."""
 
-    GRID = ("--p-max", "3", "--q-max", "5", "--jobs", "1")
+    GRID = ("--p-max", "3", "--q-max", "5")
+
+    def runs(self, capsys, *argv):
+        """(code, out) of `verify *argv` on GRID, the same at --jobs 1 and 2."""
+        one, two = (run(capsys, "verify", *argv, *self.GRID, "--jobs", jobs) for jobs in ("1", "2"))
+        assert one == two and one[2] == ""
+        return one[:2]
 
     @pytest.fixture
     def lying_oracle(self, monkeypatch):
@@ -675,7 +681,7 @@ class TestVerifyFailureRows:
         monkeypatch.setattr(oracle, "brute_force_max", fake)
 
     def test_oracle_mismatch_text(self, capsys, lying_oracle):
-        code, out, _ = run(capsys, "verify", "--which", "oracle", *self.GRID)
+        code, out = self.runs(capsys, "--which", "oracle")
         assert code == 1
         # interval 1 starts at the first root of Delta: 1/10, 1/12 and 1/15
         assert out == (
@@ -687,7 +693,7 @@ class TestVerifyFailureRows:
         )
 
     def test_oracle_mismatch_json(self, capsys, lying_oracle):
-        code, out, _ = run(capsys, "verify", "--which", "oracle", "--format", "json", *self.GRID)
+        code, out = self.runs(capsys, "--which", "oracle", "--format", "json")
         payload = json.loads(out)
         assert code == 1
         assert payload["suites"] == {"oracle": {"checked": 4, "failed": 3}}
@@ -696,7 +702,7 @@ class TestVerifyFailureRows:
         assert payload["result"] == "FAIL"
 
     def test_brute_max_mismatch_text(self, capsys, lying_brute_max):
-        code, out, _ = run(capsys, "verify", "--which", "brute-max", *self.GRID)
+        code, out = self.runs(capsys, "--which", "brute-max")
         assert code == 1
         assert out == (
             "suite=brute-max checked=4 failed=3\n"
@@ -707,8 +713,7 @@ class TestVerifyFailureRows:
         )
 
     def test_brute_max_mismatch_json(self, capsys, lying_brute_max):
-        code, out, _ = run(capsys, "verify", "--which", "brute-max", "--format", "json",
-                           *self.GRID)
+        code, out = self.runs(capsys, "--which", "brute-max", "--format", "json")
         payload = json.loads(out)
         assert code == 1
         assert payload["suites"] == {"brute-max": {"checked": 4, "failed": 3}}
@@ -738,36 +743,9 @@ class TestArgmaxWindow:
 
 
 class TestWorkerPool:
-    """`verify --jobs N` workers are spawned with one BLAS thread each."""
+    """`verify --jobs N` runs its tasks on N threads of this process."""
 
-    BLAS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
     ARGS = ("verify", "--p-max", "4", "--q-max", "7", "--which", "glm", "--jobs", "2")
-
-    @pytest.fixture
-    def worker_env(self, monkeypatch):
-        """The BLAS variables one worker of verify's own pool sees."""
-        seen = []
-
-        class Probe(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                seen.append([self.submit(os.getenv, name).result(timeout=120)
-                             for name in TestWorkerPool.BLAS])
-                return super().map(fn, *iterables, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probe)
-        for name in self.BLAS:
-            monkeypatch.delenv(name, raising=False)
-        return seen
-
-    def test_workers_default_to_one_blas_thread(self, capsys, worker_env):
-        code, out, _ = run(capsys, *self.ARGS)
-        assert code == 0 and "result=PASS" in out
-        assert worker_env == [["1", "1"]]
-
-    def test_caller_setting_wins(self, capsys, monkeypatch, worker_env):
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        code, _, _ = run(capsys, *self.ARGS)
-        assert code == 0 and worker_env == [["3", "1"]]
 
     def test_environment_left_as_it_was(self, capsys, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -785,11 +763,169 @@ class TestWorkerPool:
         assert (done.returncode, done.stdout) == (0, b"[]\n"), done.stderr
 
     def test_spawned_run_matches_serial_run_in_a_subprocess(self):
-        """`python -m torsig` under spawn: torsig/__main__.py has no __name__
-        guard, so a worker that re-ran it would start a second verify."""
+        """`python -m torsig` as a user runs it: the worker threads' rows reach
+        stdout in (suite, p, q) order, and the process exits once they are done."""
         argv = [sys.executable, "-m", "torsig", "verify", "--p-max", "6", "--q-max", "12",
                 "--which", "glm,oracle"]
         one, two = (subprocess.run(argv + ["--jobs", jobs], capture_output=True, env=src_env(),
                                    timeout=300) for jobs in ("1", "2"))
         assert one.returncode == two.returncode == 0, two.stderr
         assert one.stdout == two.stdout and b"result=PASS" in one.stdout
+        assert one.stderr == two.stderr == b""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ctrl_c_exits_at_once(self, jobs):
+        """SIGINT a second into a run of several seconds: the process exits
+        with status 130 within 2 s, without waiting for the worker threads and
+        without a traceback.  The child starts in its own session, with the
+        default SIGINT action, so that Python turns SIGINT into
+        KeyboardInterrupt even where this test runs with SIGINT ignored."""
+        argv = [sys.executable, "-m", "torsig", "verify", "--which", "oracle",
+                "--p-max", "30", "--q-max", "60", "--jobs", jobs]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=src_env(), start_new_session=True,
+                              preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+                              ) as child:
+            try:
+                time.sleep(1)
+                assert child.poll() is None, "the run ended before it was interrupted"
+                child.send_signal(signal.SIGINT)
+                sent = time.monotonic()
+                _, err = child.communicate(timeout=2)
+                waited = time.monotonic() - sent
+            finally:
+                child.kill()  # only if it is still running
+        assert child.returncode == cli.EXIT_INTERRUPTED and waited < 2
+        assert b"Traceback" not in err and err == b"", err
+
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of `main(argv)` in this process, with
+    argparse's own exits read as exit codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def as_int(text):
+    """The int an integer flag reads from text, or None if it refuses it."""
+    digits = text.removeprefix("-")
+    return int(text) if text.isascii() and digits.isdigit() and len(digits) <= 2000 else None
+
+
+# Text that is no valid value, short or far longer than any message may echo.
+CHARACTERS = st.characters(blacklist_categories=["Cs"])
+JUNK = st.text(CHARACTERS, max_size=8) | st.builds(str.__mul__, CHARACTERS,
+                                                   st.sampled_from([301, 5000]))
+# 0, 1, each cap and the next integer, and 2000, 2001 digits (the cap), 4300 (the
+# longest int() reads) and 4301 digits, each as 10^(n-1) and as 10^n - 1.
+EDGES = st.sampled_from(["0", "1", "-1", *(str(cap + d) for d in (0, 1) for cap in (
+    MAX_MAX_P, SWEEP_MAX_PQ, TABLE_MAX_ROWS, MAX_JOBS))]) | st.sampled_from(
+    [x for n in (2000, 2001, 4300, 4301) for x in ("1" + "0" * (n - 1), "9" * n)])
+ODD = EDGES | JUNK
+
+
+@st.composite
+def command(draw, name, flags):
+    """(argv, values) for subcommand `name`, whose flags map to (valid, odd)
+    strategies: mostly one flag takes an odd value and the others valid ones,
+    in drawn order; now and then a flag is left out or an extra argument
+    follows.  `values` maps each given flag to its value."""
+    names = list(flags)
+    odd = {draw(st.sampled_from(names)) for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2])))}
+    left_out = draw(st.sampled_from([None] * 19 * len(names) + names))
+    values = {flag: draw(flags[flag][flag in odd]) for flag in names if flag != left_out}
+    options = draw(st.permutations([f"{flag}={value}" if flag.startswith("--") else flag + value
+                                    for flag, value in values.items()]))
+    extra = draw(st.sampled_from([[]] * 19 + [["extra"]]))
+    return [name, *options, *extra], values
+
+
+def refused_cleanly(argv):
+    """The boundary contract: exit 0, 1 or 2; a refusal (2) is one short line
+    on stderr and nothing on stdout, a run writes nothing on stderr, and a
+    json run's stdout parses.  A traceback would be an exception out of here."""
+    code, out, err = outcome(argv)
+    assert code in (0, 1, 2), (code, argv)
+    if code == 2:
+        assert out == "" and "Traceback" not in err
+        assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) <= 300, err
+    else:
+        assert err == ""
+        if "--format=json" in argv:
+            json.loads(out)
+
+
+def accepted(values, *flags):
+    """The ints that `flags` take in values, if each is a valid integer >= 1."""
+    ints = [as_int(values.get(flag, "")) for flag in flags]
+    return ints if all(i is not None and i >= 1 for i in ints) else None
+
+
+class TestBoundary:
+    """Every subcommand on drawn argv: valid values, edges and junk.  A run
+    that would be accepted far above the tiny grids is not drawn, so that the
+    five tests together take about a second."""
+
+    # valid p and q are coprime: a prime above 40 and any integer up to 40
+    P, Q = (st.integers(1, 40).map(str), ODD), (st.sampled_from(["41", "43", "47", "53"]), ODD)
+    FORMATS = (st.sampled_from(["text", "json"]), JUNK)
+
+    @settings(max_examples=200, deadline=None)
+    @given(command("sig", {
+        "-p": P, "-q": Q,
+        "-t": (st.builds("{0}/{1}".format, st.integers(1, 30), st.integers(31, 60)),
+               # one branch of edges, as likely as each kind of junk
+               (st.builds("{0}/{1}".format, st.integers(0, 3) | EDGES, st.integers(0, 3) | EDGES)
+                | st.sampled_from(["0.5", "-1/2", " 1/2"])).map(str) | JUNK),
+        "--format": FORMATS}))
+    def test_sig(self, drawn):
+        refused_cleanly(drawn[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(command("max", {"-p": P, "-q": Q, "--format": FORMATS}))
+    def test_max(self, drawn):
+        argv, values = drawn
+        knot = accepted(values, "-p", "-q")
+        assume(not (knot and math.gcd(*knot) == 1 and 1000 < min(knot) <= MAX_MAX_P))
+        refused_cleanly(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(command("sweep", {"-p": P, "-q": Q,
+                             "--format": (st.sampled_from(["csv", "json", "plot"]), JUNK)}))
+    def test_sweep(self, drawn):
+        argv, values = drawn
+        knot = accepted(values, "-p", "-q")
+        assume(not (knot and math.gcd(*knot) == 1 and 10_000 < math.prod(knot) <= SWEEP_MAX_PQ))
+        refused_cleanly(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(command("table", {"--p-max": (st.integers(1, 12).map(str), ODD),
+                             "--q-max": (st.integers(1, 20).map(str), ODD),
+                             "--format": (st.sampled_from(["csv", "json"]), JUNK)}))
+    def test_table(self, drawn):
+        argv, values = drawn
+        grid = accepted(values, "--p-max", "--q-max")
+        assume(not (grid and 200 < cli._table_candidates(*grid) <= TABLE_MAX_ROWS))
+        refused_cleanly(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(command("verify", {
+        "--p-max": (st.integers(1, 6).map(str), ODD),
+        "--q-max": (st.integers(1, 10).map(str), ODD),
+        "--which": (st.lists(st.sampled_from(list(cli.SUITES)), min_size=1, max_size=3)
+                    .map(",".join), JUNK),
+        "--jobs": (st.sampled_from(["1", "2", "3", str(MAX_JOBS)]), ODD),
+        "--tol": (st.sampled_from(["1e-8", "1e-3"]),
+                  st.sampled_from(["10.0", "1e308", "0", "nan", "-inf", "1e-300"]) | JUNK),
+        "--format": FORMATS}))
+    def test_verify(self, drawn):
+        argv, values = drawn
+        grid = accepted(values, "--p-max", "--q-max")
+        assume(not (grid and 40 < max(cli._table_candidates(*grid), grid[0]) <= TABLE_MAX_ROWS))
+        refused_cleanly(argv)

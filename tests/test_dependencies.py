@@ -39,6 +39,14 @@ def test_src_imports_only_stdlib_numpy_and_torsig():
     assert not stray, stray
 
 
+def test_src_runs_workers_on_threads_only():
+    """`verify --jobs N` runs on a thread pool; no second worker model may
+    come back through a process pool."""
+    users = [f.name for f in sorted(SRC.glob("*.py"))
+             if "multiprocessing" in imported_roots(f.read_text())]
+    assert not users, users
+
+
 def test_src_holds_rationals_as_integers_not_fractions():
     """The step function is int64 numerators over pq from kernel to CLI bytes."""
     users = [f.name for f in sorted(SRC.glob("*.py")) if "fractions" in imported_roots(f.read_text())]

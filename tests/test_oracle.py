@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import inspect
 import json
@@ -1087,7 +1086,8 @@ class TestCrossCheck:
 
     def test_one_failing_knot_fails_alone(self, capsys, monkeypatch):
         """-M for T(4,7) alone: its row fails, every other knot of its batch
-        passes, and the bytes do not depend on how --jobs cuts the batches."""
+        passes, and the bytes do not depend on how --jobs cuts the batches
+        (the worker threads run the patched builder too)."""
         knots = [TorusKnot(p, q) for p, q in coprime_pairs(6, 11)]
         bad, real = seifert_matrix(torus_braid(TorusKnot(4, 7))).entries, oracle._monodromy
 
@@ -1106,7 +1106,6 @@ class TestCrossCheck:
                 assert isinstance(step, ValidationFailure), step
             else:
                 assert same_function(step, signature_step_function(knot)), knot
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         argv = ["verify", "--which", "oracle", "--p-max", "6", "--q-max", "11"]
         for fmt in ("text", "json"):
             outs = [(main([*argv, "--format", fmt, "--jobs", jobs]), capsys.readouterr().out)
@@ -1115,23 +1114,6 @@ class TestCrossCheck:
         assert outs[0][0] == 1 and json.loads(outs[0][1])["failures"] == [
             {"suite": "oracle", "p": 4, "q": 7, "expected": "",
              "computed": "error: the Phi_7 component of v is nonzero"}]
-
-
-class SerialPool:
-    """Stands in for verify's process pool and runs its tasks in this process,
-    where the test doubles are."""
-
-    def __init__(self, max_workers, mp_context):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
 
 
 class TestOracleStepFunction:
