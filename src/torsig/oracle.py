@@ -433,22 +433,24 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 # M is the monodromy of x^p + y^q, of order pq; the proof does not use it.
 #
 # int64: with n <= 2^11 and |M| < 2^21, a mat-vec row of entries below 2^31
-# stays below 2^63, and the first entry of y to reach 2^31 is exact, so it is
-# caught.  |u| < 2^21 (checked) keeps every partial sum of g_j below
-# n 2^21 2^31 <= 2^63; the sums S_e and c_d are Python ints.  Brick entries
-# lie in {-1, 0, 1} (each off-diagonal link of `_brick_matrix` goes to a
-# different brick, so no entry is written twice) and v < 2^6, so
-# |u| < 2^17 passes.
+# stays below 2^63, and |u| < 2^21 (checked) keeps every partial sum of g_j
+# below n 2^21 2^31 <= 2^63; the sums S_e and c_d are Python ints.  Brick
+# entries lie in {-1, 0, 1} (each off-diagonal link of `_brick_matrix` goes to
+# a different brick, so no entry is written twice) and v < 2^6, so
+# |u| < 2^17 passes.  `_cadence` checks 2^31 on a cadence: with L >= 1 the
+# largest row l1 norm of M and `every` the largest e <= 64 with e = 1 or
+# L^e <= 2^16, each knot needs |y_j| < B = 2^31 // L^every at each j that
+# `every` divides.  Then |y_{j+s}| <= L^s (B - 1) < 2^31 for s <= every, so
+# each y up to a knot's first failed check is exact.
 #
-# No y_j is kept: a batch of knots runs as one block-diagonal operator, its
-# knots in decreasing order of pq, and step j touches only those with
-# pq > j, a prefix of its rows.  Each step applies M to the prefix, adds up
-# every knot's g_j, and keeps a running max and min of y for the bound;
-# y_pq is compared with v as each knot finishes.
+# No y_j is kept: a batch runs as one block-diagonal operator, its knots in
+# decreasing order of pq, and step j applies M to the knots with pq > j, a
+# prefix of its rows, into a double buffer, adds up their g_j, and checks y
+# against B every `every` steps; y_pq is compared with v as each finishes.
 
-# Rows of one batch.  Its build and its Krylov loop hold a few int64 arrays
-# per row, per link of A and per nonzero of M, and never an n x n one, so a
-# large grid runs as several batches of a few MB.
+# Rows of one batch.  Its build and Krylov loop hold a few int64 arrays per
+# row, link of A, nonzero of M and slot of M padded to (w, n), and never an
+# n x n one, so a large grid runs as several batches of a few MB.
 _BATCH_ROWS = 2**16
 
 
@@ -508,12 +510,19 @@ def _links(sources, first) -> tuple:
     return tuple(map(np.concatenate, zip(*links)))
 
 
+def _cadence(norm: int) -> tuple:
+    """(every, B) of the bound check above, for M's largest row l1 norm L = norm >= 1."""
+    every = max(e for e in range(1, 65) if e == 1 or norm**e <= 2**16)
+    return every, 2**31 // norm**every
+
+
 def _stream(batch: list, results: list) -> None:
     """One batch, (slot, p, q, v, A) per knot, in decreasing order of pq: its
     build, then its Krylov loop, then each knot's checks; results[slot]
     becomes the knot's g or ValidationFailure.  A knot that fails a check of
     the build (`_monodromy`'s, or |A^T v| < 2^21) is dropped, and the rest
-    are built again without it."""
+    are built again without it.  M steps y padded to (w, n): slot s of row
+    i holds its s-th nonzero, or a pad that reads the zero y[n]."""
     batch = sorted(batch, key=lambda knot: -knot[1] * knot[2])
     while batch:
         slot, p, q, v, a = zip(*batch)
@@ -538,22 +547,31 @@ def _stream(batch: list, results: list) -> None:
     live = np.searchsorted(-pq, -np.arange(pq[0])).tolist()
     at = np.cumsum([0, *live])
     g = np.empty(at[-1], np.int64)
-    y, high, low = v, v.copy(), v.copy()
-    closed = np.ones(len(pq), bool)
+    n, count = len(v), np.diff(starts)
+    filled = np.arange(count.max()) < count[:, None]  # (n, w): slot s of row i
+    m_cols, m_values = np.full(filled.T.shape, n), np.zeros(filled.T.shape, np.int64)
+    m_cols.T[filled], m_values.T[filled] = cols, values
+    norm = int(np.abs(m_values).sum(axis=0).max())  # L >= 1, as M is invertible
+    every, bound = _cadence(norm)
+    y, y_next = np.append(v, 0), np.zeros(n + 1, np.int64)  # y[n] = 0 for the pads
+    over, closed = np.zeros(len(pq), bool), np.ones(len(pq), bool)
     for j, (k, done) in enumerate(zip(live, live[1:] + [0])):
         r = first[k]
+        if not j % every:
+            over[:k] |= np.logical_or.reduceat(np.abs(y[:r]) >= bound, first[:k])
         np.add.reduceat(u[:r] * y[:r], first[:k], out=g[at[j] : at[j + 1]])
-        y = np.add.reduceat(values[: starts[r]] * y[cols[: starts[r]]], starts[:r])
-        np.maximum(high[:r], y, out=high[:r])
-        np.minimum(low[:r], y, out=low[:r])
+        np.multiply(m_values[0, :r], y[m_cols[0, :r]], out=y_next[:r])
+        for c, x in zip(m_cols[1:, :r], m_values[1:, :r]):
+            y_next[:r] += x * y[c]
+        y, y_next = y_next, y
         if done < k:  # knots done..k-1 have pq = j + 1
-            same = y[first[done] :] == v[first[done] : r]
+            same = y[first[done] : r] == v[first[done] : r]
             closed[done:k] = np.logical_and.reduceat(same, first[done:k] - first[done])
     for i, s in enumerate(slot):
-        own = slice(first[i], first[i + 1])
         try:
-            if high[own].max() >= 2**31 or low[own].min() <= -(2**31):
-                raise ValidationFailure("an entry of (A^-1 A^T)^j v reaches 2^31")
+            if over[i]:
+                raise ValidationFailure(f"an entry of (A^-1 A^T)^j v reaches 2^31 // "
+                                        f"{norm}^{every} at a j divisible by {every}")
             if not closed[i]:
                 raise ValidationFailure(f"(A^-1 A^T)^{pq[i]} v is not v")
             results[s] = _certify(g[at[: pq[i]] + i], p[i], q[i])

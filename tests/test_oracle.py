@@ -1,9 +1,11 @@
+import contextlib
 import functools
 import inspect
 import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -207,6 +209,22 @@ def sparse_monodromy(a):
     if error:
         raise error
     return dense(cols, values, starts)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread if the block runs past seconds,
+    so that a loop that never ends fails its test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def with_values(change):
@@ -417,6 +435,15 @@ class TestAlexanderContract:
         assert n * (bound - 1) * (2**31 - 1) < 2**63
         # w_d: tau(d) <= pq <= 2 * 2049 terms, each at most pq 2^31
         assert (2 * 2049) ** 2 * 2**31 < 2**63
+        # the Krylov bound check: |y_j| < B = 2^31 // L^every at each j that
+        # `every` divides keeps the next `every` steps below L^every B <= 2^31,
+        # and B > 63 passes y_0 = v < 2^6
+        with time_limit(1.0):  # a cadence search with no cap never ends at L = 1
+            cadences = [oracle._cadence(norm) for norm in (1, 2, 4, 2**20)]
+        assert [every for every, _ in cadences] == [64, 16, 8, 1]
+        for norm, (every, bound) in zip((1, 2, 4, 2**20), cadences):
+            assert every >= 1 and bound * norm**every <= 2**31 and bound > 63
+            assert bound == 2**31 // norm**every and (every == 1 or norm**every <= 2**16)
 
     def test_flipped_interleave_sign_rejected(self):
         knot = TorusKnot(7, 20)
@@ -787,6 +814,18 @@ class TestExactValidation:
         assert isinstance(wrong, ValidationFailure) and isinstance(over, InvalidParameter)
         assert wrong.__traceback__ is None and over.__traceback__ is None
         assert len(g) == 12
+
+    def test_padded_batch_matches_dense_krylov(self):
+        """One batch of T(2,q) knots, whose rows of M have two nonzeros, beside
+        T(5,q) ones with four, so w = 4 and each T(2,q) row carries two pads,
+        with repeats: each knot's g is u . y_j of the dense stored sequence."""
+        knots = [TorusKnot(*pq) for pq in ((2, 7), (5, 6), (2, 7), (5, 8), (2, 11), (5, 6))]
+        sequences = oracle._exact_krylov(functools.partial(oracle._torus_case, k) for k in knots)
+        for knot, g in zip(knots, sequences):
+            a = seifert_matrix(torus_braid(knot)).entries
+            assert (sparse_monodromy(a) != 0).sum(axis=1).max() == (2 if knot.p == 2 else 4)
+            v = np.array(start_vector(len(a)), np.int64)
+            assert np.array_equal(g, krylov_rows(a, v, knot.p * knot.q) @ (a.T @ v)), knot
 
     def test_matrix_outside_the_proof_refused(self):
         entries = seifert_matrix(torus_braid(TorusKnot(3, 4))).entries
@@ -1201,25 +1240,52 @@ class TestOracleStepFunction:
             oracle_step_function(TorusKnot(3, 5))
 
     def test_krylov_entry_bound(self, monkeypatch):
+        # M * 2^20 has L = 2^22, so y is checked against 2^31 // 2^22 at every step
         monkeypatch.setattr(oracle, "_monodromy", scaled(oracle._monodromy))
-        with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
+        with pytest.raises(ValidationFailure, match="reaches 2\\^31 // 4194304\\^1 "):
             oracle_step_function(TorusKnot(3, 5))
 
     def test_krylov_entry_bound_below_zero(self, monkeypatch):
-        # M = I with row 0 replaced by -2^26 at column c > 0, where v_c >= 32:
-        # y_j[0] = -2^26 v_c <= -2^31 for every j >= 1, and no entry is positive
-        # past the bound
+        # M = I with row 0 replaced by -2^16 at column c > 0, where v_c >= 32:
+        # L = 2^16, so every step checks |y| < 2^31 // 2^16 = 2^15, which
+        # y_0 = v passes, and y_j[0] = -2^16 v_c <= -2^21 for every j >= 1,
+        # while no entry is positive past the bound
         n = TorusKnot(3, 5).seifert_rank()
         c = next(i for i, x in enumerate(start_vector(n)) if i and x >= 32)
 
         def negative_row(rows, cols, values, first):
             m = np.eye(n, dtype=np.int64)
             m[0] = 0
-            m[0, c] = -(2**26)
+            m[0, c] = -(2**16)
             return (*csr(m), [None])
 
         monkeypatch.setattr(oracle, "_monodromy", negative_row)
-        with pytest.raises(ValidationFailure, match="reaches 2\\^31"):
+        with pytest.raises(ValidationFailure, match="reaches 2\\^31 // 65536\\^1 "):
+            oracle_step_function(TorusKnot(3, 5))
+
+    def test_krylov_entry_bound_on_slow_growth(self, monkeypatch):
+        # M = I but M[0,0] = 2: L = 2, so y is checked against 2^31 // 2^16
+        # every 16 steps, and y_16[0] = 2^16 v_0 is refused; unchecked, the
+        # pq = 66 steps would end at 2^66 v_0, which wraps to 0 in int64
+        n = TorusKnot(2, 33).seifert_rank()
+
+        def doubling(rows, cols, values, first):
+            m = np.eye(n, dtype=np.int64)
+            m[0, 0] = 2
+            return (*csr(m), [None])
+
+        monkeypatch.setattr(oracle, "_monodromy", doubling)
+        refusal = "reaches 2\\^31 // 2\\^16 at a j divisible by 16"
+        with pytest.raises(ValidationFailure, match=refusal):
+            oracle_step_function(TorusKnot(2, 33))
+
+    def test_signed_permutation_ends(self, monkeypatch):
+        # M = I has L = 1, so L^every never grows past 2^16: the capped
+        # cadence still ends, and y_j = v fails the first c_d check
+        n = TorusKnot(3, 5).seifert_rank()
+        identity = (*csr(np.eye(n, dtype=np.int64)), [None])
+        monkeypatch.setattr(oracle, "_monodromy", lambda *args: identity)
+        with time_limit(1.0), pytest.raises(ValidationFailure, match="Phi_1 component"):
             oracle_step_function(TorusKnot(3, 5))
 
     def test_sequence_must_be_symmetric(self, monkeypatch):
