@@ -30,16 +30,14 @@ takes p - 1 passes and no n x n array is built.
 
 The brick matrix comes as links: each brick's diagonal and at most three
 links to later bricks, which `seifert_matrix` scatters into a read-only
-int64 array.  Its sign convention (a
-wrong one silently computes the mirror knot) is fixed so that
-sigma(T(2,3)) = +2 and pinned by tests: the Alexander-polynomial check
-catches wrong linking patterns, the comparison of signature functions with
-the lattice engine a wrong global sign.
+int64 array.  Its sign convention (a wrong one silently computes the mirror
+knot) is fixed so that sigma(T(2,3)) = +2 and pinned by tests: the
+Alexander-polynomial check catches wrong linking patterns, the comparison
+of signature functions with the lattice engine a wrong global sign.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -385,20 +383,15 @@ def _brick_matrix(letters: np.ndarray) -> tuple:
     return rows, cols, values
 
 
-def _knot_rank(braid: BraidWord) -> int:
-    """The rank of a braid closure that is a knot of rank <= _MAX_RANK; else InvalidParameter."""
+def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
+    """Seifert matrix of a positive braid closure, which must be a knot of rank <= _MAX_RANK."""
     rank = len(braid.letters) - braid.strands + 1
     _require_rank(rank)  # a knot needs strands - 1 letters or more
     components = braid.closure_components()
     if components != 1:
         raise InvalidParameter(f"closure has {components} components, need a knot")
-    return rank
-
-
-def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of a positive braid closure, which must be a knot of rank <= _MAX_RANK."""
     # a knot's closure uses every generator, so it has rank bricks
-    entries = np.zeros((_knot_rank(braid),) * 2, np.int64)
+    entries = np.zeros((rank, rank), np.int64)
     rows, cols, values = _brick_matrix(np.array(braid.letters, dtype=np.int64))
     entries[rows, cols] = values
     entries.flags.writeable = False
@@ -422,9 +415,10 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 #     cyclic, K = Q^n, and minpoly(v), of degree n at most, is their product;
 #   * M^N = I on all of Q^n, and charpoly(M) = minpoly(v) = prod Phi_d =
 #     (t^N - 1)(t - 1)/((t^p - 1)(t^q - 1)) = Delta;
-#   * A is upper triangular of size n with diagonal +-1 (checked), so
-#     det(A - t*A^T) = det A * t^n charpoly(M)(1/t) = +-Delta exactly (Delta
-#     is palindromic).
+#   * A is upper triangular of size n with diagonal +-1 (checked: `_stream`
+#     refuses a link out of the knot's n rows, `_monodromy` a row with no
+#     diagonal +-1 or an entry below it), so det(A - t*A^T) =
+#     det A * t^n charpoly(M)(1/t) = +-Delta exactly (Delta is palindromic).
 # Every other d then has w_d = 0, and c_d = 0 is checked there too, so a
 # wrong M fails at its first wrong d either way.  Last, g_m = g_{(1-m) mod N}
 # is checked: g_{-m} = y_m^T A y_0 = y_0^T A^T y_m = y_0^T A M y_m = g_{m+1},
@@ -438,15 +432,16 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 # entries lie in {-1, 0, 1} (each off-diagonal link of `_brick_matrix` goes to
 # a different brick, so no entry is written twice) and v < 2^6, so
 # |u| < 2^17 passes.  `_cadence` checks 2^31 on a cadence: with L >= 1 the
-# largest row l1 norm of M and `every` the largest e <= 64 with e = 1 or
-# L^e <= 2^16, each knot needs |y_j| < B = 2^31 // L^every at each j that
-# `every` divides.  Then |y_{j+s}| <= L^s (B - 1) < 2^31 for s <= every, so
-# each y up to a knot's first failed check is exact.
+# largest row l1 norm of a knot's own M and `every` the largest power of two
+# e <= 64 with e = 1 or L^e <= 2^16, the knot needs |y_j| < B = 2^31 // L^every
+# at each j that `every` divides.  Then |y_{j+s}| <= L^s (B - 1) < 2^31 for
+# s <= every, so each y up to a knot's first failed check is exact.
 #
 # No y_j is kept: a batch runs as one block-diagonal operator, its knots in
 # decreasing order of pq, and step j applies M to the knots with pq > j, a
-# prefix of its rows, into a double buffer, adds up their g_j, and checks y
-# against B every `every` steps; y_pq is compared with v as each finishes.
+# prefix of its rows, into a double buffer, adds up their g_j, checks each
+# knot's y against its B if its `every` divides j, and compares y_pq with v
+# as each finishes.
 
 # Rows of one batch.  Its build and Krylov loop hold a few int64 arrays per
 # row, link of A, nonzero of M and slot of M padded to (w, n), and never an
@@ -454,87 +449,77 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 _BATCH_ROWS = 2**16
 
 
-def _exact_krylov(cases) -> Iterator:
-    """g_j = (A^T v) . M^j v for j < pq, M = A^{-1}A^T, exactly in int64,
-    for each case once it proves det(A - tA^T) = +-Delta(T(p,q)) as above;
-    else the TorsigError of that case.  Yields them in the order of `cases`.
+def _start_vector(n: int) -> list:  # nonzero, and the same in every process
+    return random.Random(n).choices(range(1, 64), k=n)
 
-    `cases` holds functions that return (A, v, p, q), A a BraidWord or a
-    matrix, read by its nonzeros.  Each is called in turn and checked as far
-    as it can be before a build: rank, closure and n = (p-1)(q-1).  A batch
-    of at most _BATCH_ROWS rows is then built and streamed (`_stream`), and
-    its results are yielded before the next batch starts.
-    """
+
+def _exact_krylov(knots) -> Iterator:
+    """g_j = (A^T v) . M^j v for j < pq, M = A^{-1}A^T, exactly in int64,
+    for each torus knot once it proves det(A - tA^T) = +-Delta(T(p,q)) as
+    above, A its brick matrix and v = `_start_vector(n)`; else the
+    TorsigError of that knot.  Yields them in the order of `knots`.  A knot
+    over the rank bound is refused from p and q alone, before any letter is
+    built; rank 0 needs no build, and the rest run in batches of at most
+    _BATCH_ROWS rows (`_stream`), each yielded before the next starts."""
     results, batch, rows = [], [], 0
-    for case in cases:
+    for knot in knots:
+        p, q, n = knot.p, knot.q, knot.seifert_rank()
         try:
-            a, v, p, q = case()
-            n = (p - 1) * (q - 1)
-            if (_knot_rank(a) if isinstance(a, BraidWord) else len(a)) != n:
-                raise ValidationFailure(f"A is not of size {n}")
             _require_rank(n)
             if not n:  # rank 0: y is empty, so g = 0
                 results.append(_certify(np.zeros(p * q, np.int64), p, q))
                 continue
-            v = np.array(v, dtype=np.int64).reshape(n)
-        except TorsigError as error:  # kept without its frames, which hold A
+        except TorsigError as error:  # kept without its frames
             results.append(error.with_traceback(None))
             continue
         if rows + n > _BATCH_ROWS:
             _stream(batch, results)
             yield from results
             results, batch, rows = [], [], 0
-        batch.append((len(results), p, q, v, a))
+        batch.append((len(results), p, q, np.array(_start_vector(n), np.int64)))
         results.append(None)
         rows += n
     _stream(batch, results)
     yield from results
 
 
-def _links(sources, first) -> tuple:
-    """The links of a batch's block-diagonal A, knot i on rows
-    first[i]..first[i+1] - 1: one brick build for all its braids, and a
-    matrix's nonzeros.  Each braid's generators are shifted past the last
-    braid's and one more, which has no letters, so no brick links two knots."""
-    braids = [i for i, a in enumerate(sources) if isinstance(a, BraidWord)]
-    shifts = np.cumsum([0, *(sources[i].strands for i in braids)])
-    letters = [np.add(sources[i].letters, s, dtype=np.int64) for i, s in zip(braids, shifts)]
-    rows, cols, values = _brick_matrix(np.concatenate([np.zeros(0, np.int64), *letters]))
-    size = np.diff(first)[braids]  # the bricks number the braids' rows alone
-    move = np.repeat(first[braids] - np.cumsum(size) + size, size)[rows]
-    links = [(rows + move, cols + move, values)]
-    for a, f in zip(sources, first):
-        if not isinstance(a, BraidWord):
-            r, c = np.nonzero(a)
-            links.append((r + f, c + f, np.asarray(a)[r, c]))
-    return tuple(map(np.concatenate, zip(*links)))
-
-
 def _cadence(norm: int) -> tuple:
     """(every, B) of the bound check above, for M's largest row l1 norm L = norm >= 1."""
-    every = max(e for e in range(1, 65) if e == 1 or norm**e <= 2**16)
+    every = max(e for e in (1, 2, 4, 8, 16, 32, 64) if e == 1 or norm**e <= 2**16)
     return every, 2**31 // norm**every
 
 
 def _stream(batch: list, results: list) -> None:
-    """One batch, (slot, p, q, v, A) per knot, in decreasing order of pq: its
+    """One batch, (slot, p, q, v) per knot, in decreasing order of pq: its
     build, then its Krylov loop, then each knot's checks; results[slot]
-    becomes the knot's g or ValidationFailure.  A knot that fails a check of
-    the build (`_monodromy`'s, or |A^T v| < 2^21) is dropped, and the rest
-    are built again without it.  M steps y padded to (w, n): slot s of row
-    i holds its s-th nonzero, or a pad that reads the zero y[n]."""
+    becomes the knot's g or ValidationFailure.  The build is one brick
+    matrix of the knots' torus braids, each on generators past the last
+    one's and one more, which has no letters, so no brick links two knots,
+    and knot i's (p-1)(q-1) bricks are rows first[i]..first[i+1] - 1.  A
+    knot fails with a link out of those rows (a brick too many; one too few
+    leaves a row with no diagonal), or `_monodromy`'s checks, or
+    |A^T v| < 2^21, and the rest are built again without it.  M steps y
+    padded to (w, n): slot s of row i holds its s-th nonzero, or a pad that
+    reads the zero y[n]."""
     batch = sorted(batch, key=lambda knot: -knot[1] * knot[2])
     while batch:
-        slot, p, q, v, a = zip(*batch)
+        slot, p, q, v = zip(*batch)
         first = np.cumsum([0, *map(len, v)])  # each knot's first row
-        links = _links(a, first)
-        cols, values, starts, errors = _monodromy(*links, first)
+        shift = np.cumsum([0, *p])  # and its generators' shift
+        rows, cols, values = _brick_matrix(np.concatenate(
+            [np.tile(np.arange(a - 1, 0, -1) + s, b) for a, b, s in zip(p, q, shift)]))
+        own = np.minimum(np.searchsorted(first, rows, "right"), len(p)) - 1  # each link's knot
+        out = (rows >= first[-1]) | (cols < first[own]) | (cols >= first[own + 1])
+        sized = ~np.isin(np.arange(len(p)), own[out])
+        rows, cols, values = rows[~out], cols[~out], values[~out]
+        nz_cols, nz_values, starts, errors = _monodromy(rows, cols, values, first)
         v = np.concatenate(v)
         u = np.zeros_like(v)
-        np.add.at(u, links[1], links[2] * v[links[0]])  # A^T v
+        np.add.at(u, cols, values * v[rows])  # A^T v
         over = np.logical_or.reduceat((u >= _ENTRY_BOUND) | (u <= -_ENTRY_BOUND), first[:-1])
         errors = [error or (ValidationFailure("an entry of A^T v reaches 2^21") if o else None)
-                  for error, o in zip(errors, over)]
+                  if s else ValidationFailure(f"A is not of size {n}")
+                  for s, n, error, o in zip(sized, np.diff(first), errors, over)]
         if not any(errors):
             break
         for s, error in zip(slot, errors):
@@ -550,15 +535,19 @@ def _stream(batch: list, results: list) -> None:
     n, count = len(v), np.diff(starts)
     filled = np.arange(count.max()) < count[:, None]  # (n, w): slot s of row i
     m_cols, m_values = np.full(filled.T.shape, n), np.zeros(filled.T.shape, np.int64)
-    m_cols.T[filled], m_values.T[filled] = cols, values
-    norm = int(np.abs(m_values).sum(axis=0).max())  # L >= 1, as M is invertible
-    every, bound = _cadence(norm)
+    m_cols.T[filled], m_values.T[filled] = nz_cols, nz_values
+    # each knot's L >= 1 (M is invertible), every, and B per row; the least every divides all
+    norm = np.maximum.reduceat(np.abs(m_values).sum(axis=0), first[:-1]).tolist()
+    cadence = {L: _cadence(L) for L in norm}
+    every, bound = np.array([cadence[L] for L in norm]).T
+    bound, least = np.repeat(bound, np.diff(first)), every.min()
     y, y_next = np.append(v, 0), np.zeros(n + 1, np.int64)  # y[n] = 0 for the pads
     over, closed = np.zeros(len(pq), bool), np.ones(len(pq), bool)
     for j, (k, done) in enumerate(zip(live, live[1:] + [0])):
         r = first[k]
-        if not j % every:
-            over[:k] |= np.logical_or.reduceat(np.abs(y[:r]) >= bound, first[:k])
+        if not j % least:  # check the knots whose every divides j
+            high = np.logical_or.reduceat(np.abs(y[:r]) >= bound[:r], first[:k])
+            over[:k] |= high & (j % every[:k] == 0)
         np.add.reduceat(u[:r] * y[:r], first[:k], out=g[at[j] : at[j + 1]])
         np.multiply(m_values[0, :r], y[m_cols[0, :r]], out=y_next[:r])
         for c, x in zip(m_cols[1:, :r], m_values[1:, :r]):
@@ -571,7 +560,7 @@ def _stream(batch: list, results: list) -> None:
         try:
             if over[i]:
                 raise ValidationFailure(f"an entry of (A^-1 A^T)^j v reaches 2^31 // "
-                                        f"{norm}^{every} at a j divisible by {every}")
+                                        f"{norm[i]}^{every[i]} at a j divisible by {every[i]}")
             if not closed[i]:
                 raise ValidationFailure(f"(A^-1 A^T)^{pq[i]} v is not v")
             results[s] = _certify(g[at[: pq[i]] + i], p[i], q[i])
@@ -599,13 +588,6 @@ def _certify(g: np.ndarray, p: int, q: int) -> np.ndarray:
     return g
 
 
-def _torus_case(knot: TorusKnot) -> tuple:
-    """(braid, v, p, q) of the torus knot, v nonzero from random.Random(n)."""
-    n = knot.seifert_rank()
-    _require_rank(n)  # before the braid of (p-1)q letters is built
-    return torus_braid(knot), random.Random(n).choices(range(1, 64), k=n), knot.p, knot.q
-
-
 def _raised(result):
     """result, unless it is a TorsigError, which is raised."""
     if isinstance(result, TorsigError):
@@ -617,9 +599,8 @@ def torus_seifert_matrix(knot: TorusKnot) -> SeifertMatrix:
     """Seifert matrix of the torus braid closure, det(A - tA^T) = +-Delta proved
     exactly from one Krylov sequence of its monodromy, with no prime: the
     one-knot batch of `_exact_krylov`."""
-    case = _torus_case(knot)
-    _raised(next(_exact_krylov([lambda: case])))
-    return seifert_matrix(case[0])
+    _raised(next(_exact_krylov([knot])))
+    return seifert_matrix(torus_braid(knot))
 
 
 # --------------------------------------------------------------------------
@@ -685,8 +666,7 @@ def oracle_step_functions(knots, tol: float = DEFAULT_TOLERANCE) -> Iterator:
     turn: one streamed Krylov loop per batch of knots (`_exact_krylov`), so
     only one batch's sequences are held at a time."""
     knots = list(knots)
-    sequences = _exact_krylov(functools.partial(_torus_case, knot) for knot in knots)
-    for knot, g in zip(knots, sequences):
+    for knot, g in zip(knots, _exact_krylov(knots)):
         try:
             yield _jumps(_raised(g), knot.p, knot.q, tol)
         except TorsigError as error:

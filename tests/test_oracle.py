@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import inspect
 import json
 import math
@@ -152,16 +151,31 @@ def start_vector(n):
     return random.Random(n).choices(range(1, 64), k=n)
 
 
-def exact_krylov(entries, v, knot):
-    """g of `_exact_krylov` on one case, or the TorsigError it gives, raised."""
-    [g] = oracle._exact_krylov([lambda: (entries, v, knot.p, knot.q)])
+@contextlib.contextmanager
+def patched(**replacements):
+    """oracle.<name> = value for each replacement, restored afterwards."""
+    real = {name: getattr(oracle, name) for name in replacements}
+    for name, value in replacements.items():
+        setattr(oracle, name, value)
+    try:
+        yield
+    finally:
+        for name, value in real.items():
+            setattr(oracle, name, value)
+
+
+def validate_as_torus(entries, knot, v=None):
+    """What `torus_seifert_matrix` checks, with the knot's brick build replaced
+    by the nonzeros of entries (if given) and its start vector by v (if
+    given): g, or the TorsigError it gives, raised."""
+    replacements = {}
+    if entries is not None:
+        replacements["_brick_matrix"] = lambda letters: links(entries)
+    if v is not None:
+        replacements["_start_vector"] = lambda n: v
+    with patched(**replacements):
+        [g] = oracle._exact_krylov([knot])
     return oracle._raised(g)
-
-
-def validate_as_torus(entries, knot):
-    """What `torus_seifert_matrix` checks, on a given matrix, with its start vector."""
-    entries = np.asarray(entries)
-    return exact_krylov(entries, start_vector(len(entries)), knot)
 
 
 def phi_start(knot, d):
@@ -169,17 +183,32 @@ def phi_start(knot, d):
     entries = seifert_matrix(torus_braid(knot)).entries
     c = np.array(cyclotomic(d), dtype=np.int64)
     y = krylov_rows(entries, start_vector(len(entries)), len(c))
-    return exact_krylov(entries, c @ y, knot)
+    return validate_as_torus(None, knot, c @ y)
+
+
+def one_more_brick(build):
+    """A wrapper of `_brick_matrix` whose build has a brick past the last one,
+    linked from it."""
+    def wrapped(letters):
+        rows, cols, values = build(letters)
+        n = rows.max() + 1
+        return np.append(rows, [n - 1, n]), np.append(cols, [n, n]), np.append(values, [-1, 1])
+    return wrapped
+
+
+def one_brick_fewer(build):
+    """A wrapper of `_brick_matrix` whose build has lost its last brick."""
+    def wrapped(letters):
+        rows, cols, values = build(letters)
+        keep = cols < rows.max()
+        return rows[keep], cols[keep], values[keep]
+    return wrapped
 
 
 def with_oracle(name, wrap, call):
     """call() with oracle.<name> replaced by wrap(the real one), restored afterwards."""
-    real = getattr(oracle, name)
-    setattr(oracle, name, wrap(real))
-    try:
+    with patched(**{name: wrap(getattr(oracle, name))}):
         return call()
-    finally:
-        setattr(oracle, name, real)
 
 
 def links(a):
@@ -701,23 +730,30 @@ class TestMonodromyRuns:
         assert outcomes == [monodromy_rows(a).tolist() for a in blocks]
 
 
-# Checks that torus_seifert_matrix's refusals, each made by `_monodromy` or
-# the Krylov proof, hold with asserts stripped; prints one line per case, the
-# exception class name or "passed".
+# Checks that torus_seifert_matrix's refusals, each made by the rank check,
+# the brick build's size check, `_monodromy` or the Krylov proof, hold with
+# asserts stripped; prints one line per case, the exception class name or
+# "passed".
 _REFUSALS = """
 assert False, "asserts are live: run with python -O"
 import numpy as np
 from torsig.core import TorusKnot
 from torsig import oracle
-from test_oracle import flipped_interleave, negated, phi_start, validate_as_torus, with_oracle
-knot = TorusKnot(7, 20)
+from test_oracle import (flipped_interleave, negated, one_brick_fewer, one_more_brick,
+                         phi_start, start_vector, validate_as_torus, with_oracle)
+knot, small = TorusKnot(7, 20), TorusKnot(3, 4)
+matrix = lambda: oracle.torus_seifert_matrix(small)
 cases = {
     "flipped-entry": lambda: validate_as_torus(flipped_interleave(knot), knot),
-    "lower-entry": lambda: validate_as_torus(np.tril(np.ones((6, 6), np.int64)), TorusKnot(3, 4)),
-    "diagonal-two": lambda: validate_as_torus(np.diag([1, 1, 1, 2, 1, 1]), TorusKnot(3, 4)),
-    "torus-order": lambda: with_oracle("_monodromy", negated,
-                                       lambda: oracle.torus_seifert_matrix(TorusKnot(3, 4))),
+    "lower-entry": lambda: validate_as_torus(np.tril(np.ones((6, 6), np.int64)), small),
+    "diagonal-two": lambda: validate_as_torus(np.diag([1, 1, 1, 2, 1, 1]), small),
+    "identity": lambda: validate_as_torus(np.eye(6, dtype=np.int64), small),
+    "torus-order": lambda: with_oracle("_monodromy", negated, matrix),
     "phi-35-start": lambda: phi_start(knot, 35),
+    "g-bound": lambda: validate_as_torus(None, small, [2**21, *start_vector(6)[1:]]),
+    "over-rank": lambda: oracle.torus_seifert_matrix(TorusKnot(3, 1027)),
+    "brick-too-many": lambda: with_oracle("_brick_matrix", one_more_brick, matrix),
+    "brick-too-few": lambda: with_oracle("_brick_matrix", one_brick_fewer, matrix),
 }
 for name, case in cases.items():
     try:
@@ -788,40 +824,41 @@ class TestExactValidation:
         knot = TorusKnot(3, 4)
         entries = seifert_matrix(torus_braid(knot)).entries
         with pytest.raises(ValidationFailure, match="A\\^T v reaches 2\\^21"):
-            exact_krylov(entries, [2**21, *start_vector(6)[1:]], knot)
+            validate_as_torus(entries, knot, [2**21, *start_vector(6)[1:]])
 
     def test_over_rank_case_refused(self):
         # the int64 bounds of the proof need n <= 2^11
-        with pytest.raises(InvalidParameter, match="rank 2052"):
-            exact_krylov(np.eye(2052, dtype=np.int64), [1] * 2052, TorusKnot(3, 1027))
+        [error] = oracle._exact_krylov([TorusKnot(3, 1027)])
+        assert isinstance(error, InvalidParameter) and "rank 2052" in str(error)
 
     def test_over_rank_knot_refused_before_its_braid(self, monkeypatch):
-        def refuse(knot):
-            raise AssertionError(f"built the braid of {knot}")
+        def refuse(*args):
+            raise AssertionError(f"drew v, built letters or bricks for {args}")
 
-        monkeypatch.setattr(oracle, "torus_braid", refuse)
+        for name in ("_start_vector", "_brick_matrix", "torus_braid"):
+            monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(oracle.np, "tile", refuse)
         [error] = oracle.oracle_step_functions([TorusKnot(2, 4099)])
         assert isinstance(error, InvalidParameter) and "rank 4098" in str(error)
         with pytest.raises(InvalidParameter, match="rank 10"):
             oracle.oracle_step_function(TorusKnot(2, 10**12 + 1))
 
-    def test_held_errors_keep_no_frames(self):
+    def test_held_errors_keep_no_frames(self, monkeypatch):
         # an error waits for the rest of its batch; its frames would hold A and M
-        cases = [lambda: (np.eye(6, dtype=np.int64), start_vector(6), 3, 4),
-                 functools.partial(oracle._torus_case, TorusKnot(2, 4099)),
-                 functools.partial(oracle._torus_case, TorusKnot(3, 4))]
-        wrong, over, g = oracle._exact_krylov(cases)
+        real = oracle._start_vector
+        monkeypatch.setattr(oracle, "_start_vector", lambda n: [0] * n if n == 6 else real(n))
+        wrong, over, g = oracle._exact_krylov([TorusKnot(3, 4), TorusKnot(2, 4099),
+                                               TorusKnot(3, 5)])
         assert isinstance(wrong, ValidationFailure) and isinstance(over, InvalidParameter)
         assert wrong.__traceback__ is None and over.__traceback__ is None
-        assert len(g) == 12
+        assert len(g) == 15
 
     def test_padded_batch_matches_dense_krylov(self):
         """One batch of T(2,q) knots, whose rows of M have two nonzeros, beside
         T(5,q) ones with four, so w = 4 and each T(2,q) row carries two pads,
         with repeats: each knot's g is u . y_j of the dense stored sequence."""
         knots = [TorusKnot(*pq) for pq in ((2, 7), (5, 6), (2, 7), (5, 8), (2, 11), (5, 6))]
-        sequences = oracle._exact_krylov(functools.partial(oracle._torus_case, k) for k in knots)
-        for knot, g in zip(knots, sequences):
+        for knot, g in zip(knots, oracle._exact_krylov(knots)):
             a = seifert_matrix(torus_braid(knot)).entries
             assert (sparse_monodromy(a) != 0).sum(axis=1).max() == (2 if knot.p == 2 else 4)
             v = np.array(start_vector(len(a)), np.int64)
@@ -839,6 +876,41 @@ class TestExactValidation:
                                (doubled, "not of size 6")):
             with pytest.raises(ValidationFailure, match=message):
                 validate_as_torus(wrong, TorusKnot(3, 4))
+
+    def test_proved_blocks_are_the_returned_matrices(self, monkeypatch):
+        """Each knot's block of the batch's one brick build is the matrix that
+        `torus_seifert_matrix` returns for it."""
+        knots = [TorusKnot(*pq) for pq in ((2, 7), (5, 6), (1, 4), (3, 4), (2, 7), (4, 9))]
+        built, real = [], oracle._brick_matrix
+
+        def build(letters):
+            built.append(real(letters))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "_brick_matrix", build)
+        assert all(isinstance(g, np.ndarray) for g in oracle._exact_krylov(knots))
+        [(rows, cols, values)] = built
+        a = np.zeros((rows.max() + 1,) * 2, np.int64)
+        a[rows, cols] = values
+        first = 0  # the batch runs in decreasing order of pq, and rank 0 needs no build
+        for knot in sorted(filter(TorusKnot.seifert_rank, knots), key=lambda k: -k.p * k.q):
+            entries = seifert_matrix(torus_braid(knot)).entries
+            last = first + len(entries)
+            assert np.array_equal(a[first:last, first:last], entries), knot
+            assert not a[first:last, last:].any() and not a[last:, first:last].any(), knot
+            first = last
+        assert first == len(a)
+
+    def test_wrong_brick_count_refused(self):
+        """A build with a brick too many or too few fails as a ValidationFailure,
+        alone or in a batch, and never reads past its arrays."""
+        knots = [TorusKnot(3, 4), TorusKnot(2, 7), TorusKnot(5, 6)]
+        for wrap, message in ((one_more_brick, "A is not of size 6"),
+                              (one_brick_fewer, "diagonal \\+-1")):
+            with pytest.raises(ValidationFailure, match=message):
+                with_oracle("_brick_matrix", wrap, lambda: torus_seifert_matrix(knots[0]))
+            errors = with_oracle("_brick_matrix", wrap, lambda: list(oracle._exact_krylov(knots)))
+            assert all(isinstance(error, ValidationFailure) for error in errors), errors
 
     def test_accepts_every_torus_knot_up_to_rank_120(self):
         pairs = [(p, q) for p, q in coprime_pairs(12, 122) if (p - 1) * (q - 1) <= 120]
@@ -862,11 +934,13 @@ class TestExactValidation:
             assert capsys.readouterr().out == expected
 
         def refuse(*args):
-            raise AssertionError("verify reached the congruence check or a test reference")
+            raise AssertionError("verify reached the congruence check, a test reference "
+                                 "or a braid word")
 
         for name in ("alexander_from_seifert", "_minpoly_mod", "torus_alexander",
-                     "hermitian_signature"):
+                     "hermitian_signature", "torus_braid", "BraidWord"):
             monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(BraidWord, "closure_components", refuse)
         for argv, expected in runs.items():
             assert main(list(argv)) == 0
             assert capsys.readouterr().out == expected
@@ -893,8 +967,13 @@ class TestExactValidation:
             "flipped-entry ValidationFailure",
             "lower-entry ValidationFailure",
             "diagonal-two ValidationFailure",
+            "identity ValidationFailure",
             "torus-order ValidationFailure",
             "phi-35-start ValidationFailure",
+            "g-bound ValidationFailure",
+            "over-rank InvalidParameter",
+            "brick-too-many ValidationFailure",
+            "brick-too-few ValidationFailure",
             "",
         ]
 
@@ -1244,6 +1323,16 @@ class TestOracleStepFunction:
         monkeypatch.setattr(oracle, "_monodromy", scaled(oracle._monodromy))
         with pytest.raises(ValidationFailure, match="reaches 2\\^31 // 4194304\\^1 "):
             oracle_step_function(TorusKnot(3, 5))
+
+    def test_krylov_entry_bound_is_each_knots_own(self, monkeypatch):
+        # T(2,7)'s rows of M * 2^20 have L = 2^21 and T(3,5)'s 2^22: each knot
+        # is refused against its own bound, whatever its batch holds
+        monkeypatch.setattr(oracle, "_monodromy", scaled(oracle._monodromy))
+        alone = oracle._exact_krylov([TorusKnot(2, 7)])
+        beside = oracle._exact_krylov([TorusKnot(2, 7), TorusKnot(3, 5)])
+        messages = [str(error) for error in (*alone, *beside)]
+        assert messages[0] == messages[1] != messages[2], messages
+        assert "reaches 2^31 // 2097152^1 " in messages[0] and "4194304^1 " in messages[2]
 
     def test_krylov_entry_bound_below_zero(self, monkeypatch):
         # M = I with row 0 replaced by -2^16 at column c > 0, where v_c >= 32:
