@@ -21,12 +21,12 @@ not yet done, and a knot that fails any check fails alone.
 Every brick matrix is upper triangular with diagonal +-1 (bricks are
 ordered by generator, then by position, and only earlier bricks link later
 ones).  So det A = +-1, and the monodromy M = A^{-1}A^T is an integer
-matrix.  `_monodromy` builds it sparse from A's links, a run of rows at a
+matrix.  A batch is one block-diagonal A from one brick build.  Each torus
+knot's block is checked link by link to be A1 (x) A2, and its M = P (x) C is
+written down (`_torus_monodromy`; Sebastiani-Thom 1971 for why).  For any
+other A, `_monodromy` builds M sparse from its links, a run of rows at a
 time: the bricks of one generator form a run whose diagonal block is
-I - (superdiagonal), which a running sum inverts.  A batch is one
-block-diagonal A from one brick build, and the runs of all its knots at one
-distance from their knot's last run take one vectorised pass, so T(p,q)
-takes p - 1 passes and no n x n array is built.
+I - (superdiagonal), which a running sum inverts.  No n x n array is built.
 
 The brick matrix comes as links: each brick's diagonal and at most three
 links to later bricks, which `seifert_matrix` scatters into a read-only
@@ -415,9 +415,9 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 #     cyclic, K = Q^n, and minpoly(v), of degree n at most, is their product;
 #   * M^N = I on all of Q^n, and charpoly(M) = minpoly(v) = prod Phi_d =
 #     (t^N - 1)(t - 1)/((t^p - 1)(t^q - 1)) = Delta;
-#   * A is upper triangular of size n with diagonal +-1 (checked: `_stream`
-#     refuses a link out of the knot's n rows, `_monodromy` a row with no
-#     diagonal +-1 or an entry below it), so det(A - t*A^T) =
+#   * A is A1 (x) A2 (checked: `_stream` refuses a knot with any other link,
+#     or with one missing or repeated), upper triangular of size n with
+#     diagonal 1, and A M = A^T (below), so det(A - t*A^T) =
 #     det A * t^n charpoly(M)(1/t) = +-Delta exactly (Delta is palindromic).
 # Every other d then has w_d = 0, and c_d = 0 is checked there too, so a
 # wrong M fails at its first wrong d either way.  Last, g_m = g_{(1-m) mod N}
@@ -426,11 +426,20 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 # Milnor (Singular Points of Complex Hypersurfaces, 1968) is why this passes:
 # M is the monodromy of x^p + y^q, of order pq; the proof does not use it.
 #
-# int64: with n <= 2^11 and |M| < 2^21, a mat-vec row of entries below 2^31
-# stays below 2^63, and |u| < 2^21 (checked) keeps every partial sum of g_j
-# below n 2^21 2^31 <= 2^63; the sums S_e and c_d are Python ints.  Brick
-# entries lie in {-1, 0, 1} (each off-diagonal link of `_brick_matrix` goes to
-# a different brick, so no entry is written twice) and v < 2^6, so
+# M in closed form.  Brick (r, i) of T(p,q), generator r + 1 <= R + 1 = p - 1
+# and place i < m = q - 1 among its bricks, is row r m + i of its block.
+# `_brick_matrix` links (r, i) to itself by +1, to (r, i+1) by -1, to (r+1, i)
+# by +1 and to (r+1, i+1) by -1: A = A1 (x) A2, A1 = I + J of size p - 1 and
+# A2 = I - J of size m, J the superdiagonal.  Row r of P holds (-1)^(R-r) at R
+# and +1 at r - 1 (r >= 1), row i of C +1 at m - 1 and -1 at i - 1 (i >= 1):
+# A1 P = A1^T (row r plus row r + 1) and A2 C = A2^T (row i less row i + 1),
+# so M = P (x) C has A M = (A1 P) (x) (A2 C) = A^T: M = A^{-1}A^T exactly.
+# Its entries lie in {-1, 0, 1}, w <= 4 in a row (C's row i in runs R, r - 1): L <= 4.
+#
+# int64: a mat-vec row of M stays below L 2^31 <= 2^33 for entries of y
+# below 2^31, and |u| < 2^21 (checked) keeps every partial sum of g_j below
+# n 2^21 2^31 <= 2^63, which is where n <= 2^11 enters; the sums S_e and c_d
+# are Python ints.  A's entries lie in {-1, 0, 1} (checked) and v < 2^6, so
 # |u| < 2^17 passes.  `_cadence` checks 2^31 on a cadence: with L >= 1 the
 # largest row l1 norm of a knot's own M and `every` the largest power of two
 # e <= 64 with e = 1 or L^e <= 2^16, the knot needs |y_j| < B = 2^31 // L^every
@@ -444,8 +453,8 @@ def seifert_matrix(braid: BraidWord) -> SeifertMatrix:
 # as each finishes.
 
 # Rows of one batch.  Its build and Krylov loop hold a few int64 arrays per
-# row, link of A, nonzero of M and slot of M padded to (w, n), and never an
-# n x n one, so a large grid runs as several batches of a few MB.
+# row, link of A and slot of M padded to (w, n), and never an n x n one, so
+# a large grid runs as several batches of a few MB.
 _BATCH_ROWS = 2**16
 
 
@@ -489,6 +498,46 @@ def _cadence(norm: int) -> tuple:
     return every, 2**31 // norm**every
 
 
+def _runs(p, q) -> tuple:
+    """Per row of the T(p,q)'s brick matrices side by side: its knot's first
+    row start, and r, i, m and R (above), so that it is row start + r m + i."""
+    p, m = np.asarray(p), np.asarray(q) - 1
+    size = (p - 1) * m
+    own, start = np.repeat(np.arange(size.size), size), np.repeat(np.cumsum(size) - size, size)
+    r, i = np.divmod(np.arange(size.sum()) - start, m[own])
+    return start, r, i, m[own], p[own] - 2
+
+
+def _check_links(rows, cols, values, p, q, first) -> tuple:
+    """Per knot of the T(p,q) side by side, whether its links differ from
+    those of A1 (x) A2 (above); per link, whether it is one of those."""
+    _, r, i, m, last = _runs(p, q)
+    n, k = first[-1], np.minimum(rows, first[-1] - 1)  # a row past the last knot is its last
+    # row (r, i)'s links by kind, from col - row: 0 the diagonal +1, 1 a -1 at (r, i+1),
+    # 2 a +1 at (r+1, i), 3 a -1 at (r+1, i+1), each wanted once where it exists; 4 never
+    want = np.stack((i >= 0, i < m - 1, r < last, (i < m - 1) & (r < last), i < 0))
+    d = cols - rows
+    kind = np.select((d == 0, d == m[k], d == m[k] + 1, d == 1), (0, 2, 3, 1), 4)
+    kind[(rows >= n) | (values != np.array([1, -1, 1, -1, 0])[kind]) | ~want[kind, k]] = 4
+    count = np.bincount(kind * n + k, minlength=5 * n).reshape(5, n)
+    return np.logical_or.reduceat((count != want).any(axis=0), first[:-1]), kind < 4
+
+
+def _torus_monodromy(p, q) -> tuple:
+    """M = P (x) C (above) of the T(p,q) side by side, padded to (w, n): slot
+    s of row k holds a nonzero (column, value) or a pad (n, 0) that reads the
+    zero y[n]; a slot that is a pad in every row is dropped."""
+    start, r, i, m, last = _runs(p, q)
+    n, s = r.size, 1 - 2 * ((last - r) % 2)  # (-1)^(R - r)
+    end, before = start + last * m - 1, start + r * m - m - 1  # row (R, 0) - 1, row (r-1, 0) - 1
+    cols = np.stack((end + m, end + i, before + m, before + i))
+    values = np.stack((s, -s, np.ones(n, np.int64), np.full(n, -1)))
+    filled = np.stack((i >= 0, i >= 1, r >= 1, (r >= 1) & (i >= 1)))
+    cols[~filled], values[~filled] = n, 0
+    used = filled.any(axis=1)
+    return cols[used], values[used]
+
+
 def _stream(batch: list, results: list) -> None:
     """One batch, (slot, p, q, v) per knot, in decreasing order of pq: its
     build, then its Krylov loop, then each knot's checks; results[slot]
@@ -496,11 +545,9 @@ def _stream(batch: list, results: list) -> None:
     matrix of the knots' torus braids, each on generators past the last
     one's and one more, which has no letters, so no brick links two knots,
     and knot i's (p-1)(q-1) bricks are rows first[i]..first[i+1] - 1.  A
-    knot fails with a link out of those rows (a brick too many; one too few
-    leaves a row with no diagonal), or `_monodromy`'s checks, or
-    |A^T v| < 2^21, and the rest are built again without it.  M steps y
-    padded to (w, n): slot s of row i holds its s-th nonzero, or a pad that
-    reads the zero y[n]."""
+    knot fails if its links are not exactly those of A1 (x) A2, or if an
+    entry of A^T v reaches 2^21, and the rest are built again without it.
+    M = P (x) C (`_torus_monodromy`) steps y."""
     batch = sorted(batch, key=lambda knot: -knot[1] * knot[2])
     while batch:
         slot, p, q, v = zip(*batch)
@@ -508,18 +555,14 @@ def _stream(batch: list, results: list) -> None:
         shift = np.cumsum([0, *p])  # and its generators' shift
         rows, cols, values = _brick_matrix(np.concatenate(
             [np.tile(np.arange(a - 1, 0, -1) + s, b) for a, b, s in zip(p, q, shift)]))
-        own = np.minimum(np.searchsorted(first, rows, "right"), len(p)) - 1  # each link's knot
-        out = (rows >= first[-1]) | (cols < first[own]) | (cols >= first[own + 1])
-        sized = ~np.isin(np.arange(len(p)), own[out])
-        rows, cols, values = rows[~out], cols[~out], values[~out]
-        nz_cols, nz_values, starts, errors = _monodromy(rows, cols, values, first)
+        wrong, keep = _check_links(rows, cols, values, p, q, first)
         v = np.concatenate(v)
         u = np.zeros_like(v)
-        np.add.at(u, cols, values * v[rows])  # A^T v
+        np.add.at(u, cols[keep], values[keep] * v[rows[keep]])  # A^T v
         over = np.logical_or.reduceat((u >= _ENTRY_BOUND) | (u <= -_ENTRY_BOUND), first[:-1])
-        errors = [error or (ValidationFailure("an entry of A^T v reaches 2^21") if o else None)
-                  if s else ValidationFailure(f"A is not of size {n}")
-                  for s, n, error, o in zip(sized, np.diff(first), errors, over)]
+        errors = [ValidationFailure(f"A is not the brick matrix A1 (x) A2 of T({a},{b})") if w
+                  else ValidationFailure("an entry of A^T v reaches 2^21") if o else None
+                  for a, b, w, o in zip(p, q, wrong, over)]
         if not any(errors):
             break
         for s, error in zip(slot, errors):
@@ -532,16 +575,13 @@ def _stream(batch: list, results: list) -> None:
     live = np.searchsorted(-pq, -np.arange(pq[0])).tolist()
     at = np.cumsum([0, *live])
     g = np.empty(at[-1], np.int64)
-    n, count = len(v), np.diff(starts)
-    filled = np.arange(count.max()) < count[:, None]  # (n, w): slot s of row i
-    m_cols, m_values = np.full(filled.T.shape, n), np.zeros(filled.T.shape, np.int64)
-    m_cols.T[filled], m_values.T[filled] = nz_cols, nz_values
+    m_cols, m_values = _torus_monodromy(p, q)
     # each knot's L >= 1 (M is invertible), every, and B per row; the least every divides all
     norm = np.maximum.reduceat(np.abs(m_values).sum(axis=0), first[:-1]).tolist()
     cadence = {L: _cadence(L) for L in norm}
     every, bound = np.array([cadence[L] for L in norm]).T
     bound, least = np.repeat(bound, np.diff(first)), every.min()
-    y, y_next = np.append(v, 0), np.zeros(n + 1, np.int64)  # y[n] = 0 for the pads
+    y, y_next = np.append(v, 0), np.zeros(len(v) + 1, np.int64)  # y[n] = 0 for the pads
     over, closed = np.zeros(len(pq), bool), np.ones(len(pq), bool)
     for j, (k, done) in enumerate(zip(live, live[1:] + [0])):
         r = first[k]

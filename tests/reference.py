@@ -12,7 +12,9 @@ the stored Krylov sequence that `torsig.oracle._exact_krylov` streams.
 the reference for `torsig.oracle._monodromy`, which builds M sparse, run by
 run and level by level, for a whole batch of blocks at once: each block's
 M, or its refusal naming the last row over 2^21, must be that of
-`monodromy_rows` on the block alone.
+`monodromy_rows` on the block alone.  Both are references for the closed
+form M = P (x) C that `torsig.oracle._torus_monodromy` writes down for torus
+knots.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -146,6 +147,18 @@ def flipped_interleave(knot):
     return entries
 
 
+def swapped_factors(knot):
+    """A2 (x) A1 for the brick matrix A1 (x) A2 of T(p,q): a permutation of its
+    rows and columns, so with the same pencil, but not the brick matrix."""
+    a1, a2 = (np.eye(k, dtype=np.int64) + sign * np.eye(k, k, 1, dtype=np.int64)
+              for k, sign in ((knot.p - 1, 1), (knot.q - 1, -1)))
+    return np.kron(a2, a1)
+
+
+# the refusal of a knot whose links are not those of A1 (x) A2
+NOT_THE_BRICKS = "A is not the brick matrix A1 \\(x\\) A2 of T\\({},{}\\)"
+
+
 def start_vector(n):
     """The start vector `torus_seifert_matrix` draws at rank n."""
     return random.Random(n).choices(range(1, 64), k=n)
@@ -217,10 +230,38 @@ def links(a):
     return rows, cols, np.asarray(a)[rows, cols]
 
 
-def csr(m):
-    """M's nonzeros by row, as `_monodromy` gives them: (cols, values, starts)."""
+def once(wrap):
+    """A wrapper of `_brick_matrix` that wraps its first build alone with wrap,
+    so the retry without the refused knot builds clean."""
+    def wrapper(build):
+        wrapped, calls = wrap(build), []
+
+        def call(letters):
+            calls.append(letters)
+            return (wrapped if len(calls) == 1 else build)(letters)
+        return call
+    return wrapper
+
+
+def padded(m):
+    """A dense M as `_torus_monodromy` gives it: (cols, values) of shape (w, n),
+    slot s of row k its s-th nonzero or a pad (column n, value 0)."""
+    n, count = len(m), (m != 0).sum(axis=1)
+    filled = np.arange(count.max(initial=0)) < count[:, None]  # (n, w)
     rows, cols = np.nonzero(m)
-    return cols, m[rows, cols], np.searchsorted(rows, np.arange(len(m) + 1))
+    m_cols, m_values = np.full(filled.T.shape, n), np.zeros(filled.T.shape, np.int64)
+    m_cols.T[filled], m_values.T[filled] = cols, m[rows, cols]
+    return m_cols, m_values
+
+
+def unpadded(m_cols, m_values, dtype=np.int64):
+    """The n x n matrix of `_torus_monodromy`'s padded (cols, values)."""
+    n = m_cols.shape[1]
+    m = np.zeros((n, n + 1), dtype)
+    for cols, values in zip(m_cols, m_values):
+        m[np.arange(n), cols] += values.astype(dtype)
+    assert not m[:, n].any()
+    return m[:, :n]
 
 
 def dense(cols, values, starts):
@@ -257,11 +298,11 @@ def time_limit(seconds):
 
 
 def with_values(change):
-    """A wrapper of `_monodromy` that applies change to the values of M."""
+    """A wrapper of `_torus_monodromy` that applies change to the values of M."""
     def wrap(monodromy):
         def wrapped(*args):
-            cols, values, starts, errors = monodromy(*args)
-            return cols, change(values), starts, errors
+            cols, values = monodromy(*args)
+            return cols, change(values)
         return wrapped
     return wrap
 
@@ -708,10 +749,13 @@ class TestMonodromyRuns:
         assert monodromy_outcome(sparse_monodromy, a) == monodromy_outcome(monodromy_rows, a)
 
     def test_torus_grid_to_rank_200(self):
+        """`_monodromy` and `_torus_monodromy`'s P (x) C against the rows."""
         pairs = [(p, q) for p, q in coprime_pairs(12, 201) if (p - 1) * (q - 1) <= 200]
         for p, q in pairs:
             a = seifert_matrix(torus_braid(TorusKnot(p, q))).entries
-            assert np.array_equal(sparse_monodromy(a), monodromy_rows(a)), (p, q)
+            m = monodromy_rows(a)
+            assert np.array_equal(sparse_monodromy(a), m), (p, q)
+            assert np.array_equal(unpadded(*oracle._torus_monodromy((p,), (q,))), m), (p, q)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(any_block(), min_size=1, max_size=6))
@@ -730,17 +774,71 @@ class TestMonodromyRuns:
         assert outcomes == [monodromy_rows(a).tolist() for a in blocks]
 
 
+def torus_links(pairs):
+    """The brick links of the T(p,q) side by side, from one `_brick_matrix` of
+    their braids on disjoint generators as `_stream` builds them, and each
+    knot's first row."""
+    p, q = zip(*pairs)
+    shift = np.cumsum([0, *p])
+    letters = [np.tile(np.arange(a - 1, 0, -1) + s, b) for a, b, s in zip(p, q, shift)]
+    first = np.cumsum([0, *((a - 1) * (b - 1) for a, b in pairs)])
+    return oracle._brick_matrix(np.concatenate(letters)), first
+
+
+def assert_closed_form_is_back_substitution(pairs):
+    """`_torus_monodromy`'s M is `_monodromy`'s, for one batch of pairs: row
+    by row, the same columns in increasing order and the same values."""
+    links, first = torus_links(pairs)
+    cols, values, starts, errors = oracle._monodromy(*links, first)
+    assert not any(errors)
+    m_cols, m_values = oracle._torus_monodromy(*zip(*pairs))
+    order = np.argsort(m_cols, axis=0)  # (w, n): each row's columns in order, pads last
+    m_cols, m_values = (np.take_along_axis(x, order, 0).T for x in (m_cols, m_values))
+    real = m_cols < first[-1]
+    assert np.array_equal(real.sum(axis=1), np.diff(starts))
+    assert np.array_equal(m_cols[real], cols) and np.array_equal(m_values[real], values)
+
+
+class TestTorusMonodromy:
+    """`_torus_monodromy` writes M = P (x) C down for A = A1 (x) A2, with no
+    back-substitution: it must be `_monodromy`'s M = A^{-1}A^T exactly."""
+
+    def test_oracle_grid_and_rank_2048(self):
+        """Every coprime p < 30, q < 60, and the three knots of rank 2048, in one batch."""
+        assert_closed_form_is_back_substitution(
+            [*coprime_pairs(29, 59), (33, 65), (3, 1025), (2, 2049)])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(2, 25).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(p + 1, 600 // (p - 1) + 1)))
+        .filter(lambda pq: math.gcd(*pq) == 1), min_size=1, max_size=3))
+    def test_batches_of_rank_600(self, pairs):
+        assert_closed_form_is_back_substitution(pairs)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 64, 257, 2048])
+    def test_factor_identities(self, size):
+        """A1 P = A1^T and A2 C = A2^T, for A1 = I + J and A2 = I - J, with P
+        and C read off the kernel: T(size+1, 2) has runs of one row, so its M
+        is P, and T(2, size+1) has one run, so its M is C."""
+        p_matrix = unpadded(*oracle._torus_monodromy((size + 1,), (2,)), np.int8)
+        c_matrix = unpadded(*oracle._torus_monodromy((2,), (size + 1,)), np.int8)
+        eye, j = np.eye(size, dtype=np.int8), np.eye(size, k=1, dtype=np.int8)
+        up = lambda x: np.vstack((x[1:], np.zeros((1, size), np.int8)))  # J x
+        assert np.array_equal(p_matrix + up(p_matrix), (eye + j).T)
+        assert np.array_equal(c_matrix - up(c_matrix), (eye - j).T)
+
+
 # Checks that torus_seifert_matrix's refusals, each made by the rank check,
-# the brick build's size check, `_monodromy` or the Krylov proof, hold with
-# asserts stripped; prints one line per case, the exception class name or
-# "passed".
+# the check that A is A1 (x) A2 or the Krylov proof, hold with asserts
+# stripped; prints one line per case, the exception class name or "passed".
 _REFUSALS = """
 assert False, "asserts are live: run with python -O"
 import numpy as np
 from torsig.core import TorusKnot
 from torsig import oracle
 from test_oracle import (flipped_interleave, negated, one_brick_fewer, one_more_brick,
-                         phi_start, start_vector, validate_as_torus, with_oracle)
+                         phi_start, start_vector, swapped_factors, validate_as_torus,
+                         with_oracle)
 knot, small = TorusKnot(7, 20), TorusKnot(3, 4)
 matrix = lambda: oracle.torus_seifert_matrix(small)
 cases = {
@@ -748,12 +846,13 @@ cases = {
     "lower-entry": lambda: validate_as_torus(np.tril(np.ones((6, 6), np.int64)), small),
     "diagonal-two": lambda: validate_as_torus(np.diag([1, 1, 1, 2, 1, 1]), small),
     "identity": lambda: validate_as_torus(np.eye(6, dtype=np.int64), small),
-    "torus-order": lambda: with_oracle("_monodromy", negated, matrix),
+    "torus-order": lambda: with_oracle("_torus_monodromy", negated, matrix),
     "phi-35-start": lambda: phi_start(knot, 35),
     "g-bound": lambda: validate_as_torus(None, small, [2**21, *start_vector(6)[1:]]),
     "over-rank": lambda: oracle.torus_seifert_matrix(TorusKnot(3, 1027)),
     "brick-too-many": lambda: with_oracle("_brick_matrix", one_more_brick, matrix),
     "brick-too-few": lambda: with_oracle("_brick_matrix", one_brick_fewer, matrix),
+    "swapped-factors": lambda: validate_as_torus(swapped_factors(small), small),
 }
 for name, case in cases.items():
     try:
@@ -793,7 +892,7 @@ class TestExactValidation:
 
     def test_torus_seifert_matrix_checks_the_order(self, monkeypatch):
         # (-M)^12 = I, so y_12 = v; but -M has eigenvalues of order 3, which divides p
-        monkeypatch.setattr(oracle, "_monodromy", negated(oracle._monodromy))
+        monkeypatch.setattr(oracle, "_torus_monodromy", negated(oracle._torus_monodromy))
         with pytest.raises(ValidationFailure, match="Phi_3 component of v is nonzero"):
             torus_seifert_matrix(TorusKnot(3, 4))
 
@@ -806,11 +905,12 @@ class TestExactValidation:
 
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 12)])
     def test_eigenvalue_one_is_named_first(self, p, q):
-        # A = I gives M = I: y_pq = v holds, and v lies wholly in the kernel
-        # of Phi_1(M), which w_1 = S_1 = pq v shows before any other d
-        a = np.eye((p - 1) * (q - 1), dtype=np.int64)
-        with pytest.raises(ValidationFailure, match="Phi_1 component of v is nonzero"):
-            validate_as_torus(a, TorusKnot(p, q))
+        # M = I: y_pq = v holds, and v lies wholly in the kernel of Phi_1(M),
+        # which w_1 = S_1 = pq v shows before any other d
+        identity = padded(np.eye((p - 1) * (q - 1), dtype=np.int64))
+        with patched(_torus_monodromy=lambda *batch: identity), \
+                pytest.raises(ValidationFailure, match="Phi_1 component of v is nonzero"):
+            validate_as_torus(None, TorusKnot(p, q))
 
     def test_divisor_sums_are_exact(self):
         # a symmetric g whose S_1 = 2^64 wraps to 0 in int64, which would hide
@@ -872,9 +972,8 @@ class TestExactValidation:
         twice[3, 3] = 2
         # two copies of A: every component check passes, but the pencil is Delta^2
         doubled = np.kron(np.eye(2, dtype=np.int64), entries)
-        for wrong, message in ((lower, "not upper triangular"), (twice, "diagonal \\+-1"),
-                               (doubled, "not of size 6")):
-            with pytest.raises(ValidationFailure, match=message):
+        for wrong in (lower, twice, doubled, swapped_factors(TorusKnot(3, 4))):
+            with pytest.raises(ValidationFailure, match=NOT_THE_BRICKS.format(3, 4)):
                 validate_as_torus(wrong, TorusKnot(3, 4))
 
     def test_proved_blocks_are_the_returned_matrices(self, monkeypatch):
@@ -905,12 +1004,62 @@ class TestExactValidation:
         """A build with a brick too many or too few fails as a ValidationFailure,
         alone or in a batch, and never reads past its arrays."""
         knots = [TorusKnot(3, 4), TorusKnot(2, 7), TorusKnot(5, 6)]
-        for wrap, message in ((one_more_brick, "A is not of size 6"),
-                              (one_brick_fewer, "diagonal \\+-1")):
-            with pytest.raises(ValidationFailure, match=message):
+        for wrap in (one_more_brick, one_brick_fewer):
+            with pytest.raises(ValidationFailure, match=NOT_THE_BRICKS.format(3, 4)):
                 with_oracle("_brick_matrix", wrap, lambda: torus_seifert_matrix(knots[0]))
             errors = with_oracle("_brick_matrix", wrap, lambda: list(oracle._exact_krylov(knots)))
             assert all(isinstance(error, ValidationFailure) for error in errors), errors
+
+    @pytest.mark.parametrize("offset", [0, 1, 4, 5])
+    @pytest.mark.parametrize("change", ["drop", "duplicate", "flip", "move"])
+    def test_wrong_link_refuses_its_knot_alone(self, offset, change):
+        """One link of row (0, 0) of T(3,5), the batch's rows 12..19, changed:
+        by col - row (m = 4), its diagonal, (0, 1), (1, 0) or (1, 1)."""
+        knots = [TorusKnot(2, 7), TorusKnot(3, 5), TorusKnot(4, 5)]  # built in reverse
+
+        def relink(build):
+            def wrapped(letters):
+                rows, cols, values = (x.copy() for x in build(letters))
+                [k] = np.flatnonzero((rows == 12) & (cols - rows == offset))
+                if change == "move":
+                    cols[k] += 2
+                elif change == "flip":
+                    values[k] *= -1
+                else:
+                    at = np.arange(rows.size)
+                    at = np.delete(at, k) if change == "drop" else np.append(at, k)
+                    rows, cols, values = rows[at], cols[at], values[at]
+                return rows, cols, values
+            return wrapped
+
+        clean = list(oracle._exact_krylov(knots))
+        g = with_oracle("_brick_matrix", once(relink), lambda: list(oracle._exact_krylov(knots)))
+        assert isinstance(g[1], ValidationFailure), g[1]
+        assert re.fullmatch(NOT_THE_BRICKS.format(3, 5), str(g[1]))
+        assert np.array_equal(g[0], clean[0]) and np.array_equal(g[2], clean[2])
+
+    def test_brick_past_the_last_knot_refuses_it_alone(self):
+        knots = [TorusKnot(2, 7), TorusKnot(3, 5), TorusKnot(4, 5)]  # T(2,7) is built last
+        clean = list(oracle._exact_krylov(knots))
+        g = with_oracle("_brick_matrix", once(one_more_brick),
+                        lambda: list(oracle._exact_krylov(knots)))
+        assert re.fullmatch(NOT_THE_BRICKS.format(2, 7), str(g[0]))
+        assert np.array_equal(g[1], clean[1]) and np.array_equal(g[2], clean[2])
+
+    def test_all_pad_slots_dropped(self):
+        """T(2,q) rows have no run before them, so a batch of T(2,q) alone
+        steps two slots of M, and one with T(3,4) four."""
+        real, slots = oracle._torus_monodromy, []
+
+        def record(p, q):
+            m_cols, m_values = real(p, q)
+            slots.append(len(m_cols))
+            return m_cols, m_values
+
+        with patched(_torus_monodromy=record):
+            for knots in ([TorusKnot(2, 5), TorusKnot(2, 9)], [TorusKnot(2, 5), TorusKnot(3, 4)]):
+                assert all(isinstance(g, np.ndarray) for g in oracle._exact_krylov(knots))
+        assert slots == [2, 4]
 
     def test_accepts_every_torus_knot_up_to_rank_120(self):
         pairs = [(p, q) for p, q in coprime_pairs(12, 122) if (p - 1) * (q - 1) <= 120]
@@ -919,7 +1068,8 @@ class TestExactValidation:
             assert torus_seifert_matrix(TorusKnot(p, q)).size == (p - 1) * (q - 1)
 
     def test_torus_path_is_prime_free(self, capsys, monkeypatch):
-        """`verify` reaches neither the congruence check nor any test reference."""
+        """`verify` reaches neither the congruence check nor `_monodromy` nor
+        any test reference."""
         runs = {
             ("verify", "--which", "oracle", "--p-max", "6", "--q-max", "11"):
                 "suite=oracle checked=22 failed=0\nresult=PASS\n",
@@ -934,10 +1084,10 @@ class TestExactValidation:
             assert capsys.readouterr().out == expected
 
         def refuse(*args):
-            raise AssertionError("verify reached the congruence check, a test reference "
-                                 "or a braid word")
+            raise AssertionError("verify reached the congruence check, the back-substituted "
+                                 "monodromy, a test reference or a braid word")
 
-        for name in ("alexander_from_seifert", "_minpoly_mod", "torus_alexander",
+        for name in ("alexander_from_seifert", "_minpoly_mod", "_monodromy", "torus_alexander",
                      "hermitian_signature", "torus_braid", "BraidWord"):
             monkeypatch.setattr(oracle, name, refuse)
         monkeypatch.setattr(BraidWord, "closure_components", refuse)
@@ -974,6 +1124,7 @@ class TestExactValidation:
             "over-rank InvalidParameter",
             "brick-too-many ValidationFailure",
             "brick-too-few ValidationFailure",
+            "swapped-factors ValidationFailure",
             "",
         ]
 
@@ -1170,7 +1321,7 @@ def zero_start(real_random):
     return types.SimpleNamespace(Random=Zeros)
 
 
-scaled = with_values(lambda values: values * 2**20)  # M * 2^20, past `_monodromy`'s bound
+scaled = with_values(lambda values: values * 2**20)  # M * 2^20
 
 
 class TestCrossCheck:
@@ -1207,18 +1358,17 @@ class TestCrossCheck:
         passes, and the bytes do not depend on how --jobs cuts the batches
         (the worker threads run the patched builder too)."""
         knots = [TorusKnot(p, q) for p, q in coprime_pairs(6, 11)]
-        bad, real = seifert_matrix(torus_braid(TorusKnot(4, 7))).entries, oracle._monodromy
+        real = oracle._torus_monodromy
 
-        def monodromy(rows, cols, values, first):  # -M in the block of T(4,7)
-            m_cols, m_values, starts, errors = real(rows, cols, values, first)
-            a = np.zeros((first[-1],) * 2, np.int64)
-            a[rows, cols] = values
-            for lo, hi in zip(first, first[1:]):
-                if np.array_equal(a[lo:hi, lo:hi], bad):
-                    m_values[starts[lo] : starts[hi]] *= -1
-            return m_cols, m_values, starts, errors
+        def monodromy(p, q):  # -M in the block of T(4,7)
+            m_cols, m_values = real(p, q)
+            first = np.cumsum([0, *((a - 1) * (b - 1) for a, b in zip(p, q))])
+            for pq, lo, hi in zip(zip(p, q), first, first[1:]):
+                if pq == (4, 7):
+                    m_values[:, lo:hi] *= -1
+            return m_cols, m_values
 
-        monkeypatch.setattr(oracle, "_monodromy", monodromy)
+        monkeypatch.setattr(oracle, "_torus_monodromy", monodromy)
         for knot, step in zip(knots, oracle.oracle_step_functions(knots)):
             if knot == TorusKnot(4, 7):
                 assert isinstance(step, ValidationFailure), step
@@ -1314,20 +1464,20 @@ class TestOracleStepFunction:
 
     def test_krylov_must_close_up(self, monkeypatch):
         # (-M)^15 v = -v
-        monkeypatch.setattr(oracle, "_monodromy", negated(oracle._monodromy))
+        monkeypatch.setattr(oracle, "_torus_monodromy", negated(oracle._torus_monodromy))
         with pytest.raises(ValidationFailure, match="\\^15 v is not v"):
             oracle_step_function(TorusKnot(3, 5))
 
     def test_krylov_entry_bound(self, monkeypatch):
         # M * 2^20 has L = 2^22, so y is checked against 2^31 // 2^22 at every step
-        monkeypatch.setattr(oracle, "_monodromy", scaled(oracle._monodromy))
+        monkeypatch.setattr(oracle, "_torus_monodromy", scaled(oracle._torus_monodromy))
         with pytest.raises(ValidationFailure, match="reaches 2\\^31 // 4194304\\^1 "):
             oracle_step_function(TorusKnot(3, 5))
 
     def test_krylov_entry_bound_is_each_knots_own(self, monkeypatch):
         # T(2,7)'s rows of M * 2^20 have L = 2^21 and T(3,5)'s 2^22: each knot
         # is refused against its own bound, whatever its batch holds
-        monkeypatch.setattr(oracle, "_monodromy", scaled(oracle._monodromy))
+        monkeypatch.setattr(oracle, "_torus_monodromy", scaled(oracle._torus_monodromy))
         alone = oracle._exact_krylov([TorusKnot(2, 7)])
         beside = oracle._exact_krylov([TorusKnot(2, 7), TorusKnot(3, 5)])
         messages = [str(error) for error in (*alone, *beside)]
@@ -1342,13 +1492,13 @@ class TestOracleStepFunction:
         n = TorusKnot(3, 5).seifert_rank()
         c = next(i for i, x in enumerate(start_vector(n)) if i and x >= 32)
 
-        def negative_row(rows, cols, values, first):
+        def negative_row(p, q):
             m = np.eye(n, dtype=np.int64)
             m[0] = 0
             m[0, c] = -(2**16)
-            return (*csr(m), [None])
+            return padded(m)
 
-        monkeypatch.setattr(oracle, "_monodromy", negative_row)
+        monkeypatch.setattr(oracle, "_torus_monodromy", negative_row)
         with pytest.raises(ValidationFailure, match="reaches 2\\^31 // 65536\\^1 "):
             oracle_step_function(TorusKnot(3, 5))
 
@@ -1358,12 +1508,12 @@ class TestOracleStepFunction:
         # pq = 66 steps would end at 2^66 v_0, which wraps to 0 in int64
         n = TorusKnot(2, 33).seifert_rank()
 
-        def doubling(rows, cols, values, first):
+        def doubling(p, q):
             m = np.eye(n, dtype=np.int64)
             m[0, 0] = 2
-            return (*csr(m), [None])
+            return padded(m)
 
-        monkeypatch.setattr(oracle, "_monodromy", doubling)
+        monkeypatch.setattr(oracle, "_torus_monodromy", doubling)
         refusal = "reaches 2\\^31 // 2\\^16 at a j divisible by 16"
         with pytest.raises(ValidationFailure, match=refusal):
             oracle_step_function(TorusKnot(2, 33))
@@ -1372,20 +1522,16 @@ class TestOracleStepFunction:
         # M = I has L = 1, so L^every never grows past 2^16: the capped
         # cadence still ends, and y_j = v fails the first c_d check
         n = TorusKnot(3, 5).seifert_rank()
-        identity = (*csr(np.eye(n, dtype=np.int64)), [None])
-        monkeypatch.setattr(oracle, "_monodromy", lambda *args: identity)
+        identity = padded(np.eye(n, dtype=np.int64))
+        monkeypatch.setattr(oracle, "_torus_monodromy", lambda p, q: identity)
         with time_limit(1.0), pytest.raises(ValidationFailure, match="Phi_1 component"):
             oracle_step_function(TorusKnot(3, 5))
 
     def test_sequence_must_be_symmetric(self, monkeypatch):
         # M^T closes up and has M's eigenvalues, so its c_d pass, but
         # A^T = A M^T fails, and with it g_m = g_{1-m}
-        def transposed(rows, cols, values, first):
-            a = np.zeros((first[-1],) * 2, np.int64)
-            a[rows, cols] = values
-            return (*csr(monodromy_rows(a).T), [None])
-
-        monkeypatch.setattr(oracle, "_monodromy", transposed)
+        transposed = padded(monodromy_rows(seifert_matrix(torus_braid(TorusKnot(4, 7))).entries).T)
+        monkeypatch.setattr(oracle, "_torus_monodromy", lambda p, q: transposed)
         with pytest.raises(ValidationFailure, match="v\\^T A M\\^0 v is not v\\^T A M\\^1 v"):
             oracle_step_function(TorusKnot(4, 7))
 
@@ -1429,8 +1575,8 @@ step = lambda: oracle.oracle_step_function(TorusKnot(3, 5))
 cases = {
     "zero-start": lambda: with_oracle("random", zero_start, step),
     "tol-10": lambda: oracle.oracle_step_function(TorusKnot(2, 3), tol=10.0),
-    "krylov-not-closed": lambda: with_oracle("_monodromy", negated, step),
-    "entry-bound": lambda: with_oracle("_monodromy", scaled, step),
+    "krylov-not-closed": lambda: with_oracle("_torus_monodromy", negated, step),
+    "entry-bound": lambda: with_oracle("_torus_monodromy", scaled, step),
 }
 for name, case in cases.items():
     try:
